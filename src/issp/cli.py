@@ -6,8 +6,9 @@ Instance file format (UTF-8, LF):
 Lines starting with '#' are ignored.  Serialization is canonical (single
 spaces, trailing newline), and parse(serialize(x)) is the identity.
 
-Exit codes: 0 success, 2 parse/validation error, 3 invalid flags,
-4 resource budget exceeded.
+Exit codes: 0 success, 2 parse/validation error, 3 invalid flags or
+settings, 4 resource budget exceeded, 5 solver bug (a solver's answer failed its
+self-check, or an internal invariant broke).
 """
 
 from __future__ import annotations
@@ -33,11 +34,25 @@ from .core import (
     sort_by_length,
     validate,
 )
-from .errors import InstanceTooLarge, IsspError, MemoryBudgetExceeded
+from .errors import (
+    EmptyArray,
+    InstanceTooLarge,
+    InvalidSetting,
+    IsspError,
+    MemoryBudgetExceeded,
+    NoPairFound,
+    TargetExceeded,
+    ValueOutsideInterval,
+)
 
 EXIT_PARSE = 2
 EXIT_FLAGS = 3
 EXIT_BUDGET = 4
+EXIT_BUG = 5
+
+# Raised by a solver, or by the self-check of its answer, only if the
+# solver is wrong; never by bad input, which fails validation first.
+SOLVER_BUGS = (NoPairFound, EmptyArray, TargetExceeded, ValueOutsideInterval)
 
 BENCH_HEADER = [
     "family",
@@ -91,6 +106,17 @@ def parse_ratio(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_epsilon(text: str) -> Fraction:
+    """An --epsilon value: an exact rational in (0, 1), else ValueError."""
+    try:
+        eps = parse_ratio(text)
+    except (ValueError, ZeroDivisionError):
+        eps = None
+    if eps is None or not 0 < eps < 1:
+        raise ValueError(f"epsilon must be a rational in (0, 1), got {text!r}")
+    return eps
+
+
 def _solve_instance(
     inst: Instance, algorithm: str, epsilon: Optional[Fraction]
 ) -> SolveOutcome:
@@ -135,15 +161,25 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     if args.algorithm in ("fptas", "auto") and args.epsilon is None:
         print("error: --epsilon is required for fptas/auto", file=sys.stderr)
         return EXIT_FLAGS
-    eps = Fraction(args.epsilon) if args.epsilon is not None else None
+    try:
+        eps = parse_epsilon(args.epsilon) if args.epsilon is not None else None
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FLAGS
     try:
         outcome = _solve_instance(inst, args.algorithm, eps)
     except (MemoryBudgetExceeded, InstanceTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    # self-check before printing
+    # self-check before printing; an infeasible solution raises one of
+    # SOLVER_BUGS, which main maps to EXIT_BUG
     total = evaluate(inst, outcome.solution)
-    assert total == outcome.value, "reported value disagrees with its solution"
+    if total != outcome.value:
+        print(
+            f"error: solver bug: reported value {outcome.value} but the solution sums to {total}",
+            file=sys.stderr,
+        )
+        return EXIT_BUG
     if args.json:
         payload = {
             "value": outcome.value,
@@ -241,8 +277,16 @@ def _exact_reference(family: str, inst: Instance, n: int) -> Optional[int]:
 
 
 def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
-    epsilons = [Fraction(e) for e in args.epsilons.split(",")]
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+    try:
+        epsilons = [parse_epsilon(e) for e in args.epsilons.split(",")]
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+        fixed_param = parse_ratio(args.c) if args.c is not None else None
+    except (ValueError, ZeroDivisionError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FLAGS
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_FLAGS
     family = args.suite
     writer = csv.writer(out)
     writer.writerow(BENCH_HEADER)
@@ -252,8 +296,8 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
     else:
         default_sizes = [1000]
         params = [Fraction(3, 2), Fraction(13, 10), Fraction(11, 10)]
-        if args.c is not None:
-            params = [parse_ratio(args.c)]
+        if fixed_param is not None:
+            params = [fixed_param]
     for n in sizes or default_sizes:
         for param in params:
             for eps in epsilons:
@@ -261,14 +305,18 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
                 times: list[float] = []
                 for trial in range(args.trials):
                     trial_seed = args.seed + trial
-                    if family == "A":
-                        inst = instgen.gen_a(n)
-                    elif family == "B":
-                        inst = instgen.gen_b(n)
-                    elif family == "C":
-                        inst = instgen.gen_c(n, param, trial_seed)
-                    else:
-                        inst = instgen.gen_d(n, param, trial_seed)
+                    try:
+                        if family == "A":
+                            inst = instgen.gen_a(n)
+                        elif family == "B":
+                            inst = instgen.gen_b(n)
+                        elif family == "C":
+                            inst = instgen.gen_c(n, param, trial_seed)
+                        else:
+                            inst = instgen.gen_d(n, param, trial_seed)
+                    except (IsspError, ValueError) as e:
+                        print(f"error: {e}", file=sys.stderr)
+                        return EXIT_FLAGS
                     if family in ("A", "B"):
                         reference = _exact_reference(family, inst, n)
                         if reference is None:
@@ -354,6 +402,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvalidSetting as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FLAGS
+    except SOLVER_BUGS as e:
+        print(f"error: solver bug: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -34,7 +34,11 @@ class InstanceTooLarge(IsspError):
 
 
 class MemoryBudgetExceeded(IsspError):
-    """The exact dynamic program would exceed its memory budget."""
+    """A solver would exceed its memory budget."""
+
+
+class InvalidSetting(IsspError):
+    """An environment setting, such as ISSP_MEMORY_BUDGET_MB, is malformed."""
 
 
 class EpsilonOutOfRange(IsspError):

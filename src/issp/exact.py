@@ -20,7 +20,7 @@ from bisect import bisect_right, insort
 
 from .analysis import fill_values
 from .core import Instance, SolveOutcome, scatter_solution, sort_by_length
-from .errors import InstanceTooLarge, MemoryBudgetExceeded
+from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
 _BYTES_PER_ENTRY = 128  # nominal cost of one reachable value + provenance
@@ -28,7 +28,11 @@ _BYTES_PER_ENTRY = 128  # nominal cost of one reachable value + provenance
 
 def memory_budget_entries() -> int:
     """Max number of stored reachable sums, from ISSP_MEMORY_BUDGET_MB."""
-    mb = int(os.environ.get("ISSP_MEMORY_BUDGET_MB", DEFAULT_MEMORY_BUDGET_MB))
+    raw = os.environ.get("ISSP_MEMORY_BUDGET_MB", str(DEFAULT_MEMORY_BUDGET_MB))
+    try:
+        mb = int(raw)
+    except ValueError:
+        raise InvalidSetting(f"ISSP_MEMORY_BUDGET_MB must be an integer, got {raw!r}") from None
     return mb * 1024 * 1024 // _BYTES_PER_ENTRY
 
 

@@ -2,7 +2,9 @@
 
 The driver partitions (0, T] into l = ceil(1/eps) equal buckets of width
 T/l (<= eps*T) and streams over the length-sorted intervals keeping only
-the smallest and largest reachable endpoint-sum seen in each bucket.  The
+the smallest and largest reachable endpoint-sum seen in each bucket.  An
+item's new sums form two sorted runs, which are merged into the buckets by
+walking a precomputed table of bucket boundaries, with no division.  The
 scan locates the single interval m that may take a strictly interior value
 and the best partial sum ``delta_hat`` reachable from the intervals before
 m.  Because bucket slots can be displaced by later items, a stored value's
@@ -14,21 +16,30 @@ removing every touched suffix so no item is ever used twice.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
-The live bucket-slot count is metered: arrays are sized by 1/eps only and
-recycled on recursion unwind, so peak space is O(1/eps) regardless of T.
+The live bucket-slot count is metered: arrays are sized by 1/eps only,
+checked against the memory budget before any is allocated, and dropped when
+released, so peak space is O(1/eps) regardless of T.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .core import Instance, SolveOutcome, scatter_solution, sort_by_length
-from .errors import EmptyArray, EpsilonOutOfRange, IsspError, NoPairFound, OutOfRange
+from .errors import (
+    EmptyArray,
+    EpsilonOutOfRange,
+    IsspError,
+    MemoryBudgetExceeded,
+    NoPairFound,
+    OutOfRange,
+)
+from .exact import memory_budget_entries
 
 Number = Union[int, Fraction]
 
@@ -54,12 +65,17 @@ class SlotMeter:
 
 @dataclass
 class FptasParams:
-    """Shared solve-wide constants: eps as an exact rational, T, l buckets."""
+    """Shared solve-wide constants: eps as an exact rational, T, l buckets.
+
+    ``bounds[k] = floor(k*T/l)`` is the largest integer in bucket k, so the
+    bucket of an integer v in (0, T] is the first k with v <= bounds[k].
+    """
 
     epsilon: Fraction
     target: int
     l: int = 0
     meter: SlotMeter = field(default_factory=SlotMeter)
+    bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1):
@@ -67,6 +83,18 @@ class FptasParams:
         if self.l == 0:
             p, q = self.epsilon.numerator, self.epsilon.denominator
             self.l = -(-q // p)  # ceil(1/eps)
+        # At most two arrays of 2l slots are live at once (the metered peak),
+        # plus the boundary table; check before allocating any of them.  The
+        # message names no eps-sized number: l may have thousands of digits.
+        budget = memory_budget_entries()
+        if 5 * self.l + 1 > budget:
+            raise MemoryBudgetExceeded(
+                f"epsilon too small: the memory budget of {budget} entries allows at "
+                f"most {(budget - 1) // 5} buckets (ceil(1/epsilon)); raise "
+                "ISSP_MEMORY_BUDGET_MB to override"
+            )
+        t, l = self.target, self.l
+        self.bounds = [k * t // l for k in range(l + 1)]
 
     @property
     def width(self) -> Fraction:
@@ -81,11 +109,7 @@ class FptasParams:
         """1-based bucket of v in the partition of (0, T]: ceil(v*l/T)."""
         if not (0 < v <= self.target):
             raise OutOfRange(f"value {v} outside (0, {self.target}]")
-        return -(-v * self.l // self.target)
-
-
-def bucket_index(v: int, params: FptasParams) -> int:
-    return params.bucket_index(v)
+        return bisect_left(self.bounds, v)
 
 
 class BucketArray:
@@ -93,17 +117,15 @@ class BucketArray:
 
     ``neg``/``pos`` hold the smallest/largest value seen in each bucket
     (0 = empty); ``*_d1``/``*_d2`` record the position and endpoint
-    selector (1 = lo, 2 = hi) of the last item that produced the value.
+    selector (1 = lo, 2 = hi) of the item that produced the value.
     Arrays are always allocated at the full l buckets so the metered slot
-    count depends only on eps, but only the first ``l_used`` buckets
-    (enough to cover the local target) ever hold values.
+    count depends only on eps; only values up to the local target (capped
+    at T) are ever stored.
     """
 
     def __init__(self, params: FptasParams, local_target: Number):
         self.params = params
-        self.local_target = local_target
         self.tfloor = min(math.floor(local_target), params.target)
-        self.l_used = min(params.l, max(1, -(-self.tfloor * params.l // params.target)))
         l = params.l
         self.neg = [0] * (l + 1)  # 1-based
         self.pos = [0] * (l + 1)
@@ -117,16 +139,23 @@ class BucketArray:
         self._released = False
 
     def release(self) -> None:
+        """Return the slots to the meter and drop the arrays, so a frame
+        that still names this object holds no bucket memory."""
         if not self._released:
             self.params.meter.free(self._slots)
             self._released = True
+            self.neg = self.pos = self.neg_d1 = self.neg_d2 = self.pos_d1 = self.pos_d2 = []
+            self.nonempty = []
 
     def values(self) -> list[int]:
-        out = []
+        """Stored values in increasing order."""
+        neg, pos = self.neg, self.pos
+        out: list[int] = []
         for k in self.nonempty:
-            out.append(self.neg[k])
-            if self.pos[k] != self.neg[k]:
-                out.append(self.pos[k])
+            x, y = neg[k], pos[k]
+            out.append(x)
+            if y != x:
+                out.append(y)
         return out
 
     def max_value_le(self, bound: int) -> int:
@@ -148,23 +177,82 @@ class BucketArray:
             k = self.nonempty[i - 1]
         return self.pos[k]
 
+    def add_item(self, idx: int, lo: int, hi: int) -> None:
+        """Extend the stored values by item idx.
+
+        Each endpoint a is inserted alone, then added to every value stored
+        before this call (so an item never combines with itself); that
+        sorted run, cut at the local target, is merged into the buckets.
+        The result equals inserting the values one at a time in the order
+        existing slot, lo, lo run, hi, hi run.  When lo == hi the hi values
+        repeat the lo ones and cannot change any slot.
+        """
+        base = self.values()
+        tf = self.tfloor
+        for d2, a in ((1, lo), (2, hi)) if lo != hi else ((1, lo),):
+            if a > tf:
+                break
+            self.insert(a, idx, d2)
+            cut = bisect_right(base, tf - a)
+            if cut:
+                self._merge([v + a for v in base[:cut]], idx, d2)
+
     def insert(self, v: int, d1: int, d2: int) -> None:
         """Record value v produced by endpoint d2 of item d1."""
-        k = self.params.bucket_index(v)
-        if self.neg[k] == 0:
-            insort(self.nonempty, k)
-            self.neg[k] = self.pos[k] = v
-            self.neg_d1[k] = self.pos_d1[k] = d1
-            self.neg_d2[k] = self.pos_d2[k] = d2
-            return
-        if v < self.neg[k]:
-            self.neg[k] = v
-            self.neg_d1[k] = d1
-            self.neg_d2[k] = d2
-        if v > self.pos[k]:
-            self.pos[k] = v
-            self.pos_d1[k] = d1
-            self.pos_d2[k] = d2
+        self.params.bucket_index(v)  # range check
+        self._merge([v], d1, d2)
+
+    def _merge(self, run: list[int], d1: int, d2: int) -> None:
+        """Merge a non-empty, non-decreasing run of values in (0, T], all
+        produced by endpoint d2 of item d1, into the slots (the run list is
+        consumed).
+
+        The run is walked against the boundary table, so no value is
+        divided: a bucket's smallest run value is the first one to enter
+        it and its largest the last one before the walk leaves it.  A slot
+        changes only on a strict improvement, as single inserts would do.
+        The buckets the run opens are merged into ``nonempty`` at the end.
+        """
+        bounds = self.params.bounds
+        neg, pos = self.neg, self.pos
+        neg_d1, neg_d2, pos_d1, pos_d2 = self.neg_d1, self.neg_d2, self.pos_d1, self.pos_d2
+        end = self.params.target + 1  # sentinel: closes the last bucket
+        run.append(end)
+        it = iter(run)
+        first = last = next(it)
+        k = bisect_left(bounds, first)
+        ub = bounds[k]
+        new: list[int] = []
+        for c in it:
+            if c <= ub:
+                last = c
+                continue
+            if neg[k] == 0:
+                new.append(k)
+                neg[k] = first
+                pos[k] = last
+                neg_d1[k] = pos_d1[k] = d1
+                neg_d2[k] = pos_d2[k] = d2
+            else:
+                if first < neg[k]:
+                    neg[k] = first
+                    neg_d1[k] = d1
+                    neg_d2[k] = d2
+                if last > pos[k]:
+                    pos[k] = last
+                    pos_d1[k] = d1
+                    pos_d2[k] = d2
+            if c == end:
+                break
+            k += 1
+            ub = bounds[k]
+            if c > ub:
+                k = bisect_left(bounds, c, k + 1)
+                ub = bounds[k]
+            first = last = c
+        if new:
+            self.nonempty += new
+            self.nonempty.sort()  # two sorted runs, so the sort is a linear merge
 
     def slot_for(self, v: int) -> tuple[int, int]:
         """(d1, d2) of the slot currently holding value v."""
@@ -184,16 +272,8 @@ def relaxed_dp(items: list[Item], local_target: Number, params: FptasParams) -> 
     every resulting value in (0, local_target] updates its bucket's slots.
     """
     b = BucketArray(params, local_target)
-    tf = b.tfloor
     for idx, lo, hi in items:
-        base = b.values()
-        for j, a in ((1, lo), (2, hi)):
-            if a <= tf:
-                b.insert(a, idx, j)
-            for v in base:
-                c = v + a
-                if c <= tf:
-                    b.insert(c, idx, j)
+        b.add_item(idx, lo, hi)
     return b
 
 
@@ -275,20 +355,13 @@ def backtrack(
 
 def divide_and_conquer(
     items: list[Item], local_target: Number, params: FptasParams
-) -> "DCResult":
+) -> tuple[int, dict[int, int]]:
     """Reconstruct endpoint assignments summing into
-    [local_target - eps*T, local_target] from the given items."""
+    [local_target - eps*T, local_target] from the given items; returns
+    their sum and the assignments by item position."""
     assignments: dict[int, int] = {}
-    removed: set[int] = set()
-    y = _dc(items, local_target, params, assignments, removed)
-    return DCResult(y_dc=y, assignments=assignments, removed=frozenset(removed))
-
-
-@dataclass(frozen=True)
-class DCResult:
-    y_dc: int
-    assignments: dict[int, int]
-    removed: frozenset[int]
+    y = _dc(items, local_target, params, assignments)
+    return y, assignments
 
 
 def _dc(
@@ -296,7 +369,6 @@ def _dc(
     t_local: Number,
     params: FptasParams,
     assignments: dict[int, int],
-    removed_all: set[int],
 ) -> int:
     if not items:
         return 0
@@ -311,7 +383,6 @@ def _dc(
     if t_local - u2 > eps_t:
         y1b, rem1, asg1 = backtrack(b1, lam1, t_local - u2, params)
         assignments.update(asg1)
-        removed_all |= rem1
         lam1_rest = [it for it in lam1 if it[0] not in rem1]
     # b1/b2 are not needed past this point (the second half is re-solved
     # with an updated target below); recycle before recursing so the live
@@ -319,17 +390,16 @@ def _dc(
     b1.release()
     b2.release()
     if t_local - u2 - y1b > eps_t:
-        y1dc = _dc(lam1_rest, t_local - u2 - y1b, params, assignments, removed_all)
+        y1dc = _dc(lam1_rest, t_local - u2 - y1b, params, assignments)
     lam2_rest = lam2
     if t_local - y1b - y1dc > eps_t:
         b2n = relaxed_dp(lam2, t_local - y1b - y1dc, params)
         y2b, rem2, asg2 = backtrack(b2n, lam2, t_local - y1b - y1dc, params)
         b2n.release()
         assignments.update(asg2)
-        removed_all |= rem2
         lam2_rest = [it for it in lam2 if it[0] not in rem2]
     if t_local - y1b - y1dc - y2b > eps_t:
-        y2dc = _dc(lam2_rest, t_local - y1b - y1dc - y2b, params, assignments, removed_all)
+        y2dc = _dc(lam2_rest, t_local - y1b - y1dc - y2b, params, assignments)
     return y1b + y1dc + y2b + y2dc
 
 
@@ -383,14 +453,7 @@ def fptas_solve(
         if t_hat == t:
             early_exit = True
             break
-        base = scan.values()
-        for a in (iv.lo, iv.hi):
-            if a <= t:
-                scan.insert(a, i, 1 if a == iv.lo else 2)
-            for v in base:
-                c = v + a
-                if c <= t:
-                    scan.insert(c, i, 1 if a == iv.lo else 2)
+        scan.add_item(i, iv.lo, iv.hi)
         if trace:
             scan_trace.append((scan.neg.copy(), scan.pos.copy()))
     scan.release()
@@ -404,9 +467,8 @@ def fptas_solve(
     ]
     x = [0] * n
     if items and dc_target > 0:
-        result = divide_and_conquer(items, dc_target, params)
-        y_hat = result.y_dc
-        for idx, val in result.assignments.items():
+        y_hat, assignments = divide_and_conquer(items, dc_target, params)
+        for idx, val in assignments.items():
             x[idx] = val
     else:
         y_hat = 0

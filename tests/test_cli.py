@@ -1,15 +1,23 @@
 """Command-line interface: parsing, subcommands, exit codes, CSV schema."""
 
 import csv
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import issp
+from issp import cli, fptas
 from issp.cli import (
     BENCH_HEADER,
     EXIT_BUDGET,
+    EXIT_BUG,
     EXIT_FLAGS,
     EXIT_PARSE,
     main,
@@ -18,9 +26,12 @@ from issp.cli import (
     serialize_instance,
 )
 from issp.core import validate
-from issp.errors import IsspError
+from issp.errors import IsspError, NoPairFound
 
 from conftest import instances
+
+
+GOLDEN_FILE = "4 100\n10 20\n10 25\n60 85\n20 50\n"
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +138,92 @@ class TestSolveCommand:
         )
         assert code == code2 == 0
         assert json.loads(out_auto)["value"] >= json.loads(out_fptas)["value"]
+
+    @pytest.mark.parametrize("eps", ["abc", "nan", "0", "1", "-0.5"])
+    def test_invalid_epsilon_exit_code(self, tmp_path, capsys, eps):
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algorithm", "fptas", "--epsilon", eps
+        )
+        assert code == EXIT_FLAGS
+        assert out == ""
+        assert err.count("\n") == 1 and "epsilon" in err
+
+    @pytest.mark.parametrize("eps", ["1e-8", "1e-400"])
+    def test_tiny_epsilon_exceeds_budget(self, tmp_path, capsys, eps):
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algorithm", "fptas", "--epsilon", eps
+        )
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "budget" in err
+
+    @pytest.mark.parametrize("algorithm", ["dp", "fptas"])
+    def test_malformed_budget_setting_exit_code(self, tmp_path, capsys, monkeypatch, algorithm):
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "abc")
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algorithm", algorithm, "--epsilon", "1/5"
+        )
+        assert code == EXIT_FLAGS
+        assert err.count("\n") == 1 and "ISSP_MEMORY_BUDGET_MB" in err
+
+    def test_value_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+        real = cli._solve_instance
+
+        def off_by_one(*args):
+            out = real(*args)
+            return dataclasses.replace(out, value=out.value + 1)
+
+        monkeypatch.setattr(cli, "_solve_instance", off_by_one)
+        code, out, err = run_cli(capsys, "solve", str(path), "--algorithm", "dp")
+        assert code == EXIT_BUG
+        assert out == ""
+        assert "solver bug" in err
+
+    def test_value_self_check_survives_optimize_flag(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+        script = (
+            "import dataclasses, sys\n"
+            "from issp import cli\n"
+            "real = cli._solve_instance\n"
+            "def off_by_one(*args):\n"
+            "    out = real(*args)\n"
+            "    return dataclasses.replace(out, value=out.value + 1)\n"
+            "cli._solve_instance = off_by_one\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(issp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "solve", str(path), "--algorithm", "dp"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == EXIT_BUG
+        assert "solver bug" in proc.stderr
+
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+
+        def no_pair(*args):
+            raise NoPairFound("sweep exhausted ascending side")
+
+        monkeypatch.setattr(fptas, "find_u1_u2", no_pair)
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algorithm", "fptas", "--epsilon", "1/5"
+        )
+        assert code == EXIT_BUG
+        assert "solver bug" in err and "NoPairFound" in err
 
 
 class TestGenerateCommand:
@@ -251,3 +348,30 @@ class TestBenchCommand:
         )
         assert code == EXIT_BUDGET
         assert "refusing" in err
+
+    def test_zero_trials_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", "B", "--sizes", "10", "--epsilons", "0.1", "--trials", "0"
+        )
+        assert code == EXIT_FLAGS
+        assert out == ""
+        assert err.count("\n") == 1 and "trials" in err
+
+    @pytest.mark.parametrize("epsilons", ["x", "0.1,2"])
+    def test_invalid_epsilons_exit_code(self, capsys, epsilons):
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", "B", "--sizes", "10", "--epsilons", epsilons
+        )
+        assert code == EXIT_FLAGS
+        assert out == ""
+        assert err.count("\n") == 1 and "epsilon" in err
+
+    @pytest.mark.parametrize(
+        "flags", [("--sizes", "x"), ("--sizes", "0"), ("--c", "x"), ("--c", "1/2")]
+    )
+    def test_invalid_instance_flags_exit_code(self, capsys, flags):
+        args = ["bench", "--suite", "C", "--sizes", "10", "--c", "3/2", "--epsilons", "0.1"]
+        args[args.index(flags[0]) + 1] = flags[1]
+        code, _, err = run_cli(capsys, *args)
+        assert code == EXIT_FLAGS
+        assert err.count("\n") == 1 and err.startswith("error:")

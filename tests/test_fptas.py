@@ -1,5 +1,7 @@
 """Approximation scheme: buckets, reconstruction, guarantee, space meter."""
 
+import tracemalloc
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 import pytest
@@ -14,12 +16,11 @@ from issp.core import (
     sort_by_length,
     validate,
 )
-from issp.errors import EpsilonOutOfRange, OutOfRange
+from issp.errors import EpsilonOutOfRange, MemoryBudgetExceeded, OutOfRange
 from issp.exact import brute_force_optimum
 from issp.fptas import (
     BucketArray,
     FptasParams,
-    bucket_index,
     find_u1_u2,
     fptas_solve,
     relaxed_dp,
@@ -29,6 +30,57 @@ from conftest import instances
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
 GOLDEN_T = 100
+
+SLOT_ARRAYS = ("neg", "pos", "neg_d1", "neg_d2", "pos_d1", "pos_d2", "nonempty")
+
+
+def reference_insert(b, v, d1, d2):
+    """One value into its bucket by ceil division, as the solver once did."""
+    k = -(-v * b.params.l // b.params.target)
+    if b.neg[k] == 0:
+        insort(b.nonempty, k)
+        b.neg[k] = b.pos[k] = v
+        b.neg_d1[k] = b.pos_d1[k] = d1
+        b.neg_d2[k] = b.pos_d2[k] = d2
+        return
+    if v < b.neg[k]:
+        b.neg[k], b.neg_d1[k], b.neg_d2[k] = v, d1, d2
+    if v > b.pos[k]:
+        b.pos[k], b.pos_d1[k], b.pos_d2[k] = v, d1, d2
+
+
+def reference_relaxed_dp(items, local_target, params):
+    """relaxed_dp as a per-value insert loop: lo alone, lo plus each value
+    stored before the item, then the same for hi."""
+    b = BucketArray(params, local_target)
+    tf = b.tfloor
+    for idx, lo, hi in items:
+        base = [x for k in b.nonempty for x in sorted({b.neg[k], b.pos[k]})]
+        for j, a in ((1, lo), (2, hi)):
+            for c in [a] + [v + a for v in base]:
+                if c <= tf:
+                    reference_insert(b, c, idx, j)
+    return b
+
+
+@st.composite
+def item_lists(draw):
+    """Items with endpoints up to 2**70, zero-length and repeated intervals,
+    a local target up to T, and eps with a small or a large denominator."""
+    t = draw(st.sampled_from([1, 7, 100, 10**6, 2**64 + 13, 2**70]))
+    t = draw(st.integers(min_value=1, max_value=t))
+    eps = draw(st.sampled_from([Fraction(1, 5), Fraction(3, 10), Fraction(1, 100), Fraction(2, 997)]))
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        lo = draw(st.integers(min_value=1, max_value=t))
+        hi = draw(st.one_of(st.just(lo), st.integers(min_value=lo, max_value=t)))
+        items.append((lo, hi))
+        if draw(st.booleans()):
+            items.append((lo, hi))
+    local_target = draw(
+        st.one_of(st.just(t), st.fractions(min_value=Fraction(1, 2), max_value=t))
+    )
+    return [(i, lo, hi) for i, (lo, hi) in enumerate(items)], local_target, FptasParams(eps, t)
 
 
 class TestParams:
@@ -50,16 +102,42 @@ class TestParams:
     def test_bucket_index_partition(self):
         p = FptasParams(Fraction(1, 5), 100)
         # buckets are (0,20], (20,40], ... (80,100]
-        assert bucket_index(1, p) == 1
-        assert bucket_index(20, p) == 1
-        assert bucket_index(21, p) == 2
-        assert bucket_index(100, p) == 5
+        assert p.bucket_index(1) == 1
+        assert p.bucket_index(20) == 1
+        assert p.bucket_index(21) == 2
+        assert p.bucket_index(100) == 5
 
     def test_bucket_index_rejects_out_of_range(self):
         p = FptasParams(Fraction(1, 5), 100)
         for bad in (0, -3, 101):
             with pytest.raises(OutOfRange):
                 p.bucket_index(bad)
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([Fraction(1, 5), Fraction(3, 10), Fraction(1, 7), Fraction(2, 997)]),
+    )
+    def test_boundary_table_matches_ceil_division(self, t, eps):
+        p = FptasParams(eps, t)
+        for v in range(1, t + 1):
+            assert bisect_left(p.bounds, v) == p.bucket_index(v) == -(-v * p.l // t)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**8), Fraction(1, 10**400)])
+    def test_tiny_epsilon_refused_before_allocation(self, eps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded):
+                FptasParams(eps, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_epsilon_bounded_by_memory_budget(self, monkeypatch):
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")  # 8192 entries
+        assert FptasParams(Fraction(1, 1000), 100).l == 1000
+        with pytest.raises(MemoryBudgetExceeded):
+            FptasParams(Fraction(1, 2000), 100)
 
     @given(
         st.integers(min_value=1, max_value=10**6),
@@ -145,6 +223,28 @@ class TestRelaxedDp:
         for v in b.values():
             assert v in exact
         b.release()
+
+    @given(item_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_value_insert_loop(self, case):
+        items, local_target, p = case
+        b = relaxed_dp(items, local_target, p)
+        ref = reference_relaxed_dp(items, local_target, p)
+        for name in SLOT_ARRAYS:
+            assert getattr(b, name) == getattr(ref, name), name
+
+    @given(item_lists(), st.lists(st.integers(min_value=1, max_value=2**70), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_insert_matches_reference_insert(self, case, values):
+        _, _, p = case
+        b = BucketArray(p, p.target)
+        ref = BucketArray(p, p.target)
+        for d1, v in enumerate(values):
+            v = v % p.target + 1
+            b.insert(v, d1, 1 + d1 % 2)
+            reference_insert(ref, v, d1, 1 + d1 % 2)
+        for name in SLOT_ARRAYS:
+            assert getattr(b, name) == getattr(ref, name), name
 
 
 class TestFindPair:
