@@ -38,7 +38,7 @@ class MemoryBudgetExceeded(IsspError):
 
 
 class InvalidSetting(IsspError):
-    """An environment setting, such as ISSP_MEMORY_BUDGET_MB, is malformed."""
+    """An environment setting, such as ISSP_MEMORY_BUDGET_MB, is malformed or out of range."""
 
 
 class EpsilonOutOfRange(IsspError):

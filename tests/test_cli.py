@@ -172,6 +172,29 @@ class TestSolveCommand:
         assert code == EXIT_FLAGS
         assert err.count("\n") == 1 and "ISSP_MEMORY_BUDGET_MB" in err
 
+    @pytest.mark.parametrize("algorithm", ["dp", "fptas"])
+    def test_negative_budget_setting_exit_code(self, tmp_path, capsys, monkeypatch, algorithm):
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "-5")
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+        code, out, err = run_cli(
+            capsys, "solve", str(path), "--algorithm", algorithm, "--epsilon", "1/5"
+        )
+        assert code == EXIT_FLAGS
+        assert out == ""
+        assert err.count("\n") == 1 and "ISSP_MEMORY_BUDGET_MB" in err and "-5" in err
+
+    def test_dense_instance_over_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the bitset would need 33 MB and the sparse set outgrows 8,192 entries
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
+        pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
+        path = tmp_path / "inst.txt"
+        path.write_text(serialize_instance(validate(pairs, 10**7)))
+        code, out, err = run_cli(capsys, "solve", str(path), "--algorithm", "dp")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "more than the budget of 8192 entries" in err
+
     def test_value_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "inst.txt"
         path.write_text(GOLDEN_FILE)

@@ -1,20 +1,39 @@
 """Exact solvers: subset enumeration, reachable-sum DP, meet-in-the-middle."""
 
+import time
+import tracemalloc
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from issp.core import (
     ReducedInstance,
     evaluate,
     midrange_count,
     preprocess,
+    scatter_solution,
     sort_by_length,
     validate,
 )
-from issp.errors import InstanceTooLarge, MemoryBudgetExceeded
-from issp.exact import brute_force_optimum, dp_exact, memory_budget_entries, ssp_optimum_mitm
+from issp.errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
+from issp.exact import (
+    BITSET_DENSITY,
+    BitsetSums,
+    SparseSums,
+    bitset_bytes,
+    brute_force_optimum,
+    dp_exact,
+    memory_budget_entries,
+    run_dp,
+    ssp_optimum_mitm,
+    use_bitset,
+)
+from issp.fptas import fptas_solve
 
 from conftest import instances, reference_optimum
+from reference_dp import insort_dp
 
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
@@ -99,6 +118,60 @@ class TestDpExact:
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
         assert memory_budget_entries() == 1024 * 1024 // 128
 
+    def test_negative_budget_is_invalid(self, monkeypatch):
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "-5")
+        with pytest.raises(InvalidSetting):
+            memory_budget_entries()
+
+    def test_budget_message_names_need_and_budget(self, monkeypatch):
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
+        inst = validate([(10, 20), (10, 25)], 10**30)  # sparse: T far above 3^n
+        message = "needs 2 entries, more than the budget of 0 entries"
+        with pytest.raises(MemoryBudgetExceeded, match=message):
+            dp_exact(inst)
+
+    def test_bitset_refused_over_budget_before_allocation(self, monkeypatch):
+        # 3^100 > T, so the density rule alone picks the bitset, but its
+        # checkpoints would take 33 MB; under a 1 MiB budget the sparse set
+        # is used and stops at 8,192 entries
+        pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
+        t = 10**7
+        assert use_bitset(100, t)
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
+        assert bitset_bytes(100, t) > 30 << 20
+        assert not use_bitset(100, t)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded):
+                dp_exact(validate(pairs, t))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_representation_choice(self):
+        assert dp_exact(validate(GOLDEN_PAIRS, GOLDEN_T)).stats["representation"] == "bitset"
+        # T = BITSET_DENSITY * 3^n is the sparsest T the bitset takes
+        assert use_bitset(5, BITSET_DENSITY * 3**5)
+        assert not use_bitset(5, BITSET_DENSITY * 3**5 + 1)
+        assert use_bitset(10**6, 10**3)  # 3^n is never computed here
+
+    def test_bitset_cost_follows_largest_sum_not_target(self):
+        # 2,000 sums below T = 10^7: building a T-bit mask per item made
+        # this take about 10 s
+        inst = validate([(1, 2)] * 1000, 10**7)
+        start = time.perf_counter()
+        out = run_dp(inst, BitsetSums)
+        assert time.perf_counter() - start < 1.0
+        assert out.value == 2000 and out.stats["stored_values"] == 2000
+
+    def test_interval_above_target_is_never_used(self):
+        inst = validate([(200, 300), (10, 20)], 100)
+        for sums in (SparseSums, BitsetSums):
+            out = run_dp(inst, sums)
+            assert out.value == 20
+            assert evaluate(inst, out.solution) == 20
+
     def test_huge_endpoints_summed_exactly(self):
         # endpoint sums near 10**19 overflow 63-bit arithmetic; the solver
         # must stay exact regardless
@@ -107,8 +180,89 @@ class TestDpExact:
         t = 5 * big - 3
         inst = validate(pairs, t)
         out = dp_exact(inst)
+        assert out.stats["representation"] == "sparse"
         assert out.value == t
         assert evaluate(inst, out.solution) == t
+
+
+@st.composite
+def dp_instances(draw, scale: int = 1):
+    """Preprocessed, length-sorted instances with endpoints scale * a + b.
+
+    Covers n = 1, point (zero-length) intervals, repeated intervals and
+    T = max hi + 1 alongside random targets.
+    """
+    ends = st.integers(min_value=1, max_value=30)
+    small = st.integers(min_value=0, max_value=3)
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        if pairs and draw(st.integers(0, 4)) == 0:
+            pairs.append(draw(st.sampled_from(pairs)))
+            continue
+        lo = scale * draw(ends) + draw(small)
+        hi = lo if draw(st.booleans()) else lo + scale * draw(small) + draw(small)
+        pairs.append((lo, hi))
+    top = max(hi for _, hi in pairs) + 1
+    target = draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top + scale * 60)))
+    pre = preprocess(validate(pairs, target))
+    assume(isinstance(pre, ReducedInstance) and not pre.is_empty)
+    return sort_by_length(pre.instance)
+
+
+def _fields(out):
+    return {
+        "value": out.value,
+        "x": out.solution.values,
+        "midrange_index": out.midrange_index,
+        "stored_values": out.stats["stored_values"],
+        "sets": out.stats["sets"],
+        "early_exit_at": out.stats["early_exit_at"],
+        "delta_star": out.stats["delta_star"],
+    }
+
+
+def _reference_fields(work):
+    ref = insort_dp(work)
+    ref["x"] = scatter_solution(work, list(ref["x"])).values
+    return ref
+
+
+class TestRepresentations:
+    """Both reachable-sum representations against the insort reference."""
+
+    @given(dp_instances())
+    @settings(max_examples=300)
+    def test_sparse_and_bitset_match_insort_dp(self, work):
+        ref = _reference_fields(work)
+        assert _fields(run_dp(work, SparseSums, trace=True)) == ref
+        assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
+
+    @given(dp_instances(scale=2**64 + 1))
+    @settings(max_examples=200)
+    def test_sparse_matches_insort_dp_above_2_64(self, work):
+        assert _fields(run_dp(work, SparseSums, trace=True)) == _reference_fields(work)
+
+    def test_bitset_backtrack_crosses_checkpoints(self):
+        # 30 items: checkpoints every 5, so backtracking replays segments
+        pairs = [(3 + k % 7, 4 + k % 7 + k % 3) for k in range(30)]
+        work = sort_by_length(validate(pairs, 10 * sum(hi for _, hi in pairs) // 11))
+        ref = _reference_fields(work)
+        assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
+
+    @given(
+        st.one_of(dp_instances(), dp_instances(scale=2**64 + 1)),
+        st.sampled_from([Fraction(3, 10), Fraction(1, 10), Fraction(2, 997), Fraction(7, 10007)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fptas_dp_and_brute_force_agree(self, work, eps):
+        opt = brute_force_optimum(work).value
+        assert dp_exact(work).value == opt
+        out = fptas_solve(work, eps)
+        assert evaluate(work, out.solution) == out.value
+        assert midrange_count(work, out.solution) <= 1
+        assert out.value >= (1 - eps) * opt
+        if out.kind == "exact":
+            assert out.value == opt
 
 
 class TestMeetInTheMiddle:
