@@ -22,7 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     Instance,
@@ -100,6 +100,45 @@ def min_interval_length(inst: Instance) -> Optional[int]:
     return min(iv.length for iv in inst.intervals)
 
 
+class Aggregates(NamedTuple):
+    """The order-free sums and extremes the detectors read."""
+
+    lo_total: int
+    hi_total: int
+    max_lo: int
+    min_length: int
+    wide: bool  # hi >= 2*lo for every interval, i.e. c* >= 2
+
+    def large_target(self, target: int) -> bool:
+        """T >= ceil(max lo / min length) * max lo; False if a length is 0."""
+        if self.min_length == 0:
+            return False
+        return target >= -(-self.max_lo // self.min_length) * self.max_lo
+
+
+def aggregates(inst: Instance) -> Aggregates:
+    """All of the detectors' aggregates in one pass over a nonempty instance.
+
+    A length-sorted view visits its intervals in no particular memory
+    order, so each pass costs a cache miss per interval; one pass pays it
+    once.
+    """
+    first = inst.intervals[0]
+    lo_total = hi_total = 0
+    max_lo, min_length = first.lo, first.length
+    wide = True
+    for lo, hi in inst.intervals:
+        lo_total += lo
+        hi_total += hi
+        if lo > max_lo:
+            max_lo = lo
+        if hi - lo < min_length:
+            min_length = hi - lo
+        if hi < lo + lo:
+            wide = False
+    return Aggregates(lo_total, hi_total, max_lo, min_length, wide)
+
+
 def check_theorem2(inst: Instance) -> bool:
     """Test the large-target condition T >= ceil(max lo / min len) * max lo.
 
@@ -109,24 +148,26 @@ def check_theorem2(inst: Instance) -> bool:
     """
     if inst.is_empty:
         return False
-    min_len = min_interval_length(inst)
-    if min_len == 0:
+    agg = aggregates(inst)
+    if agg.min_length == 0:
         warnings.warn(
             "zero-length interval: large-target condition undefined",
             DegenerateLength,
             stacklevel=2,
         )
-        return False
-    max_lo = max(iv.lo for iv in inst.intervals)
-    bound = -(-max_lo // min_len) * max_lo
-    return inst.target >= bound
+    return agg.large_target(inst.target)
 
 
 def check_wide(inst: Instance) -> Optional[Fraction]:
     """Return c* = min over intervals of hi/lo as an exact rational."""
     if inst.is_empty:
         return None
-    return min(Fraction(iv.hi, iv.lo) for iv in inst.intervals)
+    # compare hi/lo by cross-multiplication; one Fraction at the end
+    best_lo, best_hi = inst.intervals[0]
+    for lo, hi in inst.intervals:
+        if hi * best_lo < best_hi * lo:
+            best_hi, best_lo = hi, lo
+    return Fraction(best_hi, best_lo)
 
 
 def polynomial_rate_monte_carlo(
@@ -190,16 +231,11 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
             stats={"route": route, "elapsed": time.perf_counter() - start},
         )
 
-    lo_total = sum(iv.lo for iv in inst.intervals)
-    if t >= lo_total:
+    agg = aggregates(inst)
+    if t >= agg.lo_total:
         return outcome(solution_from_subset(inst, range(inst.n)), "a")
 
-    with warnings.catch_warnings():
-        # routing is not classification; keep the degenerate-length
-        # diagnostic for explicit check_theorem2 callers only
-        warnings.simplefilter("ignore", DegenerateLength)
-        large_target = check_theorem2(inst)
-    if large_target:
+    if agg.large_target(t):
         # lo_total > t here, so a proper prefix crosses t: take the longest
         # prefix whose lower endpoints still fit.
         acc = 0
@@ -218,9 +254,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
             )
         return outcome(solution_from_subset(inst, prefix), "b")
 
-    cstar = check_wide(inst)
-    hi_total = sum(iv.hi for iv in inst.intervals)
-    if cstar is not None and cstar >= 2 and t <= hi_total:
+    if agg.wide and t <= agg.hi_total:
         order = sorted(range(inst.n), key=lambda i: -inst.intervals[i].hi)
         # minimal prefix (max-hi interval first) whose upper endpoints cover t
         acc = 0

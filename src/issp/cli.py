@@ -6,9 +6,9 @@ Instance file format (UTF-8, LF):
 Lines starting with '#' are ignored.  Serialization is canonical (single
 spaces, trailing newline), and parse(serialize(x)) is the identity.
 
-Exit codes: 0 success, 2 parse/validation error, 3 invalid flags or
-settings, 4 resource budget exceeded, 5 solver bug (a solver's answer failed its
-self-check, or an internal invariant broke).
+Exit codes: 0 success, 2 parse/validation error (also for input that is
+not UTF-8), 3 invalid flags or settings, 4 resource budget exceeded, 5 solver
+bug (a solver's answer failed its self-check, or an internal invariant broke).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, TextIO
 
 from . import analysis, exact, fptas, instgen
@@ -68,24 +69,23 @@ BENCH_HEADER = [
 
 
 def parse_instance_text(text: str) -> Instance:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens.extend(line.split())
+    if "#" in text:
+        text = "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
+    # every line break is whitespace, so one split tokenizes all the lines
+    tokens = text.split()
     if len(tokens) < 2:
         raise IsspError("instance file needs at least 'n T' on the first line")
     try:
-        numbers = [int(tok) for tok in tokens]
+        numbers = list(map(int, tokens))
     except ValueError as e:
         raise IsspError(f"non-integer token in instance file: {e}") from e
     n, target = numbers[0], numbers[1]
-    body = numbers[2:]
-    if n < 0 or len(body) != 2 * n:
-        raise IsspError(f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(body)}")
-    pairs = [(body[2 * i], body[2 * i + 1]) for i in range(n)]
-    return validate(pairs, target)
+    if n < 0 or len(numbers) - 2 != 2 * n:
+        raise IsspError(
+            f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(numbers) - 2}"
+        )
+    ends = islice(numbers, 2, None)
+    return validate(zip(ends, ends), target)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -95,10 +95,16 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def _read_instance(path: str) -> Instance:
-    if path == "-":
-        return parse_instance_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_instance_text(f.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+    except UnicodeDecodeError as e:
+        source = "standard input" if path == "-" else path
+        raise IsspError(f"{source} is not UTF-8 text: {e}") from e
+    return parse_instance_text(text)
 
 
 def parse_ratio(text: str) -> Fraction:
@@ -247,8 +253,9 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     if reduced.is_empty:
         print("empty after preprocessing; optimum 0", file=out)
         return 0
-    t2 = analysis.check_theorem2(reduced)
-    degenerate = analysis.min_interval_length(reduced) == 0
+    agg = analysis.aggregates(reduced)
+    t2 = agg.large_target(reduced.target)
+    degenerate = agg.min_length == 0
     note = " (zero-length interval present; condition undefined)" if degenerate else ""
     print(f"large-target condition: {'yes' if t2 else 'no'}{note}", file=out)
     cstar = analysis.check_wide(reduced)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from itertools import repeat, starmap
+from operator import itemgetter, le, sub
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     InvertedInterval,
@@ -26,9 +28,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One selectable item: any integer in [lo, hi], or 0 (off)."""
+class Interval(NamedTuple):
+    """One selectable item: any integer in [lo, hi], or 0 (off).
+
+    A named tuple, so ``Interval(1, 2) == (1, 2)`` and ``lo, hi = iv``
+    work.  It has no per-object ``__dict__``, which keeps building and
+    scanning 10^5 of them cheap.
+    """
 
     lo: int
     hi: int
@@ -36,6 +42,10 @@ class Interval:
     @property
     def length(self) -> int:
         return self.hi - self.lo
+
+
+_lo = itemgetter(0)
+_hi = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -114,15 +124,22 @@ def validate(pairs: Iterable[tuple[int, int]], target: int) -> Instance:
     """Check endpoints and target, returning an Instance in input order."""
     if target < 1:
         raise NonPositiveTarget(f"target must be >= 1, got {target}")
-    intervals = []
-    for pos, (lo, hi) in enumerate(pairs):
+    # tuple.__new__ builds each Interval in C from its (lo, hi) pair.  With
+    # lo <= hi everywhere, the smallest lo (that of the least tuple) bounds
+    # both endpoints from below.
+    ivs = tuple(map(tuple.__new__, repeat(Interval), pairs))
+    if ivs and not (min(ivs)[0] >= 1 and all(starmap(le, ivs))):
+        _raise_first_invalid(ivs)
+    return Instance(intervals=ivs, target=target, origin=tuple(range(len(ivs))), original=ivs)
+
+
+def _raise_first_invalid(intervals: tuple[Interval, ...]) -> None:
+    """Raise the error for the first interval that fails validation."""
+    for pos, (lo, hi) in enumerate(intervals):
         if lo < 1 or hi < 1:
             raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{lo}, {hi}]")
         if lo > hi:
             raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
-        intervals.append(Interval(lo, hi))
-    ivs = tuple(intervals)
-    return Instance(intervals=ivs, target=target, origin=tuple(range(len(ivs))), original=ivs)
 
 
 def preprocess(inst: Instance) -> PreprocessOutcome:
@@ -131,9 +148,12 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     Scanning in current order: the first interval with lo <= T <= hi yields
     an immediately optimal solution x_i = T; intervals with lo > T are
     dropped (they can never be switched on).  The surviving instance
-    satisfies T > max hi.  Idempotent on already-reduced instances.
+    satisfies T > max hi.  Idempotent on already-reduced instances, which
+    are returned as they are.
     """
     t = inst.target
+    if max(map(_hi, inst.intervals), default=0) < t:
+        return ReducedInstance(instance=inst, dropped=frozenset())
     for i, iv in enumerate(inst.intervals):
         if iv.lo <= t <= iv.hi:
             values = [0] * len(inst.original)
@@ -154,11 +174,13 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
 
 def sort_by_length(inst: Instance) -> Instance:
     """Stable-sort intervals by nondecreasing width hi - lo."""
-    order = sorted(range(inst.n), key=lambda i: inst.intervals[i].length)
+    ivs = inst.intervals
+    lengths = list(map(sub, map(_hi, ivs), map(_lo, ivs)))
+    order = sorted(range(inst.n), key=lengths.__getitem__)
     return Instance(
-        intervals=tuple(inst.intervals[i] for i in order),
+        intervals=tuple(map(ivs.__getitem__, order)),
         target=inst.target,
-        origin=tuple(inst.origin[i] for i in order),
+        origin=tuple(map(inst.origin.__getitem__, order)),
         original=inst.original,
         length_sorted=True,
     )

@@ -1,0 +1,144 @@
+"""The instance parser and polynomial-route detectors as first written.
+
+These are the line-by-line parser with its per-pair validation loop, and
+the detectors that make one pass over the intervals per aggregate and test
+c* >= 2 on a ``Fraction`` per interval.  They are kept as the references
+for the one-split parser, the C-level validation and the one-pass
+detectors in ``issp``, on small inputs.
+"""
+
+from __future__ import annotations
+
+import time
+import warnings
+from fractions import Fraction
+from typing import Optional
+
+from issp.analysis import fill_values, solution_from_subset
+from issp.core import Instance, Interval, Solution, SolveOutcome, scatter_solution
+from issp.errors import (
+    DegenerateLength,
+    InvertedInterval,
+    IsspError,
+    NonPositiveEndpoint,
+    NonPositiveTarget,
+)
+
+
+def validate(pairs, target: int) -> Instance:
+    if target < 1:
+        raise NonPositiveTarget(f"target must be >= 1, got {target}")
+    intervals = []
+    for pos, (lo, hi) in enumerate(pairs):
+        if lo < 1 or hi < 1:
+            raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{lo}, {hi}]")
+        if lo > hi:
+            raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
+        intervals.append(Interval(lo, hi))
+    ivs = tuple(intervals)
+    return Instance(intervals=ivs, target=target, origin=tuple(range(len(ivs))), original=ivs)
+
+
+def parse_instance_text(text: str) -> Instance:
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens.extend(line.split())
+    if len(tokens) < 2:
+        raise IsspError("instance file needs at least 'n T' on the first line")
+    try:
+        numbers = [int(tok) for tok in tokens]
+    except ValueError as e:
+        raise IsspError(f"non-integer token in instance file: {e}") from e
+    n, target = numbers[0], numbers[1]
+    body = numbers[2:]
+    if n < 0 or len(body) != 2 * n:
+        raise IsspError(f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(body)}")
+    pairs = [(body[2 * i], body[2 * i + 1]) for i in range(n)]
+    return validate(pairs, target)
+
+
+def min_interval_length(inst: Instance) -> Optional[int]:
+    if inst.is_empty:
+        return None
+    return min(iv.length for iv in inst.intervals)
+
+
+def check_theorem2(inst: Instance) -> bool:
+    if inst.is_empty:
+        return False
+    min_len = min_interval_length(inst)
+    if min_len == 0:
+        warnings.warn(
+            "zero-length interval: large-target condition undefined",
+            DegenerateLength,
+            stacklevel=2,
+        )
+        return False
+    max_lo = max(iv.lo for iv in inst.intervals)
+    bound = -(-max_lo // min_len) * max_lo
+    return inst.target >= bound
+
+
+def check_wide(inst: Instance) -> Optional[Fraction]:
+    if inst.is_empty:
+        return None
+    return min(Fraction(iv.hi, iv.lo) for iv in inst.intervals)
+
+
+def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
+    start = time.perf_counter()
+    t = inst.target
+    if inst.is_empty:
+        return None
+
+    def outcome(sol: Solution, route: str) -> SolveOutcome:
+        return SolveOutcome(
+            solution=sol,
+            value=sol.total,
+            kind="exact",
+            stats={"route": route, "elapsed": time.perf_counter() - start},
+        )
+
+    lo_total = sum(iv.lo for iv in inst.intervals)
+    if t >= lo_total:
+        return outcome(solution_from_subset(inst, range(inst.n)), "a")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLength)
+        large_target = check_theorem2(inst)
+    if large_target:
+        acc = 0
+        prefix_end = 0
+        for i, iv in enumerate(inst.intervals):
+            if acc + iv.lo > t:
+                break
+            acc += iv.lo
+            prefix_end = i + 1
+        prefix = list(range(prefix_end))
+        hi_sum = sum(inst.intervals[i].hi for i in prefix)
+        if hi_sum < t:
+            raise IsspError("large-target route: prefix upper endpoints do not cover the target")
+        return outcome(solution_from_subset(inst, prefix), "b")
+
+    cstar = check_wide(inst)
+    hi_total = sum(iv.hi for iv in inst.intervals)
+    if cstar is not None and cstar >= 2 and t <= hi_total:
+        order = sorted(range(inst.n), key=lambda i: -inst.intervals[i].hi)
+        acc = 0
+        chosen: list[int] = []
+        for i in order:
+            chosen.append(i)
+            acc += inst.intervals[i].hi
+            if acc >= t:
+                break
+        lo_sum = sum(inst.intervals[i].lo for i in chosen)
+        if lo_sum > t:
+            raise IsspError("wide-interval route: minimal covering prefix is infeasible")
+        values = fill_values(inst.intervals, chosen, t)
+        current = [values.get(i, 0) for i in range(inst.n)]
+        return outcome(scatter_solution(inst, current), "c")
+
+    return None

@@ -1,10 +1,15 @@
 """Knapsack export, greedy fill, subclass detectors, polynomial routes."""
 
+import random
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from issp import analysis
 from issp.analysis import (
     check_theorem2,
     check_wide,
@@ -20,6 +25,7 @@ from issp.errors import DegenerateLength, SubsetInfeasible
 from issp.exact import brute_force_optimum
 
 from conftest import instances
+import reference_frontend
 
 
 class TestToKnapsack:
@@ -169,3 +175,86 @@ class TestMonteCarloRate:
         b = polynomial_rate_monte_carlo(6, Fraction(3, 2), trials=50, seed=3)
         assert a == b
         assert 0 <= a <= 1
+
+
+ROUTE_MODES = ("a", "b", "c", "none")
+
+
+def detector_case(draw_int, mode: str):
+    """Pairs and a target T > max hi aimed at one route, or at none.
+
+    ``draw_int(a, b)`` returns an integer in [a, b].  About one interval in
+    eight has zero length, and half the cases scale every endpoint by
+    2^64 + 7.
+    """
+    n = draw_int(1, 7) if mode in ("a", "none") else draw_int(3, 10)
+    base = draw_int(1, 20)
+    pairs = []
+    for _ in range(n):
+        if mode == "b":  # near-equal lo and lengths >= lo: the bound is max lo
+            lo = draw_int(base, base + 2)
+            hi = lo + draw_int(base + 2, 2 * base + 4)
+        elif mode == "c":  # hi >= 2*lo everywhere
+            lo = draw_int(1, 20)
+            hi = draw_int(2 * lo, 2 * lo + 4)
+        else:
+            lo = draw_int(1, 20)
+            hi = draw_int(lo, 2 * lo)
+        if draw_int(0, 7) == 0:
+            hi = lo
+        pairs.append((lo, hi))
+    scale = 2**64 + 7 if draw_int(0, 1) else 1
+    pairs = [(lo * scale, hi * scale) for lo, hi in pairs]
+    lowest = max(hi for _, hi in pairs) + 1
+    lo_total = sum(lo for lo, _ in pairs)
+    hi_total = sum(hi for _, hi in pairs)
+    if mode == "a":
+        return pairs, max(lo_total, lowest) + draw_int(0, 5)
+    # below lo_total where possible, so that route (a) does not apply
+    return pairs, lowest + draw_int(0, max(lo_total - 1 - lowest, 0))
+
+
+def detector_results(inst):
+    """Route outcome, c* and the large-target test with its warnings, from
+    the one-pass detectors and from the reference."""
+    out = []
+    for module in (analysis, reference_frontend):
+        poly = module.solve_polynomial(inst)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            large = module.check_theorem2(inst)
+        out.append((
+            None if poly is None else (poly.stats["route"], poly.value, poly.kind, poly.solution),
+            module.check_wide(inst),
+            large,
+            [w.category for w in caught],
+        ))
+    return out
+
+
+def check_same_detectors(pairs, t):
+    """Compare on the input order and the length-sorted view; returns the
+    sorted view's route."""
+    inst = validate(pairs, t)
+    for view in (inst, sort_by_length(inst)):
+        got, ref = detector_results(view)
+        assert got == ref
+    return None if got[0] is None else got[0][0]
+
+
+class TestDetectorsAgainstReference:
+    """The one-pass detectors against one pass per aggregate and a
+    Fraction per interval (tests/reference_frontend.py)."""
+
+    @given(st.sampled_from(ROUTE_MODES), st.data())
+    @settings(max_examples=300)
+    def test_same_outcome(self, mode, data):
+        check_same_detectors(*detector_case(lambda a, b: data.draw(st.integers(a, b)), mode))
+
+    def test_seeded_sweep_hits_every_route(self):
+        rng = random.Random(20171)
+        routes = Counter(
+            check_same_detectors(*detector_case(rng.randint, ROUTE_MODES[k % 4]))
+            for k in range(800)
+        )
+        assert set(routes) == {"a", "b", "c", None}, routes

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import issp
 from issp import cli, fptas
@@ -29,6 +30,7 @@ from issp.core import validate
 from issp.errors import IsspError, NoPairFound
 
 from conftest import instances
+import reference_frontend
 
 
 GOLDEN_FILE = "4 100\n10 20\n10 25\n60 85\n20 50\n"
@@ -38,6 +40,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_entry_point(*argv, stdin=b"", **env_vars):
+    """``python -m issp.cli`` in a subprocess, with its own stderr and warnings."""
+    src = str(Path(issp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(env_vars)
+    return subprocess.run(
+        [sys.executable, "-m", "issp.cli", *argv], input=stdin, capture_output=True, env=env
+    )
 
 
 class TestInstanceFile:
@@ -70,6 +82,101 @@ class TestInstanceFile:
     def test_rejects_empty(self):
         with pytest.raises(IsspError):
             parse_instance_text("# nothing here\n")
+
+
+# Separators the one-split tokenizer must treat as the line-by-line parser
+# did: every line break str.splitlines knows is also whitespace to split().
+SPACES = [" ", "\t", "\x0b", "\x0c", "\u2028", "\xa0", "\x1f", "  \t"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+COMMENTS = ["#", "# note", "#1 2 3", "  # indented 7", "\t#\x0c", ""]
+BAD_TOKENS = ["ten", "1.5", "#", "0x10", "-", "1e3", "\u0663", "1_000", "+7", "--1"]
+ENDPOINTS = st.one_of(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2**64 - 2, max_value=2**70),
+)
+FAULTS = [None, None, None, "endpoint", "target", "inverted", "count", "token", "n"]
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance files as people write them, valid or with one fault, with
+    every kind of whitespace, line break and comment line the parser accepts."""
+    fault = draw(st.sampled_from(FAULTS))
+    n = draw(st.integers(min_value=0, max_value=5))
+    pairs = [sorted((draw(ENDPOINTS), draw(ENDPOINTS))) for _ in range(n)]
+    target = draw(ENDPOINTS)
+    if fault == "target":
+        target = draw(st.integers(min_value=-2, max_value=0))
+    if pairs and fault in ("endpoint", "inverted"):
+        pair = pairs[draw(st.integers(min_value=0, max_value=n - 1))]
+        if fault == "inverted":
+            pair.reverse()
+        else:
+            pair[draw(st.integers(min_value=0, max_value=1))] = draw(st.integers(-2, 0))
+    tokens = [str(-1 if fault == "n" else n), str(target)] + [str(x) for p in pairs for x in p]
+    if fault == "count":
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["7"]
+    if fault == "token":
+        tokens[draw(st.integers(min_value=0, max_value=len(tokens) - 1))] = draw(
+            st.sampled_from(BAD_TOKENS)
+        )
+    lines = []
+    while tokens:
+        k = draw(st.integers(min_value=1, max_value=3))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + draw(st.sampled_from(SPACES)).join(tokens[:k]) + pad)
+        tokens = tokens[k:]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(COMMENTS)))
+    breaks = st.sampled_from(LINE_BREAKS)
+    return "".join(line + draw(breaks) for line in lines)
+
+
+def parse_result(parse, text):
+    """What a parser makes of a text: the instance, or the error's type and message."""
+    try:
+        return parse(text)
+    except IsspError as e:
+        return type(e), str(e)
+
+
+class TestParserAgainstReference:
+    """The one-split parser and C-level validation against the line-by-line
+    parser with its per-pair validation loop (tests/reference_frontend.py)."""
+
+    @given(instance_texts())
+    @settings(max_examples=400)
+    def test_same_instance_or_same_error(self, text):
+        got = parse_result(parse_instance_text, text)
+        assert got == parse_result(reference_frontend.parse_instance_text, text)
+        if not isinstance(got, tuple):
+            assert all(type(iv) is issp.Interval for iv in got.intervals)
+
+    @given(st.text(alphabet="0123456789 -#\n\r\t\x0b\x0c\u2028a", max_size=40))
+    @settings(max_examples=300)
+    def test_same_result_on_arbitrary_text(self, text):
+        got = parse_result(parse_instance_text, text)
+        assert got == parse_result(reference_frontend.parse_instance_text, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 10\n0 5\n7 3\n",  # first bad interval is 0: non-positive
+            "2 10\n7 3\n0 5\n",  # first bad interval is 0: inverted
+            "2 10\n3 7\n5 -1\n",  # non-positive hi after a good interval
+            "1 0\n7 3\n",  # the target is checked first
+            "1 -4\n",
+            "-1 5\n",
+            "2 10\n1 2\n",
+            "1 10\n1 two\n",
+            "1\n",
+            "# only a comment\n\n",
+        ],
+    )
+    def test_bad_input_classes(self, text):
+        ref = parse_result(reference_frontend.parse_instance_text, text)
+        assert isinstance(ref, tuple)
+        assert parse_result(parse_instance_text, text) == ref
 
 
 class TestParseRatio:
@@ -112,6 +219,35 @@ class TestSolveCommand:
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.txt")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, monkeypatch, command, source):
+        data = b"2 100\n10 20\n10 \xff25\n"
+        if source == "file":
+            path = tmp_path / "bad.txt"
+            path.write_bytes(data)
+            arg = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            arg = "-"
+        argv = [command, arg] + (["--epsilon", "1/10"] if command == "solve" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err and "0xff" in err
+
+    def test_non_utf8_stdin_through_entry_point(self):
+        # strict decoding, as under a UTF-8 locale other than C.UTF-8
+        proc = run_entry_point(
+            "solve", "-", "--epsilon", "1/10", stdin=b"1 100\n\xff 20\n",
+            PYTHONIOENCODING="utf-8:strict",
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: standard input is not UTF-8 text")
+        assert proc.stderr.count(b"\n") == 1
 
     def test_missing_epsilon_exit_code(self, tmp_path, capsys):
         path = tmp_path / "inst.txt"
@@ -304,6 +440,12 @@ class TestClassifyCommand:
         assert "large-target condition: no" in out
         assert "c* = 17/12" in out  # 85/60 in lowest terms
         assert "polynomial route: none" in out
+
+    def test_zero_length_interval_leaves_stderr_empty(self):
+        proc = run_entry_point("classify", "-", stdin=b"2 100\n5 5\n10 30\n")
+        assert proc.returncode == 0
+        assert b"large-target condition: no (zero-length interval present; condition undefined)\n" in proc.stdout
+        assert proc.stderr == b""
 
     def test_reports_immediate_solution(self, tmp_path, capsys):
         path = tmp_path / "inst.txt"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from issp.core import (
     ImmediateSolution,
+    Interval,
     ReducedInstance,
     Solution,
     evaluate,
@@ -21,6 +22,7 @@ from issp.core import (
 )
 from issp.errors import (
     InvertedInterval,
+    IsspError,
     NegativeGap,
     NonPositiveEndpoint,
     NonPositiveTarget,
@@ -29,6 +31,7 @@ from issp.errors import (
 )
 
 from conftest import instances
+import reference_frontend
 
 
 class TestValidate:
@@ -58,6 +61,27 @@ class TestValidate:
     def test_point_interval_allowed(self):
         inst = validate([(5, 5)], 10)
         assert inst.intervals[0].length == 0
+
+    def test_interval_is_a_named_tuple(self):
+        iv = validate([(1, 2)], 10).intervals[0]
+        assert iv == Interval(1, 2) == (1, 2)
+        lo, hi = iv
+        assert (lo, hi, iv.lo, iv.hi, iv.length) == (1, 2, 1, 2, 1)
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-2, 30) | st.integers(2**64 - 2, 2**66)] * 2), max_size=6
+        ),
+        st.integers(-1, 40),
+    )
+    def test_same_instance_or_error_as_reference_loop(self, pairs, target):
+        def result(check):
+            try:
+                return check(pairs, target)
+            except IsspError as e:
+                return type(e), str(e)
+
+        assert result(validate) == result(reference_frontend.validate)
 
 
 class TestPreprocess:
@@ -97,7 +121,7 @@ class TestPreprocess:
         if isinstance(out, ReducedInstance) and not out.is_empty:
             again = preprocess(out.instance)
             assert isinstance(again, ReducedInstance)
-            assert again.instance == out.instance
+            assert again.instance is out.instance
             assert again.dropped == frozenset()
 
 
