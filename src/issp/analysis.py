@@ -94,12 +94,6 @@ def solution_from_subset(inst: Instance, subset: Iterable[int]) -> Solution:
     return scatter_solution(inst, current)
 
 
-def min_interval_length(inst: Instance) -> Optional[int]:
-    if inst.is_empty:
-        return None
-    return min(iv.length for iv in inst.intervals)
-
-
 class Aggregates(NamedTuple):
     """The order-free sums and extremes the detectors read."""
 

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, TextIO
@@ -172,11 +171,7 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
-    try:
-        outcome = _solve_instance(inst, args.algorithm, eps)
-    except (MemoryBudgetExceeded, InstanceTooLarge) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    outcome = _solve_instance(inst, args.algorithm, eps)
     # self-check before printing; an infeasible solution raises one of
     # SOLVER_BUGS, which main maps to EXIT_BUG
     total = evaluate(inst, outcome.solution)
@@ -207,26 +202,17 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
-    family = args.family
     try:
-        if family == "A":
-            inst = instgen.gen_a(args.n)
-        elif family == "B":
-            inst = instgen.gen_b(args.n)
-        elif family == "C":
-            if args.c is None:
-                print("error: family C requires --c", file=sys.stderr)
-                return EXIT_FLAGS
-            inst = instgen.gen_c(args.n, parse_ratio(args.c), args.seed)
-        elif family == "D":
-            if args.C is None:
-                print("error: family D requires --C", file=sys.stderr)
-                return EXIT_FLAGS
-            inst = instgen.gen_d(args.n, parse_ratio(args.C), args.seed)
-        else:
-            print(f"error: unknown family {family}", file=sys.stderr)
-            return EXIT_FLAGS
-    except (IsspError, ValueError) as e:
+        inst = instgen.generate(
+            instgen.GenSpec(
+                args.family,
+                args.n,
+                c=None if args.c is None else parse_ratio(args.c),
+                cap=None if args.C is None else parse_ratio(args.C),
+                seed=args.seed,
+            )
+        )
+    except (IsspError, ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
     out.write(serialize_instance(inst))
@@ -272,12 +258,9 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
 def _exact_reference(family: str, inst: Instance, n: int) -> Optional[int]:
     """Exact optimum for families A/B, or None if out of budget."""
     if family == "A":
-        if n <= 42:
-            reduced = preprocess(inst)
-            if isinstance(reduced, ImmediateSolution):
-                return reduced.solution.total
-            return exact.ssp_optimum_mitm(reduced.instance)
-        return None
+        # the search keeps only sums <= T: items above T never enter it and
+        # an item equal to T yields T, so it needs no preprocessing
+        return exact.ssp_optimum_mitm(inst) if n <= 42 else None
     if family == "B":
         return instgen.instance_b_optimum(n)
     return None
@@ -311,16 +294,11 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
                 errors: list[Fraction] = []
                 times: list[float] = []
                 for trial in range(args.trials):
-                    trial_seed = args.seed + trial
+                    # param is family C's ratio or family D's cap; generate
+                    # reads the one the family uses
+                    spec = instgen.GenSpec(family, n, c=param, cap=param, seed=args.seed + trial)
                     try:
-                        if family == "A":
-                            inst = instgen.gen_a(n)
-                        elif family == "B":
-                            inst = instgen.gen_b(n)
-                        elif family == "C":
-                            inst = instgen.gen_c(n, param, trial_seed)
-                        else:
-                            inst = instgen.gen_d(n, param, trial_seed)
+                        inst = instgen.generate(spec)
                     except (IsspError, ValueError) as e:
                         print(f"error: {e}", file=sys.stderr)
                         return EXIT_FLAGS
@@ -335,19 +313,11 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
                             return EXIT_BUDGET
                     else:
                         reference = inst.target
-                    pre = preprocess(inst)
-                    if isinstance(pre, ImmediateSolution):
-                        value, elapsed = pre.solution.total, 0.0
-                    elif pre.instance.is_empty:
-                        value, elapsed = 0, 0.0
-                    else:
-                        work = sort_by_length(pre.instance)
-                        t0 = time.perf_counter()
-                        outcome = fptas.fptas_solve(work, eps)
-                        elapsed = time.perf_counter() - t0
-                        value = outcome.value
-                    errors.append(relative_error(value, reference) if reference else Fraction(0))
-                    times.append(elapsed)
+                    outcome = _solve_instance(inst, "fptas", eps)
+                    errors.append(
+                        relative_error(outcome.value, reference) if reference else Fraction(0)
+                    )
+                    times.append(outcome.stats["elapsed"])
                 k = len(errors)
                 writer.writerow(
                     [
@@ -406,7 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except MemoryBudgetExceeded as e:
+    except (MemoryBudgetExceeded, InstanceTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except InvalidSetting as e:

@@ -73,16 +73,15 @@ class FptasParams:
 
     epsilon: Fraction
     target: int
-    l: int = 0
-    meter: SlotMeter = field(default_factory=SlotMeter)
+    l: int = field(init=False)
+    meter: SlotMeter = field(init=False, default_factory=SlotMeter)
     bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1):
             raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.l == 0:
-            p, q = self.epsilon.numerator, self.epsilon.denominator
-            self.l = -(-q // p)  # ceil(1/eps)
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        self.l = -(-q // p)  # ceil(1/eps)
         # At most two arrays of 2l slots are live at once (the metered peak),
         # plus the boundary table; check before allocating any of them.  The
         # message names no eps-sized number: l may have thousands of digits.
@@ -419,8 +418,6 @@ def fptas_solve(
     """
     start = time.perf_counter()
     eps = Fraction(epsilon)
-    if not (0 < eps < 1):
-        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {eps}")
     if not inst.length_sorted:
         inst = sort_by_length(inst)
     t = inst.target

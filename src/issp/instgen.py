@@ -51,12 +51,22 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [1, n] via rejection sampling."""
+        """Uniform integer in [1, n] via rejection sampling.
+
+        A draw joins the fewest 64-bit words whose range [0, span) covers n
+        values, so bounds up to 2**64 take one word per draw.
+        """
         if n < 1:
             raise ValueError(f"range bound must be >= 1, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        span = 1 << 64
+        while span < n:
+            span <<= 64
+        limit = span - span % n
         while True:
             r = self.next_u64()
+            if span > 1 << 64:  # keeps the common one-word draw loop-free
+                for _ in range(span.bit_length() // 64 - 1):
+                    r = (r << 64) | self.next_u64()
             if r < limit:
                 return 1 + r % n
 

@@ -14,7 +14,6 @@ from issp.analysis import (
     check_theorem2,
     check_wide,
     fill_values,
-    min_interval_length,
     polynomial_rate_monte_carlo,
     solution_from_subset,
     solve_polynomial,
@@ -108,9 +107,6 @@ class TestDetectors:
         inst = validate([(10, 20), (10, 25), (60, 85), (20, 50)], 100)
         # ceil(60/10) * 60 = 360 > 100
         assert not check_theorem2(inst)
-
-    def test_min_interval_length(self):
-        assert min_interval_length(validate([(10, 20), (10, 25)], 100)) == 10
 
     def test_width_ratio_exact_rational(self):
         assert check_wide(validate([(1, 4), (2, 4)], 100)) == Fraction(2)

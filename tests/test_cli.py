@@ -52,6 +52,13 @@ def run_entry_point(*argv, stdin=b"", **env_vars):
     )
 
 
+def strip_times(csv_text):
+    """Bench CSV rows without the two wall-clock columns, joined back with commas."""
+    drop = {BENCH_HEADER.index("avg_time_s"), BENCH_HEADER.index("worst_time_s")}
+    rows = csv.reader(io.StringIO(csv_text))
+    return [",".join(c for i, c in enumerate(r) if i not in drop) for r in rows]
+
+
 class TestInstanceFile:
     def test_parse_basic(self):
         inst = parse_instance_text("2 100\n10 20\n10 25\n")
@@ -263,6 +270,14 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", str(path), "--algorithm", "dp")
         assert code == EXIT_BUDGET
 
+    def test_brute_force_over_cap_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text("26 1000\n" + "1 2\n" * 26)  # T > max hi: all 26 reach the solver
+        code, out, err = run_cli(capsys, "solve", str(path), "--algorithm", "brute")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "26" in err
+
     def test_auto_never_worse_than_fptas(self, tmp_path, capsys):
         path = tmp_path / "inst.txt"
         path.write_text("4 100\n10 20\n10 25\n60 85\n30 50\n")
@@ -408,6 +423,20 @@ class TestGenerateCommand:
         code, _, err = run_cli(capsys, "generate", "--family", "C", "--n", "5")
         assert code == EXIT_FLAGS
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "D", "--n", "5"),
+            ("--family", "C", "--n", "5", "--c", "1/0"),
+            ("--family", "D", "--n", "5", "--C", "1/0"),
+        ],
+    )
+    def test_bad_family_parameter_exit_code(self, capsys, flags):
+        code, out, err = run_cli(capsys, "generate", *flags)
+        assert code == EXIT_FLAGS
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_generated_file_solves_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "generate", "--family", "C", "--n", "8", "--c", "3/2", "--seed", "2"
@@ -490,12 +519,6 @@ class TestBenchCommand:
         ]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
-
-        def strip_times(text):
-            rows = list(csv.reader(io.StringIO(text)))
-            drop = {BENCH_HEADER.index("avg_time_s"), BENCH_HEADER.index("worst_time_s")}
-            return [[c for i, c in enumerate(r) if i not in drop] for r in rows]
-
         # everything except wall-clock timings is a pure function of the seed
         assert strip_times(out1) == strip_times(out2)
 
@@ -540,3 +563,68 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, *args)
         assert code == EXIT_FLAGS
         assert err.count("\n") == 1 and err.startswith("error:")
+
+
+class TestPinnedOutput:
+    """Exact `bench` rows (less their timings) and `generate` files: both are
+    pure functions of their flags, so any difference is a behaviour change."""
+
+    PINNED_BENCH = {
+        ("--suite", "A", "--sizes", "10,15"): [
+            "A,10,,1/10,0.000,1,0.000",
+            "A,10,,1/100,0.000,1,0.000",
+            "A,10,,1/1000,0.000,1,0.000",
+            "A,15,,1/10,0.000,1,0.000",
+            "A,15,,1/100,0.000,1,0.000",
+            "A,15,,1/1000,0.000,1,0.000",
+        ],
+        ("--suite", "B", "--sizes", "1,10"): [
+            "B,1,,1/10,0.000,1,0.000",
+            "B,1,,1/100,0.000,1,0.000",
+            "B,1,,1/1000,0.000,1,0.000",
+            "B,10,,1/10,0.000,1,0.000",
+            "B,10,,1/100,0.000,1,0.000",
+            "B,10,,1/1000,0.000,1,0.000",
+        ],
+        ("--suite", "C", "--sizes", "30", "--c", "3/2", "--trials", "2", "--seed", "4"): [
+            "C,30,3/2,1/10,2.920,2,4.320",
+            "C,30,3/2,1/100,0.000,2,0.000",
+            "C,30,3/2,1/1000,0.000,2,0.000",
+        ],
+        ("--suite", "D", "--sizes", "30", "--c", "13/10", "--trials", "2"): [
+            "D,30,13/10,1/10,7.944,2,8.821",
+            "D,30,13/10,1/100,0.000,2,0.000",
+            "D,30,13/10,1/1000,0.000,2,0.000",
+        ],
+    }
+
+    PINNED_GENERATE = {
+        ("--family", "A", "--n", "5"): "5 766\n265 265\n273 273\n289 289\n321 321\n385 385\n",
+        ("--family", "B", "--n", "6"): "6 99\n43 43\n44 44\n45 45\n46 46\n47 47\n48 48\n",
+        ("--family", "C", "--n", "4", "--c", "3/2", "--seed", "7"): (
+            "4 300000000000000\n"
+            "59733928249658 89600892374488\n"
+            "59581729970536 89372594955805\n"
+            "1164543739564 1746815609347\n"
+            "43952200981469 65928301472204\n"
+        ),
+        ("--family", "D", "--n", "4", "--C", "13/10", "--seed", "7"): (
+            "4 300000000000000\n"
+            "82343468440055 89600892374488\n"
+            "1554445238817 1746815609347\n"
+            "69168930462184 79845500723675\n"
+            "8306171982511 9307422871799\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("flags", list(PINNED_BENCH))
+    def test_bench_rows(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bench", *flags)
+        assert (code, err) == (0, "")
+        header, *rows = strip_times(out)
+        assert header == ",".join(h for h in BENCH_HEADER if not h.endswith("_time_s"))
+        assert rows == self.PINNED_BENCH[flags]
+
+    @pytest.mark.parametrize("flags", list(PINNED_GENERATE))
+    def test_generate_file(self, capsys, flags):
+        assert run_cli(capsys, "generate", *flags) == (0, self.PINNED_GENERATE[flags], "")

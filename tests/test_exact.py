@@ -272,6 +272,11 @@ class TestMeetInTheMiddle:
         points = validate([(iv.hi, iv.hi) for iv in inst.intervals], inst.target)
         assert ssp_optimum_mitm(points) == brute_force_optimum(points).value
 
+    def test_items_above_and_at_target(self):
+        # items above T never enter a sum; an item equal to T reaches T
+        assert ssp_optimum_mitm(validate([(7, 7), (2, 2), (9, 9)], 5)) == 2
+        assert ssp_optimum_mitm(validate([(7, 7), (2, 2), (5, 5)], 5)) == 5
+
     def test_rejects_proper_intervals(self):
         with pytest.raises(ValueError):
             ssp_optimum_mitm(validate([(1, 2)], 5))

@@ -44,6 +44,29 @@ class TestSplitMix64:
         rng2 = SplitMix64(99)
         assert draws == [rng2.randint(7) for _ in range(200)]
 
+    @pytest.mark.parametrize(
+        "n, draws",
+        [
+            (1, [1, 1, 1, 1, 1]),
+            (10**14, [86589211414945, 17661327598, 71434679333406, 117070709451, 89611492784364]),
+            (2**64 - 1, [2454886589211414945, 3778200017661327598, 2205171434679333406,
+                         3248800117070709451, 9350289611492784364]),
+            (2**64, [2454886589211414945, 3778200017661327598, 2205171434679333406,
+                     3248800117070709451, 9350289611492784364]),
+        ],
+    )
+    def test_randint_pinned_draws(self, n, draws):
+        # recorded while every bound drew a single 64-bit word
+        rng = SplitMix64(12345)
+        assert [rng.randint(n) for _ in range(5)] == draws
+
+    @pytest.mark.parametrize("n", [2**64 + 1, 2**200])
+    def test_randint_beyond_one_word(self, n):
+        rng = SplitMix64(1)
+        draws = [rng.randint(n) for _ in range(50)]
+        assert all(1 <= d <= n for d in draws)
+        assert max(draws) > n // 2  # all 50 in the lower half has probability 2**-50
+
     def test_randint_rejects_empty_range(self):
         with pytest.raises(ValueError):
             SplitMix64(1).randint(0)
@@ -61,6 +84,17 @@ class TestFamilyA:
         assert [iv.hi for iv in inst.intervals] == [137, 145, 161, 193]
         assert all(iv.lo == iv.hi for iv in inst.intervals)
         assert inst.target == sum(a.hi for a in inst.intervals) // 2
+
+    def test_mitm_optimum_needs_no_preprocessing(self):
+        # the bench's family A reference runs the search on the raw instance
+        for n in range(1, 21):
+            inst = gen_a(n)
+            pre = preprocess(inst)
+            if isinstance(pre, ImmediateSolution):
+                expected = pre.solution.total
+            else:
+                expected = ssp_optimum_mitm(pre.instance)
+            assert ssp_optimum_mitm(inst) == expected
 
     def test_n_cap(self):
         gen_a(62)
