@@ -290,29 +290,33 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
             params = [fixed_param]
     for n in sizes or default_sizes:
         for param in params:
+            # the instances and their references do not depend on epsilon
+            cases: list[tuple[Instance, int]] = []
+            for trial in range(args.trials):
+                # param is family C's ratio or family D's cap; generate
+                # reads the one the family uses
+                spec = instgen.GenSpec(family, n, c=param, cap=param, seed=args.seed + trial)
+                try:
+                    inst = instgen.generate(spec)
+                except (IsspError, ValueError) as e:
+                    print(f"error: {e}", file=sys.stderr)
+                    return EXIT_FLAGS
+                if family in ("A", "B"):
+                    reference = _exact_reference(family, inst, n)
+                    if reference is None:
+                        print(
+                            f"refusing cell family={family} n={n}: exact "
+                            "reference out of budget",
+                            file=sys.stderr,
+                        )
+                        return EXIT_BUDGET
+                else:
+                    reference = inst.target
+                cases.append((inst, reference))
             for eps in epsilons:
                 errors: list[Fraction] = []
                 times: list[float] = []
-                for trial in range(args.trials):
-                    # param is family C's ratio or family D's cap; generate
-                    # reads the one the family uses
-                    spec = instgen.GenSpec(family, n, c=param, cap=param, seed=args.seed + trial)
-                    try:
-                        inst = instgen.generate(spec)
-                    except (IsspError, ValueError) as e:
-                        print(f"error: {e}", file=sys.stderr)
-                        return EXIT_FLAGS
-                    if family in ("A", "B"):
-                        reference = _exact_reference(family, inst, n)
-                        if reference is None:
-                            print(
-                                f"refusing cell family={family} n={n}: exact "
-                                "reference out of budget",
-                                file=sys.stderr,
-                            )
-                            return EXIT_BUDGET
-                    else:
-                        reference = inst.target
+                for inst, reference in cases:
                     outcome = _solve_instance(inst, "fptas", eps)
                     errors.append(
                         relative_error(outcome.value, reference) if reference else Fraction(0)

@@ -4,11 +4,15 @@
 (max over subsets S with sum lo <= T of min(sum hi, T)) and is the test
 oracle for small n.
 
-``dp_exact`` maintains, for each prefix of the length-sorted intervals, the
-full set of reachable endpoint sums in (0, T], enumerates the one possible
-strictly-interior ("midrange") interval, and reconstructs an optimal
-solution by backtracking.  The set has two representations, chosen from n,
-T and the memory budget alone, with bit-identical answers:
+``scan`` is the one midrange scan: over the length-sorted intervals it
+keeps a set of reachable endpoint sums in (0, T] and finds the one
+possible strictly-interior ("midrange") interval.  It runs on three set
+representations with one interface (``largest_le``, ``add``,
+``snapshot``): the two exact ones below, and the FPTAS's ``BucketArray``,
+which keeps only a min and a max per bucket.  ``dp_exact`` runs the scan
+on an exact set and reconstructs an optimal solution by backtracking.
+The exact set has two representations, chosen from n, T and the memory
+budget alone, with bit-identical answers:
 
 - ``SparseSums``: a sorted list of the sums plus a dict from each sum to
   the signed index of the item that first reached it.  Each item filters
@@ -36,7 +40,7 @@ from itertools import filterfalse, islice
 from math import isqrt
 
 from .analysis import fill_values
-from .core import Instance, Interval, SolveOutcome, scatter_solution, sort_by_length
+from .core import Instance, Interval, Solution, SolveOutcome, scatter_solution, sort_by_length
 from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
@@ -205,7 +209,7 @@ class SparseSums:
     def stored(self) -> int:
         return len(self.values)
 
-    def sorted_sums(self) -> tuple[int, ...]:
+    def snapshot(self) -> tuple[int, ...]:
         return tuple(self.values)
 
     def backtrack(self, d: int, m: int) -> dict[int, int]:
@@ -267,7 +271,7 @@ class BitsetSums:
     def stored(self) -> int:
         return self.reach.bit_count() - 1
 
-    def sorted_sums(self) -> tuple[int, ...]:
+    def snapshot(self) -> tuple[int, ...]:
         bits = bin(self.reach)[:1:-1]  # bit 0 first
         return tuple(s for s, c in enumerate(bits) if c == "1")[1:]
 
@@ -306,57 +310,81 @@ class BitsetSums:
         return x
 
 
+def scan(inst: Instance, reach, trace: bool = False) -> tuple:
+    """The midrange scan shared by ``dp_exact`` and ``fptas_solve``.
+
+    ``reach`` is an empty reachable-sum set: ``SparseSums``, ``BitsetSums``
+    or the FPTAS's ``BucketArray``.  For each length-sorted interval i with
+    lo_i <= T, d is the largest stored sum <= T - lo_i (0 if none) and the
+    candidate is min(d + hi_i, T); the first strict best is kept, and the
+    scan stops once it reaches T.  Unless it stops, interval i then joins
+    the set, whatever its lo.
+
+    Returns (best, m, delta, exit, states): the best candidate, the
+    0-based index of the interval that gave it (None when no interval has
+    lo <= T), its d, the index at which the scan stopped at T (None when
+    it saw every interval) and, with ``trace``, ``reach.snapshot()`` after
+    each interval joined.
+    """
+    t = inst.target
+    best, m, delta, exit_at = 0, None, 0, None
+    states: list = []
+    for i, (lo, hi) in enumerate(inst.intervals):
+        if lo <= t:  # an interval above T can never be switched on
+            d = reach.largest_le(t - lo)
+            cand = min(d + hi, t)
+            if cand > best:
+                best, m, delta = cand, i, d
+                if best == t:
+                    exit_at = i
+                    break
+        reach.add(i, lo, hi)
+        if trace:
+            states.append(reach.snapshot())
+    return best, m, delta, exit_at, states
+
+
+def midrange_solution(
+    inst: Instance, m: int | None, endpoints: dict[int, int], y: int
+) -> tuple[Solution, int]:
+    """Place the endpoints chosen for the items before m, which sum to y,
+    and fill the midrange item m to min(hi_m, T - y).
+
+    ``endpoints`` maps length-sorted positions to values.  Returns the
+    solution in input order and its value; with m None only the
+    endpoints are placed.
+    """
+    x = [0] * inst.n
+    for k, e in endpoints.items():
+        x[k] = e
+    if m is not None:
+        x[m] = min(inst.intervals[m].hi, inst.target - y)
+        y += x[m]
+    return scatter_solution(inst, x), y
+
+
 def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     """``dp_exact`` with the reachable sums held by ``sums``, a class above."""
     start = time.perf_counter()
     if not inst.length_sorted:
         inst = sort_by_length(inst)
-    t = inst.target
-    ivs = inst.intervals
-    reach = sums(ivs, t)
-
-    best = 0
-    m: int | None = None
-    delta_star_m = 0
-    early_exit_at: int | None = None
-    sets_trace: list[tuple[int, ...]] = []
-
-    for i, iv in enumerate(ivs):
-        if iv.lo <= t:  # an interval above T can never be switched on
-            # largest reachable sum from the first i intervals that fits lo_i
-            delta_star = reach.largest_le(t - iv.lo)
-            cand = min(delta_star + iv.hi, t)
-            if cand > best:
-                best = cand
-                m = i
-                delta_star_m = delta_star
-            if best == t:
-                early_exit_at = i
-                break
-        reach.add(i, iv.lo, iv.hi)
-        if trace:
-            sets_trace.append(reach.sorted_sums())
-
-    x = [0] * inst.n
-    if m is not None:
-        for k, e in reach.backtrack(delta_star_m, m).items():
-            x[k] = e
-        x[m] = min(ivs[m].hi, t - delta_star_m)
-
-    sol = scatter_solution(inst, x)
+    reach = sums(inst.intervals, inst.target)
+    _, m, delta, exit_at, states = scan(inst, reach, trace)
+    # when m is None, delta is 0 and backtrack places no item
+    sol, value = midrange_solution(inst, m, reach.backtrack(delta, m), delta)
     stats: dict = {
         "elapsed": time.perf_counter() - start,
         "stored_values": reach.stored(),
         "representation": reach.name,
     }
     if trace:
-        stats["sets"] = sets_trace
+        stats["sets"] = states
         # 1-based, matching midrange_index
-        stats["early_exit_at"] = None if early_exit_at is None else early_exit_at + 1
-        stats["delta_star"] = delta_star_m
+        stats["early_exit_at"] = None if exit_at is None else exit_at + 1
+        stats["delta_star"] = delta
     return SolveOutcome(
         solution=sol,
-        value=best,
+        value=value,
         kind="exact",
         midrange_index=None if m is None else m + 1,
         stats=stats,

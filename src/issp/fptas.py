@@ -1,9 +1,10 @@
 """A space-efficient (1 - eps)-approximation scheme with solution recovery.
 
 The driver partitions (0, T] into l = ceil(1/eps) equal buckets of width
-T/l (<= eps*T) and streams over the length-sorted intervals keeping only
-the smallest and largest reachable endpoint-sum seen in each bucket.  An
-item's new sums form two sorted runs, which are merged into the buckets by
+T/l (<= eps*T) and runs the exact DP's midrange scan, ``exact.scan``, with
+its reachable-sum set relaxed to ``BucketArray``: only the smallest and
+largest reachable endpoint-sum seen in each bucket are kept.  An item's
+new sums form two sorted runs, which are merged into the buckets by
 walking a precomputed table of bucket boundaries, with no division.  The
 scan locates the single interval m that may take a strictly interior value
 and the best partial sum ``delta_hat`` reachable from the intervals before
@@ -16,7 +17,7 @@ removing every touched suffix so no item is ever used twice.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
-The live bucket-slot count is metered: arrays are sized by 1/eps only,
+The live bucket slots are counted: arrays are sized by 1/eps only,
 checked against the memory budget before any is allocated, and dropped when
 released, so peak space is O(1/eps) regardless of T.
 """
@@ -28,9 +29,9 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .core import Instance, SolveOutcome, scatter_solution, sort_by_length
+from .core import Instance, SolveOutcome, sort_by_length
 from .errors import (
     EmptyArray,
     EpsilonOutOfRange,
@@ -39,28 +40,12 @@ from .errors import (
     NoPairFound,
     OutOfRange,
 )
-from .exact import memory_budget_entries
+from .exact import memory_budget_entries, midrange_solution, scan
 
 Number = Union[int, Fraction]
 
 # Item = (position in the length-sorted instance, lo, hi)
 Item = tuple[int, int, int]
-
-
-class SlotMeter:
-    """Counts live bucket slots; the peak certifies the space bound."""
-
-    def __init__(self) -> None:
-        self.current = 0
-        self.peak = 0
-
-    def alloc(self, slots: int) -> None:
-        self.current += slots
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def free(self, slots: int) -> None:
-        self.current -= slots
 
 
 @dataclass
@@ -69,12 +54,15 @@ class FptasParams:
 
     ``bounds[k] = floor(k*T/l)`` is the largest integer in bucket k, so the
     bucket of an integer v in (0, T] is the first k with v <= bounds[k].
+    ``live_slots`` counts the bucket slots allocated and not yet released;
+    ``peak_slots``, its maximum, certifies the space bound.
     """
 
     epsilon: Fraction
     target: int
     l: int = field(init=False)
-    meter: SlotMeter = field(init=False, default_factory=SlotMeter)
+    live_slots: int = field(init=False, default=0)
+    peak_slots: int = field(init=False, default=0)
     bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -96,11 +84,6 @@ class FptasParams:
         self.bounds = [k * t // l for k in range(l + 1)]
 
     @property
-    def width(self) -> Fraction:
-        """Bucket width T/l; at most eps*T."""
-        return Fraction(self.target, self.l)
-
-    @property
     def eps_t(self) -> Fraction:
         return self.epsilon * self.target
 
@@ -117,9 +100,10 @@ class BucketArray:
     ``neg``/``pos`` hold the smallest/largest value seen in each bucket
     (0 = empty); ``*_d1``/``*_d2`` record the position and endpoint
     selector (1 = lo, 2 = hi) of the item that produced the value.
-    Arrays are always allocated at the full l buckets so the metered slot
-    count depends only on eps; only values up to the local target (capped
-    at T) are ever stored.
+    Arrays are always allocated at the full l buckets so the counted slots
+    depend only on eps; only values up to the local target (capped at T)
+    are ever stored.  ``largest_le``, ``add`` and ``snapshot`` make it a
+    reachable-sum set for ``exact.scan``.
     """
 
     def __init__(self, params: FptasParams, local_target: Number):
@@ -134,14 +118,15 @@ class BucketArray:
         self.pos_d2 = [0] * (l + 1)
         self.nonempty: list[int] = []  # sorted bucket indices with values
         self._slots = 2 * l
-        params.meter.alloc(self._slots)
+        params.live_slots += self._slots
+        params.peak_slots = max(params.peak_slots, params.live_slots)
         self._released = False
 
     def release(self) -> None:
-        """Return the slots to the meter and drop the arrays, so a frame
+        """Return the slots to the count and drop the arrays, so a frame
         that still names this object holds no bucket memory."""
         if not self._released:
-            self.params.meter.free(self._slots)
+            self.params.live_slots -= self._slots
             self._released = True
             self.neg = self.pos = self.neg_d1 = self.neg_d2 = self.pos_d1 = self.pos_d2 = []
             self.nonempty = []
@@ -157,7 +142,11 @@ class BucketArray:
                 out.append(y)
         return out
 
-    def max_value_le(self, bound: int) -> int:
+    def snapshot(self) -> tuple[list[int], list[int]]:
+        """Copies of the per-bucket minima and maxima, for traces."""
+        return self.neg.copy(), self.pos.copy()
+
+    def largest_le(self, bound: int) -> int:
         """Largest stored value <= bound, or 0 if none."""
         if bound <= 0 or not self.nonempty:
             return 0
@@ -176,7 +165,7 @@ class BucketArray:
             k = self.nonempty[i - 1]
         return self.pos[k]
 
-    def add_item(self, idx: int, lo: int, hi: int) -> None:
+    def add(self, idx: int, lo: int, hi: int) -> None:
         """Extend the stored values by item idx.
 
         Each endpoint a is inserted alone, then added to every value stored
@@ -272,7 +261,7 @@ def relaxed_dp(items: list[Item], local_target: Number, params: FptasParams) -> 
     """
     b = BucketArray(params, local_target)
     for idx, lo, hi in items:
-        b.add_item(idx, lo, hi)
+        b.add(idx, lo, hi)
     return b
 
 
@@ -284,8 +273,8 @@ def find_u1_u2(
     descending-u2 sweep over the sorted value lists."""
     lob = math.ceil(local_target - params.eps_t)
     upb = math.floor(local_target)
-    vals1 = sorted(set([0] + b1.values()))
-    vals2 = sorted(set([0] + b2.values()))
+    vals1 = [0] + b1.values()  # values() is strictly increasing and positive
+    vals2 = [0] + b2.values()
     i, j = 0, len(vals2) - 1
     while True:
         s = vals1[i] + vals2[j]
@@ -318,10 +307,7 @@ def backtrack(
     """
     tf = math.floor(local_target)
     tlow = math.ceil(local_target - params.eps_t)
-    u = 0
-    for v in b.values():
-        if v <= tf and v > u:
-            u = v
+    u = b.largest_le(tf)
     if u == 0:
         raise EmptyArray("no stored value at or below the target")
     item_map = {idx: (lo, hi) for idx, lo, hi in items}
@@ -407,10 +393,12 @@ def fptas_solve(
 ) -> SolveOutcome:
     """Solve to within a factor (1 - epsilon) of the optimum.
 
-    The instance must already satisfy T > max hi (run preprocess first).
-    The outcome is flagged exact when the result is provably optimal:
-    the target itself was reached, the instance has at most one interval,
-    or the scan observed delta_hat + eps*T <= T - lo_m (in which case the
+    Any valid instance is accepted; preprocessing is not required, since
+    the scan never switches on an interval with lo > T and caps every
+    value at T.  The outcome is flagged exact when the result is provably
+    optimal: the target itself was reached, the instance has at most one
+    interval, no interval has lo <= T (the value is 0), or the scan
+    observed delta_hat + eps*T <= T - lo_m (in which case the
     reconstruction target is tight enough to force the true optimum).
 
     With ``trace=True`` the stats record per-iteration bucket states and
@@ -421,72 +409,39 @@ def fptas_solve(
     if not inst.length_sorted:
         inst = sort_by_length(inst)
     t = inst.target
-    n = inst.n
     params = FptasParams(epsilon=eps, target=t)
 
-    if n == 0:
-        return SolveOutcome(
-            solution=scatter_solution(inst, []),
-            value=0,
-            kind="exact",
-            epsilon=eps,
-            stats={"elapsed": time.perf_counter() - start, "peak_slots": 0},
-        )
+    arrays = BucketArray(params, t)
+    _, m, delta_hat, exit_at, states = scan(inst, arrays, trace)
+    arrays.release()
 
-    scan = BucketArray(params, t)
-    t_hat = 0
-    delta_hat = 0
-    m = 0
-    early_exit = False
-    scan_trace: list[tuple[list[int], list[int]]] = []
-    for i in range(n):
-        iv = inst.intervals[i]
-        delta_bar = scan.max_value_le(t - iv.lo)
-        cand = min(delta_bar + iv.hi, t)
-        if cand > t_hat:
-            t_hat = cand
-            delta_hat = delta_bar
-            m = i
-        if t_hat == t:
-            early_exit = True
-            break
-        scan.add_item(i, iv.lo, iv.hi)
-        if trace:
-            scan_trace.append((scan.neg.copy(), scan.pos.copy()))
-    scan.release()
-
-    lo_m = inst.intervals[m].lo
-    hi_m = inst.intervals[m].hi
-    case_a = delta_hat + params.eps_t <= t - lo_m
-    dc_target: Number = min(delta_hat + params.eps_t, Fraction(t - lo_m))
-    items: list[Item] = [
-        (i, inst.intervals[i].lo, inst.intervals[i].hi) for i in range(m)
-    ]
-    x = [0] * n
-    if items and dc_target > 0:
-        y_hat, assignments = divide_and_conquer(items, dc_target, params)
-        for idx, val in assignments.items():
-            x[idx] = val
+    if m is None:  # no interval has lo <= T, so 0 is optimal
+        case_a, dc_target = True, Fraction(0)
     else:
-        y_hat = 0
-    x[m] = min(hi_m, t - y_hat)
-    value = y_hat + x[m]
-    kind = "exact" if (value == t or case_a or n == 1) else "approximate"
+        lo_m = inst.intervals[m].lo
+        case_a = delta_hat + params.eps_t <= t - lo_m
+        dc_target = min(delta_hat + params.eps_t, Fraction(t - lo_m))
+    y_hat, assignments = 0, {}
+    if m and dc_target > 0:
+        items: list[Item] = [(i, lo, hi) for i, (lo, hi) in enumerate(inst.intervals[:m])]
+        y_hat, assignments = divide_and_conquer(items, dc_target, params)
+    solution, value = midrange_solution(inst, m, assignments, y_hat)
+    kind = "exact" if (value == t or case_a or inst.n == 1) else "approximate"
 
     stats: dict = {
         "elapsed": time.perf_counter() - start,
-        "peak_slots": params.meter.peak,
+        "peak_slots": params.peak_slots,
         "case_a": bool(case_a),
-        "early_exit": early_exit,
+        "early_exit": exit_at is not None,
         "dc_target": dc_target,
     }
     if trace:
-        stats["scan_trace"] = scan_trace
+        stats["scan_trace"] = states
     return SolveOutcome(
-        solution=scatter_solution(inst, x),
+        solution=solution,
         value=value,
         kind=kind,
         epsilon=eps,
-        midrange_index=m + 1,
+        midrange_index=None if m is None else m + 1,
         stats=stats,
     )

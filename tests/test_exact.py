@@ -27,10 +27,11 @@ from issp.exact import (
     dp_exact,
     memory_budget_entries,
     run_dp,
+    scan,
     ssp_optimum_mitm,
     use_bitset,
 )
-from issp.fptas import fptas_solve
+from issp.fptas import BucketArray, FptasParams, fptas_solve
 
 from conftest import instances, reference_optimum
 from reference_dp import insort_dp
@@ -248,6 +249,21 @@ class TestRepresentations:
         work = sort_by_length(validate(pairs, 10 * sum(hi for _, hi in pairs) // 11))
         ref = _reference_fields(work)
         assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
+
+    @given(instances(max_n=7, max_end=60, max_t=120), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=200)
+    def test_bucket_array_scan_is_exact_when_epsilon_at_most_inverse_target(self, inst, extra):
+        # eps <= 1/T gives l >= T buckets, each holding at most one integer,
+        # so a min and a max per bucket keep every reachable sum
+        t = inst.target
+        assume(t + extra >= 2)
+        inst = sort_by_length(inst)
+        arrays = BucketArray(FptasParams(Fraction(1, t + extra), t), t)
+        got = scan(inst, arrays)
+        for sums in (SparseSums, BitsetSums):
+            reach = sums(inst.intervals, t)
+            assert scan(inst, reach)[:4] == got[:4]
+            assert reach.snapshot() == tuple(arrays.values())
 
     @given(
         st.one_of(dp_instances(), dp_instances(scale=2**64 + 1)),

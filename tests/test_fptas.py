@@ -5,7 +5,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issp.core import (
@@ -17,7 +17,7 @@ from issp.core import (
     validate,
 )
 from issp.errors import EpsilonOutOfRange, MemoryBudgetExceeded, OutOfRange
-from issp.exact import brute_force_optimum
+from issp.exact import brute_force_optimum, dp_exact
 from issp.fptas import (
     BucketArray,
     FptasParams,
@@ -83,16 +83,23 @@ def item_lists(draw):
     return [(i, lo, hi) for i, (lo, hi) in enumerate(items)], local_target, FptasParams(eps, t)
 
 
+@st.composite
+def raw_instances(draw):
+    """Valid instances as given, not preprocessed: lower endpoints up to 2T,
+    so some intervals lie above T and some contain it."""
+    t = draw(st.integers(min_value=1, max_value=100))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        lo = draw(st.integers(min_value=1, max_value=2 * t))
+        pairs.append((lo, draw(st.integers(min_value=lo, max_value=lo + t))))
+    return validate(pairs, t)
+
+
 class TestParams:
     def test_bucket_count_is_ceil_inverse_epsilon(self):
         assert FptasParams(Fraction(1, 5), 100).l == 5
         assert FptasParams(Fraction(3, 10), 100).l == 4
         assert FptasParams(Fraction(1, 1000), 100).l == 1000
-
-    def test_width_at_most_epsilon_times_target(self):
-        p = FptasParams(Fraction(3, 10), 100)
-        assert p.width <= p.eps_t
-        assert p.width * p.l == p.target
 
     def test_rejects_epsilon_outside_unit_interval(self):
         for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
@@ -159,17 +166,17 @@ class TestBucketArray:
         assert sorted(b.values()) == [22, 40]
         b.release()
 
-    def test_max_value_le_descends_buckets(self):
+    def test_largest_le_descends_buckets(self):
         p = FptasParams(Fraction(1, 5), 100)
         b = BucketArray(p, 100)
         for v, d in ((10, 1), (35, 2), (95, 3)):
             b.insert(v, d, 2)
-        assert b.max_value_le(100) == 95
-        assert b.max_value_le(94) == 35
-        assert b.max_value_le(35) == 35
-        assert b.max_value_le(34) == 10
-        assert b.max_value_le(9) == 0
-        assert b.max_value_le(0) == 0
+        assert b.largest_le(100) == 95
+        assert b.largest_le(94) == 35
+        assert b.largest_le(35) == 35
+        assert b.largest_le(34) == 10
+        assert b.largest_le(9) == 0
+        assert b.largest_le(0) == 0
         b.release()
 
     def test_slot_records_latest_producer(self):
@@ -182,11 +189,11 @@ class TestBucketArray:
     def test_meter_counts_two_slots_per_bucket(self):
         p = FptasParams(Fraction(1, 4), 100)
         b = BucketArray(p, 100)
-        assert p.meter.current == 8
+        assert p.live_slots == p.peak_slots == 8
         b.release()
-        assert p.meter.current == 0
+        assert p.live_slots == 0
         b.release()  # second release is a no-op
-        assert p.meter.current == 0
+        assert p.live_slots == 0 and p.peak_slots == 8
 
     def test_allocation_independent_of_local_target(self):
         p = FptasParams(Fraction(1, 4), 1000)
@@ -287,6 +294,20 @@ class TestFptasSolve:
         work = sort_by_length(pre.instance)
         opt = brute_force_optimum(work).value
         out = fptas_solve(work, eps)
+        assert evaluate(inst, out.solution) == out.value
+        assert midrange_count(inst, out.solution) <= 1
+        assert out.value >= (1 - eps) * opt
+        if out.kind == "exact":
+            assert out.value == opt
+
+    @given(raw_instances(), st.sampled_from([Fraction(3, 10), Fraction(1, 10), Fraction(2, 997)]))
+    @example(validate([(150, 160), (10, 20)], 100), Fraction(1, 10))
+    @example(validate([(150, 160)], 100), Fraction(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_unpreprocessed_input(self, inst, eps):
+        opt = dp_exact(inst).value
+        assert opt == brute_force_optimum(inst).value
+        out = fptas_solve(inst, eps)
         assert evaluate(inst, out.solution) == out.value
         assert midrange_count(inst, out.solution) <= 1
         assert out.value >= (1 - eps) * opt
