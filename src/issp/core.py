@@ -12,6 +12,7 @@ sums far beyond 64-bit range are exact.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat, starmap
@@ -56,7 +57,8 @@ class Instance:
     sorted by length).  ``origin[i]`` gives the position of
     ``intervals[i]`` in the original input, and ``original`` keeps the full
     validated input so solutions can always be reported and checked in
-    input order.
+    input order.  When ``intervals is original``, ``origin`` is the
+    identity.
     """
 
     intervals: tuple[Interval, ...]
@@ -124,10 +126,18 @@ def validate(pairs: Iterable[tuple[int, int]], target: int) -> Instance:
     """Check endpoints and target, returning an Instance in input order."""
     if target < 1:
         raise NonPositiveTarget(f"target must be >= 1, got {target}")
-    # tuple.__new__ builds each Interval in C from its (lo, hi) pair.  With
-    # lo <= hi everywhere, the smallest lo (that of the least tuple) bounds
-    # both endpoints from below.
-    ivs = tuple(map(tuple.__new__, repeat(Interval), pairs))
+    # tuple.__new__ builds each Interval in C from its (lo, hi) pair.  The
+    # cyclic collector is paused meanwhile: 10^5 new tracked tuples would
+    # trigger over a hundred passes, which have no cycle to free.
+    # With lo <= hi everywhere, the smallest lo (that of the least tuple)
+    # bounds both endpoints from below.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        ivs = tuple(map(tuple.__new__, repeat(Interval), pairs))
+    finally:
+        if collecting:
+            gc.enable()
     if ivs and not (min(ivs)[0] >= 1 and all(starmap(le, ivs))):
         _raise_first_invalid(ivs)
     return Instance(intervals=ivs, target=target, origin=tuple(range(len(ivs))), original=ivs)
@@ -177,10 +187,14 @@ def sort_by_length(inst: Instance) -> Instance:
     ivs = inst.intervals
     lengths = list(map(sub, map(_hi, ivs), map(_lo, ivs)))
     order = sorted(range(inst.n), key=lengths.__getitem__)
+    if ivs is inst.original:  # origin is the identity: skip the gather
+        origin = tuple(order)
+    else:
+        origin = tuple(map(inst.origin.__getitem__, order))
     return Instance(
         intervals=tuple(map(ivs.__getitem__, order)),
         target=inst.target,
-        origin=tuple(map(inst.origin.__getitem__, order)),
+        origin=origin,
         original=inst.original,
         length_sorted=True,
     )

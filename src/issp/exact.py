@@ -350,17 +350,19 @@ def midrange_solution(
     """Place the endpoints chosen for the items before m, which sum to y,
     and fill the midrange item m to min(hi_m, T - y).
 
-    ``endpoints`` maps length-sorted positions to values.  Returns the
-    solution in input order and its value; with m None only the
+    ``endpoints`` maps length-sorted positions to values; each is written
+    straight to its input-order position through ``inst.origin``.  Returns
+    the solution in input order and its value; with m None only the
     endpoints are placed.
     """
-    x = [0] * inst.n
+    origin = inst.origin
+    x = [0] * len(inst.original)
     for k, e in endpoints.items():
-        x[k] = e
+        x[origin[k]] = e
     if m is not None:
-        x[m] = min(inst.intervals[m].hi, inst.target - y)
-        y += x[m]
-    return scatter_solution(inst, x), y
+        x[origin[m]] = xm = min(inst.intervals[m].hi, inst.target - y)
+        y += xm
+    return Solution(tuple(x)), y
 
 
 def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:

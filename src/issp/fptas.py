@@ -3,17 +3,20 @@
 The driver partitions (0, T] into l = ceil(1/eps) equal buckets of width
 T/l (<= eps*T) and runs the exact DP's midrange scan, ``exact.scan``, with
 its reachable-sum set relaxed to ``BucketArray``: only the smallest and
-largest reachable endpoint-sum seen in each bucket are kept.  An item's
-new sums form two sorted runs, which are merged into the buckets by
-walking a precomputed table of bucket boundaries, with no division.  The
-scan locates the single interval m that may take a strictly interior value
-and the best partial sum ``delta_hat`` reachable from the intervals before
-m.  Because bucket slots can be displaced by later items, a stored value's
-predecessor chain may no longer be present, so plain backtracking cannot
-reconstruct a solution; reconstruction instead recursively splits the item
-set in two, recomputes the relaxed arrays per half, picks a compatible pair
-(u1, u2) of half-sums, and backtracks greedily with provenance indices,
-removing every touched suffix so no item is ever used twice.
+largest reachable endpoint-sum seen in each bucket are kept.  Per item,
+the stored values are snapshotted once, in sorted order, by C-level slices
+over the occupied buckets; each endpoint's shifted run is then fused into
+its merge: the merge adds the endpoint to each snapshot value as it walks
+a precomputed table of bucket boundaries, so no run is built and no value
+is divided.  The scan locates the single interval m that may take a
+strictly interior value and the best partial sum ``delta_hat`` reachable
+from the intervals before m.  Because bucket slots can be displaced by
+later items, a stored value's predecessor chain may no longer be present,
+so plain backtracking cannot reconstruct a solution; reconstruction
+instead recursively splits the item set in two, recomputes the relaxed
+arrays per half, picks a compatible pair (u1, u2) of half-sums, and
+backtracks greedily with provenance indices, removing every touched
+suffix so no item is ever used twice.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -132,15 +135,19 @@ class BucketArray:
             self.nonempty = []
 
     def values(self) -> list[int]:
-        """Stored values in increasing order."""
-        neg, pos = self.neg, self.pos
-        out: list[int] = []
-        for k in self.nonempty:
-            x, y = neg[k], pos[k]
-            out.append(x)
-            if y != x:
-                out.append(y)
-        return out
+        """Stored values in strictly increasing order."""
+        return list(dict.fromkeys(self._sorted_slots()))  # drops repeats, keeps order
+
+    def _sorted_slots(self) -> list[int]:
+        """Every bucket's min then max over the occupied range, built at C
+        level: non-decreasing, with a one-value bucket's value repeated."""
+        if not self.nonempty:
+            return []
+        k0, k1 = self.nonempty[0], self.nonempty[-1] + 1
+        out = [0] * (2 * (k1 - k0))
+        out[0::2] = self.neg[k0:k1]
+        out[1::2] = self.pos[k0:k1]
+        return list(filter(None, out))
 
     def snapshot(self) -> tuple[list[int], list[int]]:
         """Copies of the per-bucket minima and maxima, for traces."""
@@ -169,13 +176,15 @@ class BucketArray:
         """Extend the stored values by item idx.
 
         Each endpoint a is inserted alone, then added to every value stored
-        before this call (so an item never combines with itself); that
-        sorted run, cut at the local target, is merged into the buckets.
-        The result equals inserting the values one at a time in the order
-        existing slot, lo, lo run, hi, hi run.  When lo == hi the hi values
-        repeat the lo ones and cannot change any slot.
+        before this call (so an item never combines with itself), cut at
+        the local target, and merged into the buckets.  The pre-item values
+        are one C-level snapshot shared by both endpoints; the merge adds a
+        as it walks, so no shifted run is built.  The result equals
+        inserting the values one at a time in the order existing slot, lo,
+        lo run, hi, hi run.  When lo == hi the hi values repeat the lo ones
+        and cannot change any slot.
         """
-        base = self.values()
+        base = self._sorted_slots()
         tf = self.tfloor
         for d2, a in ((1, lo), (2, hi)) if lo != hi else ((1, lo),):
             if a > tf:
@@ -183,38 +192,61 @@ class BucketArray:
             self.insert(a, idx, d2)
             cut = bisect_right(base, tf - a)
             if cut:
-                self._merge([v + a for v in base[:cut]], idx, d2)
+                self._merge(base, cut, a, idx, d2)
 
     def insert(self, v: int, d1: int, d2: int) -> None:
         """Record value v produced by endpoint d2 of item d1."""
-        self.params.bucket_index(v)  # range check
-        self._merge([v], d1, d2)
+        k = self.params.bucket_index(v)
+        if self._put(k, v, v, d1, d2):
+            insort(self.nonempty, k)
 
-    def _merge(self, run: list[int], d1: int, d2: int) -> None:
-        """Merge a non-empty, non-decreasing run of values in (0, T], all
-        produced by endpoint d2 of item d1, into the slots (the run list is
-        consumed).
+    def _put(self, k: int, first: int, last: int, d1: int, d2: int) -> bool:
+        """Offer first and last (first <= last), from endpoint d2 of item
+        d1, to bucket k's min and max slots; True if k was empty."""
+        neg, pos = self.neg, self.pos
+        if neg[k] == 0:
+            neg[k] = first
+            pos[k] = last
+            self.neg_d1[k] = self.pos_d1[k] = d1
+            self.neg_d2[k] = self.pos_d2[k] = d2
+            return True
+        if first < neg[k]:
+            neg[k] = first
+            self.neg_d1[k] = d1
+            self.neg_d2[k] = d2
+        if last > pos[k]:
+            pos[k] = last
+            self.pos_d1[k] = d1
+            self.pos_d2[k] = d2
+        return False
 
-        The run is walked against the boundary table, so no value is
-        divided: a bucket's smallest run value is the first one to enter
-        it and its largest the last one before the walk leaves it.  A slot
-        changes only on a strict improvement, as single inserts would do.
-        The buckets the run opens are merged into ``nonempty`` at the end.
+    def _merge(self, base: list[int], cut: int, a: int, d1: int, d2: int) -> None:
+        """Merge v + a for the first ``cut`` values v of the non-decreasing
+        list ``base`` (all sums in (0, T]), produced by endpoint d2 of item
+        d1, into the slots.
+
+        The shifted values are walked against the boundary table, so no
+        value is divided: a bucket's smallest value is the first one to
+        enter it and its largest the last one before the walk leaves it.
+        Repeats in ``base`` cannot change a slot, because a slot changes
+        only on a strict improvement, as single inserts would do.  The last
+        bucket is closed after the walk, and the buckets the walk opens are
+        merged into ``nonempty`` at the end.
         """
         bounds = self.params.bounds
         neg, pos = self.neg, self.pos
         neg_d1, neg_d2, pos_d1, pos_d2 = self.neg_d1, self.neg_d2, self.pos_d1, self.pos_d2
-        end = self.params.target + 1  # sentinel: closes the last bucket
-        run.append(end)
-        it = iter(run)
-        first = last = next(it)
+        run = iter(base[:cut])
+        first = last = next(run) + a
         k = bisect_left(bounds, first)
         ub = bounds[k]
         new: list[int] = []
-        for c in it:
+        for v in run:
+            c = v + a
             if c <= ub:
                 last = c
                 continue
+            # close bucket k: _put, inlined because it runs once per bucket
             if neg[k] == 0:
                 new.append(k)
                 neg[k] = first
@@ -230,14 +262,14 @@ class BucketArray:
                     pos[k] = last
                     pos_d1[k] = d1
                     pos_d2[k] = d2
-            if c == end:
-                break
             k += 1
             ub = bounds[k]
             if c > ub:
                 k = bisect_left(bounds, c, k + 1)
                 ub = bounds[k]
             first = last = c
+        if self._put(k, first, last, d1, d2):
+            new.append(k)
         if new:
             self.nonempty += new
             self.nonempty.sort()  # two sorted runs, so the sort is a linear merge
@@ -295,31 +327,32 @@ def backtrack(
     items: list[Item],
     local_target: Number,
     params: FptasParams,
-) -> tuple[int, set[int], dict[int, int]]:
+) -> tuple[int, int, dict[int, int]]:
     """Greedy provenance walk from the best stored value <= local_target.
 
     Each step fixes one item at the recorded endpoint and removes every
     item at or after it from further consideration.  The walk continues
     through older slots only while the accumulated value stays admissible
     (within eps*T below the target, never above it); otherwise it stops,
-    leaving the remainder to a recursive split.  Returns the accumulated
-    value y, the removed positions, and the endpoint assignments.
+    leaving the remainder to a recursive split.  ``items`` is sorted by
+    position and the walk's positions strictly decrease, so the removed
+    items are the suffix from the last one fixed.  Returns the accumulated
+    value y, the index in ``items`` where that suffix starts, and the
+    endpoint assignments.
     """
     tf = math.floor(local_target)
     tlow = math.ceil(local_target - params.eps_t)
     u = b.largest_le(tf)
     if u == 0:
         raise EmptyArray("no stored value at or below the target")
-    item_map = {idx: (lo, hi) for idx, lo, hi in items}
-    removed: set[int] = set()
     assignments: dict[int, int] = {}
     y = 0
     while True:
         d1, d2 = b.slot_for(u)
-        lo, hi = item_map[d1]
+        j = bisect_left(items, (d1,))
+        _, lo, hi = items[j]
         a = lo if d2 == 1 else hi
         assignments[d1] = a
-        removed.update(k for k in item_map if k >= d1)
         y += a
         u -= a
         if u > 0:
@@ -335,7 +368,7 @@ def backtrack(
             else:
                 u = 0
         if u == 0:
-            return y, removed, assignments
+            return y, j, assignments
 
 
 def divide_and_conquer(
@@ -366,9 +399,9 @@ def _dc(
     y1b = y1dc = y2b = y2dc = 0
     lam1_rest = lam1
     if t_local - u2 > eps_t:
-        y1b, rem1, asg1 = backtrack(b1, lam1, t_local - u2, params)
+        y1b, cut1, asg1 = backtrack(b1, lam1, t_local - u2, params)
         assignments.update(asg1)
-        lam1_rest = [it for it in lam1 if it[0] not in rem1]
+        lam1_rest = lam1[:cut1]
     # b1/b2 are not needed past this point (the second half is re-solved
     # with an updated target below); recycle before recursing so the live
     # slot count stays bounded by a constant number of arrays.
@@ -379,10 +412,10 @@ def _dc(
     lam2_rest = lam2
     if t_local - y1b - y1dc > eps_t:
         b2n = relaxed_dp(lam2, t_local - y1b - y1dc, params)
-        y2b, rem2, asg2 = backtrack(b2n, lam2, t_local - y1b - y1dc, params)
+        y2b, cut2, asg2 = backtrack(b2n, lam2, t_local - y1b - y1dc, params)
         b2n.release()
         assignments.update(asg2)
-        lam2_rest = [it for it in lam2 if it[0] not in rem2]
+        lam2_rest = lam2[:cut2]
     if t_local - y1b - y1dc - y2b > eps_t:
         y2dc = _dc(lam2_rest, t_local - y1b - y1dc - y2b, params, assignments)
     return y1b + y1dc + y2b + y2dc

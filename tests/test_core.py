@@ -1,9 +1,10 @@
 """Domain types: validation, preprocessing, ordering, evaluation, errors."""
 
+import gc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from issp.core import (
@@ -83,6 +84,29 @@ class TestValidate:
 
         assert result(validate) == result(reference_frontend.validate)
 
+    @pytest.mark.parametrize(
+        "pairs, target, error",
+        [
+            ([(10, 20), (10, 25)], 100, None),
+            ([(0, 5)], 10, NonPositiveEndpoint),
+            ([(7, 3)], 10, InvertedInterval),
+            ([(1, 2)], 0, NonPositiveTarget),
+        ],
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_collector_state(self, pairs, target, error, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                validate(pairs, target)
+            else:
+                with pytest.raises(error):
+                    validate(pairs, target)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 class TestPreprocess:
     def test_interval_containing_target_is_immediate(self):
@@ -143,6 +167,21 @@ class TestSortByLength:
         assert sorted(s.origin) == list(range(inst.n))
         lengths = [iv.length for iv in s.intervals]
         assert lengths == sorted(lengths)
+
+    @given(instances(max_n=10, max_end=60, max_t=100))
+    @example(validate([(10, 20), (400, 500), (30, 90), (5, 6)], 100))
+    def test_identity_origin_equals_general_gather(self, inst):
+        pre = preprocess(inst)
+        views = [inst]
+        if isinstance(pre, ReducedInstance) and pre.instance is not inst:
+            views.append(pre.instance)  # reduced: origin is not the identity
+        for view in views:
+            order = sorted(range(view.n), key=lambda i: view.intervals[i].length)
+            s = sort_by_length(view)
+            assert s.intervals == tuple(view.intervals[i] for i in order)
+            assert s.origin == tuple(view.origin[i] for i in order)
+            assert s.length_sorted
+        assert inst.intervals is inst.original
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 """Approximation scheme: buckets, reconstruction, guarantee, space meter."""
 
+import hashlib
 import tracemalloc
 from bisect import bisect_left, insort
 from fractions import Fraction
@@ -25,6 +26,7 @@ from issp.fptas import (
     fptas_solve,
     relaxed_dp,
 )
+from issp.instgen import SplitMix64, gen_b, gen_c
 
 from conftest import instances
 
@@ -240,6 +242,26 @@ class TestRelaxedDp:
         for name in SLOT_ARRAYS:
             assert getattr(b, name) == getattr(ref, name), name
 
+    @pytest.mark.parametrize("local_target", [10**9 + 7, Fraction(2 * 10**9 + 1, 3)])
+    def test_matches_per_value_insert_loop_with_buckets_filled(self, local_target):
+        # 300 items at eps = 1/1000, a quarter of them zero-length and a
+        # fifth repeating the item before (equal sums, so slot ties): the
+        # runs cross most of the 1,000 buckets, which a few drawn items
+        # never do
+        rng = SplitMix64(7)
+        t = 10**9 + 7
+        items = []
+        for i in range(300):
+            lo = rng.randint(t // 100)
+            hi = lo + rng.randint(lo) if i % 4 else lo
+            items.append((i, *items[-1][1:]) if i % 5 == 4 else (i, lo, hi))
+        p = FptasParams(Fraction(1, 1000), t)
+        b = relaxed_dp(items, local_target, p)
+        ref = reference_relaxed_dp(items, local_target, p)
+        assert len(b.nonempty) >= 0.9 * p.l * local_target / t
+        for name in SLOT_ARRAYS:
+            assert getattr(b, name) == getattr(ref, name), name
+
     @given(item_lists(), st.lists(st.integers(min_value=1, max_value=2**70), max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_insert_matches_reference_insert(self, case, values):
@@ -313,6 +335,28 @@ class TestFptasSolve:
         assert out.value >= (1 - eps) * opt
         if out.kind == "exact":
             assert out.value == opt
+
+    @pytest.mark.parametrize(
+        "make, pinned",
+        [
+            (
+                lambda: gen_b(500),
+                (62468124, "approximate", 500, 4000, "14a8942562c9d95aeade01b7ed22eadd"),
+            ),
+            (
+                lambda: gen_c(20000, Fraction(3, 2), seed=1),
+                (300000000000000, "exact", 360, 4000, "50f26099fc2eb9cd67c0859732f0a862"),
+            ),
+        ],
+    )
+    def test_pinned_answers_at_one_per_mille(self, make, pinned):
+        # value, kind, midrange index, peak slots and a solution digest,
+        # recorded before the fused bucket update replaced the three-pass one
+        work = sort_by_length(preprocess(make()).instance)
+        out = fptas_solve(work, Fraction(1, 1000))
+        digest = hashlib.sha256(repr(out.solution.values).encode()).hexdigest()[:32]
+        got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"], digest)
+        assert got == pinned
 
     def test_accepts_string_and_float_epsilon(self):
         inst = validate(GOLDEN_PAIRS, GOLDEN_T)
