@@ -13,10 +13,12 @@ strictly interior value and the best partial sum ``delta_hat`` reachable
 from the intervals before m.  Because bucket slots can be displaced by
 later items, a stored value's predecessor chain may no longer be present,
 so plain backtracking cannot reconstruct a solution; reconstruction
-instead recursively splits the item set in two, recomputes the relaxed
+instead recursively splits the item set in two, computes the relaxed
 arrays per half, picks a compatible pair (u1, u2) of half-sums, and
 backtracks greedily with provenance indices, removing every touched
-suffix so no item is ever used twice.
+suffix so no item is ever used twice.  The second half is backtracked
+toward an updated target, on its first arrays when a re-run at that
+target would end with the same ones and on a re-run otherwise.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
@@ -388,6 +390,24 @@ def _dc(
     params: FptasParams,
     assignments: dict[int, int],
 ) -> int:
+    """Fill ``assignments`` from ``items`` toward t_local; return their sum.
+
+    The items are split into halves lam1 and lam2, each run through
+    ``relaxed_dp`` at t_local (b1, b2), and a pair (u1, u2) is picked.  The
+    first half is done first: a backtrack on b1 toward t_local - u2, then a
+    recursion on what it left.  The second half follows toward
+    t2 = t_local - (what the first half reached): a backtrack on its
+    relaxed arrays at t2, then a recursion on what that left.
+
+    Those arrays are b2 itself when the first half did not recurse and no
+    value stored in b2 exceeds t2: a value the run offers at or below its
+    cut never exceeds its bucket's final maximum, so the run cut at
+    floor(t2) is offered the same values in the same order and ends with
+    the same slots.  Otherwise b2 is released and the second half re-run at
+    t2.  b1 is released after its backtrack and b2 before any recursion, so
+    no frame holds an array while it recurses and at most two arrays (b1
+    and b2 of the innermost frame) are live at once.
+    """
     if not items:
         return 0
     eps_t = params.eps_t
@@ -402,22 +422,24 @@ def _dc(
         y1b, cut1, asg1 = backtrack(b1, lam1, t_local - u2, params)
         assignments.update(asg1)
         lam1_rest = lam1[:cut1]
-    # b1/b2 are not needed past this point (the second half is re-solved
-    # with an updated target below); recycle before recursing so the live
-    # slot count stays bounded by a constant number of arrays.
     b1.release()
-    b2.release()
-    if t_local - u2 - y1b > eps_t:
+    first_recurses = t_local - u2 - y1b > eps_t
+    if first_recurses:
+        b2.release()
         y1dc = _dc(lam1_rest, t_local - u2 - y1b, params, assignments)
+    t2 = t_local - y1b - y1dc
     lam2_rest = lam2
-    if t_local - y1b - y1dc > eps_t:
-        b2n = relaxed_dp(lam2, t_local - y1b - y1dc, params)
-        y2b, cut2, asg2 = backtrack(b2n, lam2, t_local - y1b - y1dc, params)
-        b2n.release()
+    if t2 > eps_t:
+        # tested first: a released b2 reads as empty, so it would pass the max test
+        if first_recurses or b2.largest_le(params.target) > t2:
+            b2.release()
+            b2 = relaxed_dp(lam2, t2, params)
+        y2b, cut2, asg2 = backtrack(b2, lam2, t2, params)
         assignments.update(asg2)
         lam2_rest = lam2[:cut2]
-    if t_local - y1b - y1dc - y2b > eps_t:
-        y2dc = _dc(lam2_rest, t_local - y1b - y1dc - y2b, params, assignments)
+    b2.release()
+    if t2 - y2b > eps_t:
+        y2dc = _dc(lam2_rest, t2 - y2b, params, assignments)
     return y1b + y1dc + y2b + y2dc
 
 

@@ -1,9 +1,15 @@
-"""The per-sum ``insort`` exact DP, kept as the reference for ``dp_exact``.
+"""DP references: the per-sum ``insort`` exact DP and the rebuilding D&C.
 
-This is the reachable-sum DP as first written: one ``bisect.insort`` per
-new sum and a 3-tuple provenance record per stored sum.  It is quadratic in
-the number of stored sums, so it serves only as the differential oracle for
-the two representations in ``issp.exact``, on small inputs.
+``insort_dp`` is the reachable-sum DP as first written: one
+``bisect.insort`` per new sum and a 3-tuple provenance record per stored
+sum.  It is quadratic in the number of stored sums, so it serves only as
+the differential oracle for the two representations in ``issp.exact``, on
+small inputs.
+
+``rebuild_dc`` is the FPTAS reconstruction as first written: every level
+re-runs ``relaxed_dp`` on the second half at its updated target, where
+``issp.fptas`` reuses the second half's first run when that is exact.  It
+is the reference for ``divide_and_conquer``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 
 from issp.core import Instance, sort_by_length
+from issp.fptas import FptasParams, Item, Number, backtrack, find_u1_u2, relaxed_dp
 
 
 def insort_dp(inst: Instance) -> dict:
@@ -76,3 +83,48 @@ def insort_dp(inst: Instance) -> dict:
         "early_exit_at": None if early_exit_at is None else early_exit_at + 1,
         "delta_star": delta_star_m,
     }
+
+
+def rebuild_dc(
+    items: list[Item], local_target: Number, params: FptasParams
+) -> tuple[int, dict[int, int]]:
+    """``divide_and_conquer`` with the second half always re-run."""
+    assignments: dict[int, int] = {}
+    y = _rebuild_dc(items, local_target, params, assignments)
+    return y, assignments
+
+
+def _rebuild_dc(
+    items: list[Item],
+    t_local: Number,
+    params: FptasParams,
+    assignments: dict[int, int],
+) -> int:
+    if not items:
+        return 0
+    eps_t = params.eps_t
+    half = -(-len(items) // 2)
+    lam1, lam2 = items[:half], items[half:]
+    b1 = relaxed_dp(lam1, t_local, params)
+    b2 = relaxed_dp(lam2, t_local, params)
+    u1, u2 = find_u1_u2(b1, b2, t_local, params)
+    y1b = y1dc = y2b = y2dc = 0
+    lam1_rest = lam1
+    if t_local - u2 > eps_t:
+        y1b, cut1, asg1 = backtrack(b1, lam1, t_local - u2, params)
+        assignments.update(asg1)
+        lam1_rest = lam1[:cut1]
+    b1.release()
+    b2.release()
+    if t_local - u2 - y1b > eps_t:
+        y1dc = _rebuild_dc(lam1_rest, t_local - u2 - y1b, params, assignments)
+    lam2_rest = lam2
+    if t_local - y1b - y1dc > eps_t:
+        b2n = relaxed_dp(lam2, t_local - y1b - y1dc, params)
+        y2b, cut2, asg2 = backtrack(b2n, lam2, t_local - y1b - y1dc, params)
+        b2n.release()
+        assignments.update(asg2)
+        lam2_rest = lam2[:cut2]
+    if t_local - y1b - y1dc - y2b > eps_t:
+        y2dc = _rebuild_dc(lam2_rest, t_local - y1b - y1dc - y2b, params, assignments)
+    return y1b + y1dc + y2b + y2dc

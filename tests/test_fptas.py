@@ -17,11 +17,13 @@ from issp.core import (
     sort_by_length,
     validate,
 )
-from issp.errors import EpsilonOutOfRange, MemoryBudgetExceeded, OutOfRange
+from issp import fptas
+from issp.errors import EpsilonOutOfRange, IsspError, MemoryBudgetExceeded, OutOfRange
 from issp.exact import brute_force_optimum, dp_exact
 from issp.fptas import (
     BucketArray,
     FptasParams,
+    divide_and_conquer,
     find_u1_u2,
     fptas_solve,
     relaxed_dp,
@@ -29,6 +31,7 @@ from issp.fptas import (
 from issp.instgen import SplitMix64, gen_b, gen_c
 
 from conftest import instances
+from reference_dp import rebuild_dc
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
 GOLDEN_T = 100
@@ -63,6 +66,24 @@ def reference_relaxed_dp(items, local_target, params):
                 if c <= tf:
                     reference_insert(b, c, idx, j)
     return b
+
+
+FILLED_TARGETS = [10**9 + 7, Fraction(2 * 10**9 + 1, 3)]
+
+
+def filled_case(local_target):
+    """300 items below T/100 for T = 10**9 + 7 at eps = 1/1000, a quarter
+    of them zero-length and a fifth repeating the item before (equal sums,
+    so slot ties): their runs cross most of the 1,000 buckets, which a few
+    drawn items never do."""
+    rng = SplitMix64(7)
+    t = 10**9 + 7
+    items = []
+    for i in range(300):
+        lo = rng.randint(t // 100)
+        hi = lo + rng.randint(lo) if i % 4 else lo
+        items.append((i, *items[-1][1:]) if i % 5 == 4 else (i, lo, hi))
+    return items, local_target, FptasParams(Fraction(1, 1000), t)
 
 
 @st.composite
@@ -242,25 +263,29 @@ class TestRelaxedDp:
         for name in SLOT_ARRAYS:
             assert getattr(b, name) == getattr(ref, name), name
 
-    @pytest.mark.parametrize("local_target", [10**9 + 7, Fraction(2 * 10**9 + 1, 3)])
+    @pytest.mark.parametrize("local_target", FILLED_TARGETS)
     def test_matches_per_value_insert_loop_with_buckets_filled(self, local_target):
-        # 300 items at eps = 1/1000, a quarter of them zero-length and a
-        # fifth repeating the item before (equal sums, so slot ties): the
-        # runs cross most of the 1,000 buckets, which a few drawn items
-        # never do
-        rng = SplitMix64(7)
-        t = 10**9 + 7
-        items = []
-        for i in range(300):
-            lo = rng.randint(t // 100)
-            hi = lo + rng.randint(lo) if i % 4 else lo
-            items.append((i, *items[-1][1:]) if i % 5 == 4 else (i, lo, hi))
-        p = FptasParams(Fraction(1, 1000), t)
+        items, _, p = filled_case(local_target)
         b = relaxed_dp(items, local_target, p)
         ref = reference_relaxed_dp(items, local_target, p)
-        assert len(b.nonempty) >= 0.9 * p.l * local_target / t
+        assert len(b.nonempty) >= 0.9 * p.l * local_target / p.target
         for name in SLOT_ARRAYS:
             assert getattr(b, name) == getattr(ref, name), name
+
+    @given(item_lists(), st.fractions(min_value=0, max_value=1))
+    @example(filled_case(FILLED_TARGETS[0]), Fraction(1, 3))
+    @example(filled_case(FILLED_TARGETS[1]), Fraction(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_cut_above_largest_stored_value_changes_nothing(self, case, frac):
+        # the lemma behind the D&C's reuse of the second half's arrays: a
+        # run cut at any t' <= t with floor(t') >= the t-run's largest
+        # stored value ends with the same slots
+        items, local_target, p = case
+        b = relaxed_dp(items, local_target, p)
+        top = b.largest_le(p.target)
+        cut = relaxed_dp(items, top + frac * (local_target - top), p)
+        for name in SLOT_ARRAYS:
+            assert getattr(cut, name) == getattr(b, name), name
 
     @given(item_lists(), st.lists(st.integers(min_value=1, max_value=2**70), max_size=20))
     @settings(max_examples=100, deadline=None)
@@ -274,6 +299,39 @@ class TestRelaxedDp:
             reference_insert(ref, v, d1, 1 + d1 % 2)
         for name in SLOT_ARRAYS:
             assert getattr(b, name) == getattr(ref, name), name
+
+
+def dc_outcome(dc, items, local_target, epsilon, target):
+    """(sum, assignments) or the error class, with the peak slot count."""
+    p = FptasParams(epsilon, target)
+    try:
+        result = dc(items, local_target, p)
+    except IsspError as exc:
+        result = type(exc)
+    return result, p.peak_slots
+
+
+class TestDivideAndConquer:
+    @given(item_lists())
+    @example(filled_case(FILLED_TARGETS[0]))
+    @example(filled_case(FILLED_TARGETS[1]))
+    @example(
+        (
+            [(0, 117725, 117725), (1, 38629, 40993), (2, 13420, 26186), (3, 54588, 104853)],
+            Fraction(12386563, 50),
+            FptasParams(Fraction(1, 10), 505574),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rebuilding_reference(self, case):
+        # the reference re-runs the second half at every level; reusing
+        # its first run must change neither the answer nor the peak slots.
+        # In the explicit 4-item case the first half does not recurse but
+        # the second half stores a value above its updated target, so its
+        # first run must not be reused.
+        items, local_target, p = case
+        args = (items, local_target, p.epsilon, p.target)
+        assert dc_outcome(divide_and_conquer, *args) == dc_outcome(rebuild_dc, *args)
 
 
 class TestFindPair:
@@ -357,6 +415,22 @@ class TestFptasSolve:
         digest = hashlib.sha256(repr(out.solution.values).encode()).hexdigest()[:32]
         got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"], digest)
         assert got == pinned
+
+    def test_second_half_reuses_its_relaxed_arrays(self, monkeypatch):
+        # rebuilding the second half at every level takes 24 relaxed_dp
+        # calls over 1,473 items here; the answer is the pinned one
+        sizes = []
+
+        def counted(items, local_target, params):
+            sizes.append(len(items))
+            return relaxed_dp(items, local_target, params)
+
+        monkeypatch.setattr(fptas, "relaxed_dp", counted)
+        work = sort_by_length(preprocess(gen_b(500)).instance)
+        out = fptas_solve(work, Fraction(1, 1000))
+        assert (len(sizes), sum(sizes)) == (22, 1223)
+        got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"])
+        assert got == (62468124, "approximate", 500, 4000)
 
     def test_accepts_string_and_float_epsilon(self):
         inst = validate(GOLDEN_PAIRS, GOLDEN_T)
