@@ -9,10 +9,8 @@ benchmarking CLI (``issp``).
 """
 
 from .core import (
-    ImmediateSolution,
     Instance,
     Interval,
-    ReducedInstance,
     Solution,
     SolveOutcome,
     evaluate,
@@ -35,10 +33,8 @@ from .analysis import (
 from .instgen import GenSpec, gen_a, gen_b, gen_c, gen_d
 
 __all__ = [
-    "ImmediateSolution",
     "Instance",
     "Interval",
-    "ReducedInstance",
     "Solution",
     "SolveOutcome",
     "validate",

@@ -24,14 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .core import (
-    Instance,
-    Solution,
-    SolveOutcome,
-    scatter_solution,
-    validate,
-)
+from .core import Instance, Solution, SolveOutcome, place, validate
 from .errors import DegenerateLength, IsspError, SubsetInfeasible
+from .instgen import SplitMix64, ratio_pairs
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,7 @@ def solution_from_subset(inst: Instance, subset: Iterable[int]) -> Solution:
     proceeds in ascending position order.  The returned solution is in
     original input order.
     """
-    sub = sorted(set(subset))
-    values = fill_values(inst.intervals, sub, inst.target)
-    current = [values.get(i, 0) for i in range(inst.n)]
-    return scatter_solution(inst, current)
+    return place(inst, fill_values(inst.intervals, sorted(set(subset)), inst.target))
 
 
 class Aggregates(NamedTuple):
@@ -176,16 +168,11 @@ def polynomial_rate_monte_carlo(
     theoretical comparison bound is min(1, 2*(1 - 1/c)), though conditioning
     on targets above max hi can push the empirical rate below it.
     """
-    from .instgen import HI_RANGE, SplitMix64  # deferred: instgen is a sibling
-
     c = Fraction(c)
     rng = SplitMix64(seed)
     hits = 0
     for _ in range(trials):
-        pairs = []
-        for _ in range(n):
-            hi = rng.randint(HI_RANGE)
-            pairs.append((max(1, hi * c.denominator // c.numerator), hi))
+        pairs = ratio_pairs(rng, n, c)
         max_hi = max(hi for _, hi in pairs)
         hi_sum = sum(hi for _, hi in pairs)
         if hi_sum <= max_hi + 1:
@@ -264,8 +251,6 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
                 "wide-interval route: minimal covering prefix is infeasible; "
                 "the route's guarantee is violated, indicating a bug"
             )
-        values = fill_values(inst.intervals, chosen, t)
-        current = [values.get(i, 0) for i in range(inst.n)]
-        return outcome(scatter_solution(inst, current), "c")
+        return outcome(place(inst, fill_values(inst.intervals, chosen, t)), "c")
 
     return None

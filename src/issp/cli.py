@@ -23,7 +23,6 @@ from typing import Optional, TextIO
 
 from . import analysis, exact, fptas, instgen
 from .core import (
-    ImmediateSolution,
     Instance,
     Solution,
     SolveOutcome,
@@ -34,25 +33,12 @@ from .core import (
     sort_by_length,
     validate,
 )
-from .errors import (
-    EmptyArray,
-    InstanceTooLarge,
-    InvalidSetting,
-    IsspError,
-    MemoryBudgetExceeded,
-    NoPairFound,
-    TargetExceeded,
-    ValueOutsideInterval,
-)
+from .errors import InstanceTooLarge, InvalidSetting, IsspError, MemoryBudgetExceeded
 
 EXIT_PARSE = 2
 EXIT_FLAGS = 3
 EXIT_BUDGET = 4
 EXIT_BUG = 5
-
-# Raised by a solver, or by the self-check of its answer, only if the
-# solver is wrong; never by bad input, which fails validation first.
-SOLVER_BUGS = (NoPairFound, EmptyArray, TargetExceeded, ValueOutsideInterval)
 
 BENCH_HEADER = [
     "family",
@@ -126,21 +112,15 @@ def _solve_instance(
     inst: Instance, algorithm: str, epsilon: Optional[Fraction]
 ) -> SolveOutcome:
     """Run preprocessing plus the selected solver; solution in input order."""
-    pre = preprocess(inst)
-    if isinstance(pre, ImmediateSolution):
+    reduced = preprocess(inst)
+    if isinstance(reduced, Solution):
+        # T lies in an interval (value T >= 1) or every interval was dropped
+        how = "immediate" if reduced.total else "all dropped"
         return SolveOutcome(
-            solution=pre.solution,
-            value=pre.solution.total,
+            solution=reduced,
+            value=reduced.total,
             kind="exact",
-            stats={"preprocessing": "immediate", "elapsed": 0.0},
-        )
-    reduced = pre.instance
-    if reduced.is_empty:
-        return SolveOutcome(
-            solution=Solution(tuple([0] * len(inst.original))),
-            value=0,
-            kind="exact",
-            stats={"preprocessing": "all dropped", "elapsed": 0.0},
+            stats={"preprocessing": how, "elapsed": 0.0},
         )
     reduced = sort_by_length(reduced)
     if algorithm == "dp":
@@ -172,8 +152,8 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
     outcome = _solve_instance(inst, args.algorithm, eps)
-    # self-check before printing; an infeasible solution raises one of
-    # SOLVER_BUGS, which main maps to EXIT_BUG
+    # self-check before printing; an infeasible solution raises an
+    # IsspError, which main maps to EXIT_BUG
     total = evaluate(inst, outcome.solution)
     if total != outcome.value:
         print(
@@ -225,18 +205,17 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     except (OSError, IsspError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    pre = preprocess(inst)
-    if isinstance(pre, ImmediateSolution):
+    reduced = preprocess(inst)
+    if isinstance(reduced, Solution) and reduced.total:
         print("preprocessing: immediate solution (an interval contains T)", file=out)
-        print(f"value {pre.solution.total}", file=out)
+        print(f"value {reduced.total}", file=out)
         return 0
-    reduced = pre.instance
-    if pre.dropped:
-        dropped = " ".join(str(i) for i in sorted(pre.dropped))
-        print(f"preprocessing: dropped intervals {dropped}", file=out)
+    dropped = [i for i, iv in enumerate(inst.intervals) if iv.lo > inst.target]
+    if dropped:
+        print(f"preprocessing: dropped intervals {' '.join(map(str, dropped))}", file=out)
     else:
         print("preprocessing: instance already normalized (T > max hi)", file=out)
-    if reduced.is_empty:
+    if isinstance(reduced, Solution):
         print("empty after preprocessing; optimum 0", file=out)
         return 0
     agg = analysis.aggregates(reduced)
@@ -386,7 +365,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvalidSetting as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
-    except SOLVER_BUGS as e:
+    except IsspError as e:
+        # each command handles its own input errors, so this is a solver bug
         print(f"error: solver bug: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_BUG
 

@@ -99,29 +99,6 @@ class SolveOutcome:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ImmediateSolution:
-    """Preprocessing found an interval containing T; the instance is solved."""
-
-    solution: Solution
-    index: int  # original position of the interval that absorbed T
-
-
-@dataclass(frozen=True)
-class ReducedInstance:
-    """Preprocessing output: T now strictly exceeds every upper endpoint."""
-
-    instance: Instance
-    dropped: frozenset[int]  # original positions of removed intervals
-
-    @property
-    def is_empty(self) -> bool:
-        return self.instance.is_empty
-
-
-PreprocessOutcome = Union[ImmediateSolution, ReducedInstance]
-
-
 def validate(pairs: Iterable[tuple[int, int]], target: int) -> Instance:
     """Check endpoints and target, returning an Instance in input order."""
     if target < 1:
@@ -152,34 +129,43 @@ def _raise_first_invalid(intervals: tuple[Interval, ...]) -> None:
             raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
 
 
-def preprocess(inst: Instance) -> PreprocessOutcome:
-    """Normalize so the target strictly exceeds every upper endpoint.
+def place(inst: Instance, values: dict[int, int]) -> Solution:
+    """The solution in input order that gives ``inst.intervals[k]`` the
+    value ``values[k]`` and every other interval 0."""
+    origin = inst.origin
+    x = [0] * len(inst.original)
+    for k, v in values.items():
+        x[origin[k]] = v
+    return Solution(tuple(x))
 
-    Scanning in current order: the first interval with lo <= T <= hi yields
-    an immediately optimal solution x_i = T; intervals with lo > T are
-    dropped (they can never be switched on).  The surviving instance
-    satisfies T > max hi.  Idempotent on already-reduced instances, which
-    are returned as they are.
+
+def preprocess(inst: Instance) -> Union[Solution, Instance]:
+    """Settle the instance, or normalize it so T exceeds every upper endpoint.
+
+    Scanning in current order, the first interval with lo <= T <= hi
+    settles it: x_i = T is optimal.  Otherwise intervals with lo > T are
+    dropped, since they can never be switched on; if none is left, the
+    all-zero solution is optimal.  Either way the optimal ``Solution`` (in
+    input order) is returned.  Otherwise the result is the nonempty
+    reduced ``Instance``, which satisfies T > max hi; an input that does
+    already is returned as it is.
     """
     t = inst.target
-    if max(map(_hi, inst.intervals), default=0) < t:
-        return ReducedInstance(instance=inst, dropped=frozenset())
+    if max(map(_hi, inst.intervals), default=t) < t:
+        return inst
     for i, iv in enumerate(inst.intervals):
         if iv.lo <= t <= iv.hi:
-            values = [0] * len(inst.original)
-            values[inst.origin[i]] = t
-            return ImmediateSolution(solution=Solution(tuple(values)), index=inst.origin[i])
+            return place(inst, {i: t})
     keep = [i for i, iv in enumerate(inst.intervals) if iv.lo <= t]
-    kept = set(keep)
-    dropped = frozenset(inst.origin[i] for i in range(inst.n) if i not in kept)
-    reduced = Instance(
+    if not keep:
+        return place(inst, {})
+    return Instance(
         intervals=tuple(inst.intervals[i] for i in keep),
         target=t,
         origin=tuple(inst.origin[i] for i in keep),
         original=inst.original,
         length_sorted=inst.length_sorted,
     )
-    return ReducedInstance(instance=reduced, dropped=dropped)
 
 
 def sort_by_length(inst: Instance) -> Instance:
@@ -241,20 +227,15 @@ def relative_error(approx_value: int, reference_value: int) -> Fraction:
     return Fraction(reference_value - approx_value, reference_value)
 
 
-def format_percent(x: Fraction, decimals: int = 3) -> str:
+PERCENT_DECIMALS = 3
+
+
+def format_percent(x: Fraction) -> str:
     """Render an exact rational as a percentage string, e.g. '1.515%'."""
-    scaled = x * 100 * 10**decimals
+    scaled = x * 100 * 10**PERCENT_DECIMALS
     # round half away from zero on the exact rational
     q, r = divmod(scaled.numerator, scaled.denominator)
     if 2 * r >= scaled.denominator:
         q += 1
-    digits = f"{q:0{decimals + 1}d}"
-    return f"{digits[:-decimals]}.{digits[-decimals:]}%"
-
-
-def scatter_solution(inst: Instance, values_current_order: list[int]) -> Solution:
-    """Lift per-position choices on ``inst.intervals`` to input order."""
-    out = [0] * len(inst.original)
-    for i, x in enumerate(values_current_order):
-        out[inst.origin[i]] = x
-    return Solution(tuple(out))
+    digits = f"{q:0{PERCENT_DECIMALS + 1}d}"
+    return f"{digits[:-PERCENT_DECIMALS]}.{digits[-PERCENT_DECIMALS:]}%"

@@ -30,7 +30,7 @@ class NegativeGap(IsspError):
 
 
 class InstanceTooLarge(IsspError):
-    """Exhaustive enumeration refused: n exceeds the configured cap."""
+    """Exhaustive enumeration refused: n exceeds the enumeration cap."""
 
 
 class MemoryBudgetExceeded(IsspError):

@@ -40,11 +40,12 @@ from itertools import filterfalse, islice
 from math import isqrt
 
 from .analysis import fill_values
-from .core import Instance, Interval, Solution, SolveOutcome, scatter_solution, sort_by_length
+from .core import Instance, Interval, Solution, SolveOutcome, place, sort_by_length
 from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
 _BYTES_PER_ENTRY = 128  # nominal cost of one reachable value + provenance
+BRUTE_FORCE_CAP = 25  # largest n that brute_force_optimum enumerates
 
 
 def memory_budget_bytes() -> int:
@@ -64,7 +65,7 @@ def memory_budget_entries() -> int:
     return memory_budget_bytes() // _BYTES_PER_ENTRY
 
 
-def brute_force_optimum(inst: Instance, cap: int = 25) -> SolveOutcome:
+def brute_force_optimum(inst: Instance) -> SolveOutcome:
     """Exhaustive optimum over subsets; oracle for small instances.
 
     A subset S is feasible when its lower endpoints fit (sum lo <= T) and
@@ -73,8 +74,8 @@ def brute_force_optimum(inst: Instance, cap: int = 25) -> SolveOutcome:
     """
     start = time.perf_counter()
     n = inst.n
-    if n > cap:
-        raise InstanceTooLarge(f"n = {n} exceeds the enumeration cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise InstanceTooLarge(f"n = {n} exceeds the enumeration cap {BRUTE_FORCE_CAP}")
     t = inst.target
     intervals = inst.intervals
     best_value = 0
@@ -101,10 +102,8 @@ def brute_force_optimum(inst: Instance, cap: int = 25) -> SolveOutcome:
             chosen.pop()
 
     dfs(0, 0, 0)
-    values = fill_values(intervals, best_subset, t)
-    sol = scatter_solution(inst, [values.get(i, 0) for i in range(n)])
     return SolveOutcome(
-        solution=sol,
+        solution=place(inst, fill_values(intervals, best_subset, t)),
         value=best_value,
         kind="exact",
         stats={"elapsed": time.perf_counter() - start, "subset": tuple(best_subset)},
@@ -347,22 +346,17 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
 def midrange_solution(
     inst: Instance, m: int | None, endpoints: dict[int, int], y: int
 ) -> tuple[Solution, int]:
-    """Place the endpoints chosen for the items before m, which sum to y,
-    and fill the midrange item m to min(hi_m, T - y).
+    """Fill the midrange item m to min(hi_m, T - y) next to the endpoints
+    chosen for the items before it, which sum to y.
 
-    ``endpoints`` maps length-sorted positions to values; each is written
-    straight to its input-order position through ``inst.origin``.  Returns
-    the solution in input order and its value; with m None only the
-    endpoints are placed.
+    ``endpoints`` maps length-sorted positions to values; m is added to it
+    and ``place`` writes it to input order.  Returns the solution and its
+    value; with m None only the endpoints are placed.
     """
-    origin = inst.origin
-    x = [0] * len(inst.original)
-    for k, e in endpoints.items():
-        x[origin[k]] = e
     if m is not None:
-        x[origin[m]] = xm = min(inst.intervals[m].hi, inst.target - y)
+        endpoints[m] = xm = min(inst.intervals[m].hi, inst.target - y)
         y += xm
-    return Solution(tuple(x)), y
+    return place(inst, endpoints), y
 
 
 def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:

@@ -113,13 +113,18 @@ def gen_c(n: int, c: Fraction, seed: int) -> Instance:
     c = Fraction(c)
     if c <= 1:
         raise ValueError(f"family C requires ratio c > 1, got {c}")
-    rng = SplitMix64(seed)
+    return validate(ratio_pairs(SplitMix64(seed), n, c), TARGET_CD)
+
+
+def ratio_pairs(rng: SplitMix64, n: int, c: Fraction) -> list[tuple[int, int]]:
+    """n draws of family C's (lo, hi): hi uniform in [1, HI_RANGE] and
+    lo = max(1, floor(hi / c))."""
     pairs = []
     for _ in range(n):
         hi = rng.randint(HI_RANGE)
         lo = max(1, hi * c.denominator // c.numerator)
         pairs.append((lo, hi))
-    return validate(pairs, TARGET_CD)
+    return pairs
 
 
 def gen_d(n: int, cap: Fraction, seed: int) -> Instance:

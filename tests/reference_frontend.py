@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from issp.analysis import fill_values, solution_from_subset
-from issp.core import Instance, Interval, Solution, SolveOutcome, scatter_solution
+from issp.core import Instance, Interval, Solution, SolveOutcome, place
 from issp.errors import (
     DegenerateLength,
     InvertedInterval,
@@ -137,8 +137,6 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
         lo_sum = sum(inst.intervals[i].lo for i in chosen)
         if lo_sum > t:
             raise IsspError("wide-interval route: minimal covering prefix is infeasible")
-        values = fill_values(inst.intervals, chosen, t)
-        current = [values.get(i, 0) for i in range(inst.n)]
-        return outcome(scatter_solution(inst, current), "c")
+        return outcome(place(inst, fill_values(inst.intervals, chosen, t)), "c")
 
     return None

@@ -16,8 +16,7 @@ from issp.analysis import (
     to_knapsack,
 )
 from issp.core import (
-    ImmediateSolution,
-    ReducedInstance,
+    Solution,
     evaluate,
     midrange_count,
     preprocess,
@@ -38,11 +37,9 @@ GOLDEN_T = 100
 def _reduced(inst):
     """Preprocess; return (resolved_value, None) or (None, work_instance)."""
     pre = preprocess(inst)
-    if isinstance(pre, ImmediateSolution):
-        return pre.solution.total, None
-    if pre.is_empty:
-        return 0, None
-    return None, sort_by_length(pre.instance)
+    if isinstance(pre, Solution):
+        return pre.total, None
+    return None, sort_by_length(pre)
 
 
 def test_criterion_01_exact_solver_golden_trace():

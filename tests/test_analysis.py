@@ -19,7 +19,7 @@ from issp.analysis import (
     solve_polynomial,
     to_knapsack,
 )
-from issp.core import ReducedInstance, evaluate, preprocess, sort_by_length, validate
+from issp.core import Solution, evaluate, preprocess, sort_by_length, validate
 from issp.errors import DegenerateLength, SubsetInfeasible
 from issp.exact import brute_force_optimum
 
@@ -150,9 +150,9 @@ class TestSolvePolynomial:
     @settings(max_examples=150)
     def test_any_returned_outcome_is_optimal(self, inst):
         pre = preprocess(inst)
-        if not isinstance(pre, ReducedInstance) or pre.is_empty:
+        if isinstance(pre, Solution):
             return
-        work = sort_by_length(pre.instance)
+        work = sort_by_length(pre)
         out = solve_polynomial(work)
         if out is None:
             return
@@ -171,6 +171,8 @@ class TestMonteCarloRate:
         b = polynomial_rate_monte_carlo(6, Fraction(3, 2), trials=50, seed=3)
         assert a == b
         assert 0 <= a <= 1
+        assert a == Fraction(21, 50)
+        assert polynomial_rate_monte_carlo(12, Fraction(13, 10), trials=200, seed=5) == Fraction(27, 100)
 
 
 ROUTE_MODES = ("a", "b", "c", "none")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issp
-from issp import cli, fptas
+from issp import analysis, cli, fptas
 from issp.cli import (
     BENCH_HEADER,
     EXIT_BUDGET,
@@ -399,6 +399,20 @@ class TestSolveCommand:
         assert code == EXIT_BUG
         assert "solver bug" in err and "NoPairFound" in err
 
+    def test_broken_route_guarantee_exit_code(self, tmp_path, capsys, monkeypatch):
+        # with min length 10**30 the large-target route fires, but the longest
+        # fitting prefix (two items, his 90) cannot cover T = 100
+        path = tmp_path / "inst.txt"
+        path.write_text("3 100\n40 45\n40 45\n40 45\n")
+        real = analysis.aggregates
+        monkeypatch.setattr(
+            analysis, "aggregates", lambda inst: real(inst)._replace(min_length=10**30)
+        )
+        code, out, err = run_cli(capsys, "solve", str(path), "--epsilon", "1/10")
+        assert code == EXIT_BUG
+        assert out == ""
+        assert "solver bug: IsspError: large-target route" in err
+
 
 class TestGenerateCommand:
     def test_family_b_formula(self, capsys):
@@ -483,6 +497,39 @@ class TestClassifyCommand:
         assert code == 0
         assert "immediate" in out
         assert "value 5" in out
+
+    @pytest.mark.parametrize(
+        "text, report, value",
+        [
+            (
+                "3 100\n10 20\n400 500\n30 90\n",
+                "preprocessing: dropped intervals 1\n"
+                "large-target condition: yes\n"
+                "c* = 2 (>= 2)\n"
+                "polynomial route: (a)\n"
+                "value 100\n",
+                100,
+            ),
+            (
+                "2 10\n50 60\n70 80\n",
+                "preprocessing: dropped intervals 0 1\nempty after preprocessing; optimum 0\n",
+                0,
+            ),
+            (
+                "0 5\n",
+                "preprocessing: instance already normalized (T > max hi)\n"
+                "empty after preprocessing; optimum 0\n",
+                0,
+            ),
+        ],
+    )
+    def test_reports_preprocessing(self, tmp_path, capsys, text, report, value):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        assert run_cli(capsys, "classify", str(path)) == (0, report, "")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--epsilon", "1/10", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == value
 
 
 class TestBenchCommand:

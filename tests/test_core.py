@@ -8,16 +8,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from issp.core import (
-    ImmediateSolution,
+    Instance,
     Interval,
-    ReducedInstance,
     Solution,
     evaluate,
     format_percent,
     midrange_count,
     preprocess,
+    place,
     relative_error,
-    scatter_solution,
     sort_by_length,
     validate,
 )
@@ -112,41 +111,32 @@ class TestPreprocess:
     def test_interval_containing_target_is_immediate(self):
         inst = validate([(1, 2), (5, 50), (3, 40)], 30)
         out = preprocess(inst)
-        assert isinstance(out, ImmediateSolution)
         # first match in scan order wins
-        assert out.index == 1
-        assert out.solution.values == (0, 30, 0)
-        assert evaluate(inst, out.solution) == 30
+        assert out == Solution((0, 30, 0))
+        assert evaluate(inst, out) == 30
 
     def test_drops_intervals_above_target(self):
         inst = validate([(10, 20), (400, 500), (30, 90)], 100)
         out = preprocess(inst)
-        assert isinstance(out, ReducedInstance)
-        assert out.dropped == frozenset({1})
-        assert out.instance.n == 2
-        assert out.instance.origin == (0, 2)
+        assert isinstance(out, Instance)
+        assert out.intervals == ((10, 20), (30, 90))
+        assert out.origin == (0, 2)
 
-    def test_all_dropped_gives_empty_instance(self):
-        inst = validate([(50, 60), (70, 80)], 10)
-        out = preprocess(inst)
-        assert isinstance(out, ReducedInstance)
-        assert out.is_empty
-        assert out.dropped == frozenset({0, 1})
+    def test_all_dropped_gives_zero_solution(self):
+        assert preprocess(validate([(50, 60), (70, 80)], 10)) == Solution((0, 0))
+        assert preprocess(validate([], 10)) == Solution(())
 
     @given(instances())
     def test_reduced_instance_has_target_above_every_hi(self, inst):
         out = preprocess(inst)
-        if isinstance(out, ReducedInstance) and not out.is_empty:
-            assert all(iv.hi < inst.target for iv in out.instance.intervals)
+        if isinstance(out, Instance):
+            assert out.intervals and all(iv.hi < inst.target for iv in out.intervals)
 
     @given(instances())
     def test_idempotent_on_reduced_instances(self, inst):
         out = preprocess(inst)
-        if isinstance(out, ReducedInstance) and not out.is_empty:
-            again = preprocess(out.instance)
-            assert isinstance(again, ReducedInstance)
-            assert again.instance is out.instance
-            assert again.dropped == frozenset()
+        if isinstance(out, Instance):
+            assert preprocess(out) is out
 
 
 class TestSortByLength:
@@ -173,8 +163,8 @@ class TestSortByLength:
     def test_identity_origin_equals_general_gather(self, inst):
         pre = preprocess(inst)
         views = [inst]
-        if isinstance(pre, ReducedInstance) and pre.instance is not inst:
-            views.append(pre.instance)  # reduced: origin is not the identity
+        if isinstance(pre, Instance) and pre is not inst:
+            views.append(pre)  # reduced: origin is not the identity
         for view in views:
             order = sorted(range(view.n), key=lambda i: view.intervals[i].length)
             s = sort_by_length(view)
@@ -256,9 +246,10 @@ class TestFormatPercent:
         assert format_percent(Fraction(1, 10)) == "10.000%"
 
 
-class TestScatterSolution:
+class TestPlace:
     def test_lifts_current_order_to_input_order(self):
         inst = sort_by_length(validate([(1, 50), (5, 6)], 100))
         # current order is (5,6) then (1,50)
-        sol = scatter_solution(inst, [6, 50])
+        sol = place(inst, {0: 6, 1: 50})
         assert sol.values == (50, 6)
+        assert place(inst, {1: 50}).values == (50, 0)

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from issp.core import (
-    ReducedInstance,
+    Solution,
     evaluate,
     midrange_count,
+    place,
     preprocess,
-    scatter_solution,
     sort_by_length,
     validate,
 )
@@ -88,17 +88,16 @@ class TestDpExact:
     @settings(max_examples=150)
     def test_matches_brute_force(self, inst):
         pre = preprocess(inst)
-        if not isinstance(pre, ReducedInstance) or pre.is_empty:
+        if isinstance(pre, Solution):
             return
-        work = pre.instance
-        assert dp_exact(work).value == brute_force_optimum(work).value
+        assert dp_exact(pre).value == brute_force_optimum(pre).value
 
     @given(instances())
     def test_solution_feasible_with_at_most_one_midrange(self, inst):
         pre = preprocess(inst)
-        if not isinstance(pre, ReducedInstance) or pre.is_empty:
+        if isinstance(pre, Solution):
             return
-        out = dp_exact(pre.instance)
+        out = dp_exact(pre)
         assert evaluate(inst, out.solution) == out.value
         assert midrange_count(inst, out.solution) <= 1
 
@@ -206,8 +205,8 @@ def dp_instances(draw, scale: int = 1):
     top = max(hi for _, hi in pairs) + 1
     target = draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top + scale * 60)))
     pre = preprocess(validate(pairs, target))
-    assume(isinstance(pre, ReducedInstance) and not pre.is_empty)
-    return sort_by_length(pre.instance)
+    assume(not isinstance(pre, Solution))
+    return sort_by_length(pre)
 
 
 def _fields(out):
@@ -224,7 +223,7 @@ def _fields(out):
 
 def _reference_fields(work):
     ref = insort_dp(work)
-    ref["x"] = scatter_solution(work, list(ref["x"])).values
+    ref["x"] = place(work, dict(enumerate(ref["x"]))).values
     return ref
 
 

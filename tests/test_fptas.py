@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issp.core import (
-    ReducedInstance,
+    Solution,
     evaluate,
     midrange_count,
     preprocess,
@@ -369,9 +369,9 @@ class TestFptasSolve:
     @settings(max_examples=200, deadline=None)
     def test_guarantee_feasibility_and_structure(self, inst, eps):
         pre = preprocess(inst)
-        if not isinstance(pre, ReducedInstance) or pre.is_empty:
+        if isinstance(pre, Solution):
             return
-        work = sort_by_length(pre.instance)
+        work = sort_by_length(pre)
         opt = brute_force_optimum(work).value
         out = fptas_solve(work, eps)
         assert evaluate(inst, out.solution) == out.value
@@ -410,7 +410,7 @@ class TestFptasSolve:
     def test_pinned_answers_at_one_per_mille(self, make, pinned):
         # value, kind, midrange index, peak slots and a solution digest,
         # recorded before the fused bucket update replaced the three-pass one
-        work = sort_by_length(preprocess(make()).instance)
+        work = sort_by_length(preprocess(make()))
         out = fptas_solve(work, Fraction(1, 1000))
         digest = hashlib.sha256(repr(out.solution.values).encode()).hexdigest()[:32]
         got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"], digest)
@@ -426,7 +426,7 @@ class TestFptasSolve:
             return relaxed_dp(items, local_target, params)
 
         monkeypatch.setattr(fptas, "relaxed_dp", counted)
-        work = sort_by_length(preprocess(gen_b(500)).instance)
+        work = sort_by_length(preprocess(gen_b(500)))
         out = fptas_solve(work, Fraction(1, 1000))
         assert (len(sizes), sum(sizes)) == (22, 1223)
         got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"])

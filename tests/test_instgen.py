@@ -1,12 +1,14 @@
 """Instance generators: formulas, bounds, determinism, closed-form optimum."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issp.core import ImmediateSolution, preprocess
+from issp.cli import serialize_instance
+from issp.core import Solution, preprocess
 from issp.errors import NOutOfRange
 from issp.exact import dp_exact, ssp_optimum_mitm
 from issp.instgen import (
@@ -90,10 +92,10 @@ class TestFamilyA:
         for n in range(1, 21):
             inst = gen_a(n)
             pre = preprocess(inst)
-            if isinstance(pre, ImmediateSolution):
-                expected = pre.solution.total
+            if isinstance(pre, Solution):
+                expected = pre.total
             else:
-                expected = ssp_optimum_mitm(pre.instance)
+                expected = ssp_optimum_mitm(pre)
             assert ssp_optimum_mitm(inst) == expected
 
     def test_n_cap(self):
@@ -114,18 +116,16 @@ class TestFamilyB:
         for n in range(2, 13):
             inst = gen_b(n)
             pre = preprocess(inst)
-            if isinstance(pre, ImmediateSolution):
-                expected = pre.solution.total
-            elif pre.is_empty:
-                expected = 0
+            if isinstance(pre, Solution):
+                expected = pre.total
             else:
-                expected = ssp_optimum_mitm(pre.instance)
+                expected = ssp_optimum_mitm(pre)
             assert instance_b_optimum(n) == expected
 
     def test_closed_form_matches_dp_at_medium_size(self):
         inst = gen_b(30)
         pre = preprocess(inst)
-        assert instance_b_optimum(30) == dp_exact(pre.instance).value
+        assert instance_b_optimum(30) == dp_exact(pre).value
 
     def test_n1_degenerate_target(self):
         inst = gen_b(1)
@@ -147,6 +147,8 @@ class TestFamilyC:
     def test_deterministic_in_seed(self):
         assert gen_c(50, Fraction(3, 2), 7) == gen_c(50, Fraction(3, 2), 7)
         assert gen_c(50, Fraction(3, 2), 7) != gen_c(50, Fraction(3, 2), 8)
+        text = serialize_instance(gen_c(50, Fraction(3, 2), 7))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("92cb549f582f05bd")
 
     def test_rejects_ratio_at_most_one(self):
         with pytest.raises(ValueError):
