@@ -115,12 +115,8 @@ def _solve_instance(
     reduced = preprocess(inst)
     if isinstance(reduced, Solution):
         # T lies in an interval (value T >= 1) or every interval was dropped
-        how = "immediate" if reduced.total else "all dropped"
         return SolveOutcome(
-            solution=reduced,
-            value=reduced.total,
-            kind="exact",
-            stats={"preprocessing": how, "elapsed": 0.0},
+            solution=reduced, value=reduced.total, kind="exact", stats={"elapsed": 0.0}
         )
     reduced = sort_by_length(reduced)
     if algorithm == "dp":

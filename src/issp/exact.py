@@ -14,11 +14,13 @@ on an exact set and reconstructs an optimal solution by backtracking.
 The exact set has two representations, chosen from n, T and the memory
 budget alone, with bit-identical answers:
 
-- ``SparseSums``: a sorted list of the sums plus a dict from each sum to
-  the signed index of the item that first reached it.  Each item filters
-  the sorted runs ``{d + hi}`` and ``{d + lo}`` against the dict and merges
-  them in with one sort, so time and space grow with the number of stored
-  sums; it serves any T.
+- ``SparseSums``: a sorted list of the sums, a set of them, and a flat
+  list of the sums each item reached first, in item order.  Each item
+  filters the sorted runs ``{d + hi}`` and ``{d + lo}`` against the set,
+  appends what is left to its first-reach runs and merges it in with one
+  sort, so time and space grow with the number of stored sums; it serves
+  any T.  Backtracking walks the items down once and looks the sum up in
+  each item's two runs.
 - ``BitsetSums``: one Python int whose bit s is set when s is reachable,
   updated word-parallel as ``R | (R << lo) | (R << hi)`` below T.  Time
   per item grows with the largest reachable sum (at most T) and space with
@@ -35,7 +37,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import filterfalse, islice
 from math import isqrt
 
@@ -44,7 +46,7 @@ from .core import Instance, Interval, Solution, SolveOutcome, place, sort_by_len
 from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
-_BYTES_PER_ENTRY = 128  # nominal cost of one reachable value + provenance
+_BYTES_PER_ENTRY = 128  # nominal cost of one stored sum
 BRUTE_FORCE_CAP = 25  # largest n that brute_force_optimum enumerates
 
 
@@ -113,11 +115,14 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
 # Representation choice.  Per item, BitsetSums costs time in proportion to
 # the largest reachable sum (at most T) and SparseSums in proportion to the
 # sums stored, which min(T, 3^n) bounds.  On random instances with
-# n = 7..13, hi <= 2 lo and T = r * 3^n (Python 3.11, 2-vCPU x86 VM), the
-# median speed-up of the bitset over the sparse set was 1.5-4.4x at r = 32,
-# 1.0-2.5x at r = 64 and 0.7-1.7x at r = 128.  The sets held about
-# 0.33 * 3^n sums, so at r = 32 both sides also budget about the same bytes
-# (n = 13: 82 MB of bitset_bytes, 67 MB at 128 B per sum).
+# n = 7..13, lo uniform in [1, 2.75 T / n], hi uniform in [lo, 2 lo] and
+# T = r * 3^n (nine per n; each set built over all n items, then its
+# largest sum backtracked; Python 3.11, 2-vCPU x86 VM), the median
+# speed-up of the bitset over the sparse set was 1.9x at r = 32 (0.9-3.3x
+# across n), 0.9x at r = 64 (0.4-2.1x) and 0.5x at r = 128 (0.3-1.9x).
+# The sets held about 0.33 * 3^n sums, so at r = 32 both sides also budget
+# about the same bytes (n = 13: 82 MB of bitset_bytes, 67 MB at 128 B per
+# sum).
 BITSET_DENSITY = 32
 
 _DIGIT_BYTES = sys.int_info.sizeof_digit
@@ -152,13 +157,16 @@ def use_bitset(n: int, t: int) -> bool:
 
 
 class SparseSums:
-    """Reachable sums in (0, T] as a sorted list plus signed provenance.
+    """Reachable sums in (0, T] as a sorted list, a set and first-reach runs.
 
-    ``prov[e]`` is i when e was first reached as (e - hi_i) + hi_i and ~i
-    when as (e - lo_i) + lo_i; the predecessor is e minus that endpoint, 0
-    for a lone endpoint.  Each item filters the runs ``{d + hi}`` and
-    ``{d + lo}`` against the stored sums by dict lookups and merges them in
-    with one sort.
+    ``values`` is sorted for ``largest_le`` and for slicing the sums an
+    endpoint can extend; ``seen`` holds the same sums and filters the
+    shifted runs ``{d + hi}`` and ``{d + lo}`` down to the sums not yet
+    stored.  ``firsts`` keeps, in item order, the sums each item reached
+    first: its ``d + hi`` run, then its ``d + lo`` run, each sorted, with a
+    lone endpoint at the head of its run (it is smaller than every shifted
+    sum).  Item k's runs are ``firsts[ends[2k]:ends[2k + 1]]`` (hi) and
+    ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).
     """
 
     name = "sparse"
@@ -168,7 +176,9 @@ class SparseSums:
         self.t = t
         self.budget = memory_budget_entries()
         self.values: list[int] = []
-        self.prov: dict[int, int] = {}
+        self.seen: set[int] = set()
+        self.firsts: list[int] = []
+        self.ends = [0]
 
     def largest_le(self, bound: int) -> int:
         """Largest stored sum <= bound, or 0."""
@@ -176,33 +186,40 @@ class SparseSums:
         return self.values[pos - 1] if pos else 0
 
     def add(self, i: int, lo: int, hi: int) -> None:
-        values, prov, t = self.values, self.prov, self.t
+        values, seen, t = self.values, self.seen, self.t
         # Each run is sorted and stays sorted after the stored sums are
-        # filtered out, so the one sort below merges three runs.  A sum on
-        # both runs takes the hi link, the one from the smaller predecessor;
-        # then come the lo run and the lone endpoints.  BitsetSums.backtrack
-        # picks the same links, so both representations give one solution.
+        # filtered out, and a lone endpoint is smaller than every sum on its
+        # run, so it goes at the head.  A sum on both runs takes the hi
+        # link, the one from the smaller predecessor; then come the lo run
+        # and the lone endpoints, lo first.  BitsetSums.backtrack picks the
+        # same links, so both representations give one solution.
         fits = islice(values, bisect_right(values, t - hi))
-        hi_new = list(filterfalse(prov.__contains__, map(hi.__add__, fits)))
-        prov.update(dict.fromkeys(hi_new, i))
+        hi_run = list(filterfalse(seen.__contains__, map(hi.__add__, fits)))
+        seen.update(hi_run)
         fits = islice(values, bisect_right(values, t - lo))
-        lo_new = list(filterfalse(prov.__contains__, map(lo.__add__, fits)))
-        prov.update(dict.fromkeys(lo_new, ~i))
-        lone = []
-        for e, link in ((lo, ~i), (hi, i)):
-            if e <= t and e not in prov:
-                prov[e] = link
-                lone.append(e)
-        size = len(values) + len(hi_new) + len(lo_new) + len(lone)
+        lo_run = list(filterfalse(seen.__contains__, map(lo.__add__, fits)))
+        seen.update(lo_run)
+        if lo <= t and lo not in seen:
+            seen.add(lo)
+            lo_run.insert(0, lo)
+        if hi <= t and hi not in seen:
+            seen.add(hi)
+            hi_run.insert(0, hi)
+        size = len(values) + len(hi_run) + len(lo_run)
         if size > self.budget:
             raise MemoryBudgetExceeded(
                 f"the reachable-sum set needs {size} entries, more than the budget of "
                 f"{self.budget} entries ({_BYTES_PER_ENTRY} B each); raise "
                 "ISSP_MEMORY_BUDGET_MB to override"
             )
-        values += hi_new
-        values += lo_new
-        values += lone
+        firsts = self.firsts
+        firsts += hi_run
+        self.ends.append(len(firsts))
+        firsts += lo_run
+        self.ends.append(len(firsts))
+        # the one sort merges three runs: the stored sums, hi_run and lo_run
+        values += hi_run
+        values += lo_run
         values.sort()
 
     def stored(self) -> int:
@@ -211,16 +228,33 @@ class SparseSums:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.values)
 
-    def backtrack(self, d: int, m: int) -> dict[int, int]:
-        """Endpoint per item position of the sum d over the first m items."""
-        x = {}
-        while d:
-            link = self.prov[d]
-            if link >= 0:
-                e = x[link] = self.intervals[link].hi
+    def backtrack(self, d: int, m: int | None) -> dict[int, int]:
+        """Endpoint per item position of the sum d over the first m items.
+
+        Walking back from item m - 1, item k takes hi when d is on its hi
+        run and lo when d is on its lo run, and d drops by that endpoint.
+        The sum left over was stored before item k, so an earlier item
+        reached it first, and each item is looked at once.
+        """
+        x: dict[int, int] = {}
+        if not d:  # also when no item was scanned and m is None
+            return x
+        firsts, ends, ivs = self.firsts, self.ends, self.intervals
+        stop = ends[2 * m]
+        for k in range(m - 1, -1, -1):
+            start, mid = ends[2 * k], ends[2 * k + 1]
+            pos = bisect_left(firsts, d, start, mid)
+            if pos < mid and firsts[pos] == d:
+                e = x[k] = ivs[k].hi
+                d -= e
             else:
-                e = x[~link] = self.intervals[~link].lo
-            d -= e
+                pos = bisect_left(firsts, d, mid, stop)
+                if pos < stop and firsts[pos] == d:
+                    e = x[k] = ivs[k].lo
+                    d -= e
+            if not d:
+                break
+            stop = start
         return x
 
 

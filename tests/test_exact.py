@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from issp.core import (
 )
 from issp.errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 from issp.exact import (
+    _BYTES_PER_ENTRY,
     BITSET_DENSITY,
     BitsetSums,
     SparseSums,
@@ -32,6 +34,7 @@ from issp.exact import (
     use_bitset,
 )
 from issp.fptas import BucketArray, FptasParams, fptas_solve
+from issp.instgen import gen_c
 
 from conftest import instances, reference_optimum
 from reference_dp import insort_dp
@@ -167,10 +170,13 @@ class TestDpExact:
 
     def test_interval_above_target_is_never_used(self):
         inst = validate([(200, 300), (10, 20)], 100)
+        alone = validate([(200, 300)], 100)  # no item is picked, m is None
         for sums in (SparseSums, BitsetSums):
             out = run_dp(inst, sums)
             assert out.value == 20
             assert evaluate(inst, out.solution) == 20
+            out = run_dp(alone, sums)
+            assert (out.value, out.midrange_index, out.solution.values) == (0, None, (0,))
 
     def test_huge_endpoints_summed_exactly(self):
         # endpoint sums near 10**19 overflow 63-bit arithmetic; the solver
@@ -278,6 +284,70 @@ class TestRepresentations:
         assert out.value >= (1 - eps) * opt
         if out.kind == "exact":
             assert out.value == opt
+
+
+class ReadLog(list):
+    """A list that counts reads by index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, k):
+        self.reads[k] += 1
+        return super().__getitem__(k)
+
+
+class TestSparseSums:
+    """First-reach runs: link precedence, long chains and bytes per sum."""
+
+    @pytest.mark.parametrize(
+        "pairs, t, x",
+        [
+            # 7 = 3 + 4 on item 2's hi run and 5 + 2 on its lo run: hi wins
+            ([(3, 3), (5, 5), (2, 4), (13, 30)], 20, (3, 0, 4, 13)),
+            # item 1's lone hi 5 = 3 + 2 is on its lo run: the lo link stays
+            ([(3, 3), (2, 5), (15, 40)], 20, (3, 2, 15)),
+            # lo = hi: repeated and lone points, then the midrange item
+            ([(2, 2), (3, 3), (3, 3), (22, 50)], 30, (2, 3, 3, 22)),
+        ],
+    )
+    def test_link_precedence_matches_insort_and_bitset(self, pairs, t, x):
+        work = sort_by_length(validate(pairs, t))
+        ref = _reference_fields(work)
+        assert ref["x"] == x
+        assert _fields(run_dp(work, SparseSums, trace=True)) == ref
+        assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
+
+    def test_lone_point_takes_the_lo_run(self):
+        reach = SparseSums(validate([(2, 2)], 10).intervals, 10)
+        reach.add(0, 2, 2)
+        assert (reach.firsts, reach.ends) == ([2], [0, 0, 1])
+
+    def test_long_chain_reads_each_item_once(self):
+        # 2,000 items [1, 2] under a far T: the midrange item is the last,
+        # and its d = 3,998 is the sum of every earlier item's hi
+        inst = validate([(1, 2)] * 2000, 10**12)
+        assert run_dp(inst, SparseSums).solution == run_dp(inst, BitsetSums).solution
+        work = sort_by_length(inst)
+        reach = SparseSums(work.intervals, work.target)
+        _, m, delta, _, _ = scan(work, reach)
+        assert (m, delta) == (1999, 3998)
+        reach.ends = ReadLog(reach.ends)
+        assert reach.backtrack(delta, m) == dict.fromkeys(range(m), 2)
+        assert max(reach.ends.reads.values()) == 1
+
+    def test_peak_bytes_per_sum_below_nominal_cost(self):
+        # 177,146 sums; _BYTES_PER_ENTRY is what the memory gate charges
+        inst = gen_c(14, Fraction(11, 10), 1)
+        tracemalloc.start()
+        try:
+            out = run_dp(inst, SparseSums)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stats["stored_values"] == 177_146
+        assert peak / out.stats["stored_values"] < _BYTES_PER_ENTRY
 
 
 class TestMeetInTheMiddle:
