@@ -105,15 +105,17 @@ class Aggregates(NamedTuple):
 def aggregates(inst: Instance) -> Aggregates:
     """All of the detectors' aggregates in one pass over a nonempty instance.
 
-    A length-sorted view visits its intervals in no particular memory
-    order, so each pass costs a cache miss per interval; one pass pays it
-    once.
+    The aggregates do not depend on the order, so the pass reads
+    ``inst.unsorted``: in length order the intervals sit in no particular
+    memory order and each read costs a cache miss, and a ``LengthOrder``
+    view would have to sort in full first.
     """
-    first = inst.intervals[0]
+    ivs = inst.unsorted
+    first = ivs[0]
     lo_total = hi_total = 0
     max_lo, min_length = first.lo, first.length
     wide = True
-    for lo, hi in inst.intervals:
+    for lo, hi in ivs:
         lo_total += lo
         hi_total += hi
         if lo > max_lo:

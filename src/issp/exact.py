@@ -353,6 +353,9 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
     scan stops once it reaches T.  Unless it stops, interval i then joins
     the set, whatever its lo.
 
+    The intervals are read through ``inst.stream()``, so a ``LengthOrder``
+    view is sorted only as far as the scan goes.
+
     Returns (best, m, delta, exit, states): the best candidate, the
     0-based index of the interval that gave it (None when no interval has
     lo <= T), its d, the index at which the scan stopped at T (None when
@@ -362,7 +365,7 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
     t = inst.target
     best, m, delta, exit_at = 0, None, 0, None
     states: list = []
-    for i, (lo, hi) in enumerate(inst.intervals):
+    for i, (lo, hi) in enumerate(inst.stream()):
         if lo <= t:  # an interval above T can never be switched on
             d = reach.largest_le(t - lo)
             cand = min(d + hi, t)
@@ -388,7 +391,7 @@ def midrange_solution(
     value; with m None only the endpoints are placed.
     """
     if m is not None:
-        endpoints[m] = xm = min(inst.intervals[m].hi, inst.target - y)
+        endpoints[m] = xm = min(inst.prefix(m + 1)[0][m].hi, inst.target - y)
         y += xm
     return place(inst, endpoints), y
 
@@ -398,7 +401,8 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     start = time.perf_counter()
     if not inst.length_sorted:
         inst = sort_by_length(inst)
-    reach = sums(inst.intervals, inst.target)
+    # the scan puts in place every position that backtracking reads
+    reach = sums(inst.prefix(0)[0], inst.target)
     _, m, delta, exit_at, states = scan(inst, reach, trace)
     # when m is None, delta is 0 and backtrack places no item
     sol, value = midrange_solution(inst, m, reach.backtrack(delta, m), delta)

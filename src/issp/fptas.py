@@ -473,12 +473,13 @@ def fptas_solve(
     if m is None:  # no interval has lo <= T, so 0 is optimal
         case_a, dc_target = True, Fraction(0)
     else:
-        lo_m = inst.intervals[m].lo
+        ivs, _ = inst.prefix(m + 1)
+        lo_m = ivs[m].lo
         case_a = delta_hat + params.eps_t <= t - lo_m
         dc_target = min(delta_hat + params.eps_t, Fraction(t - lo_m))
     y_hat, assignments = 0, {}
     if m and dc_target > 0:
-        items: list[Item] = [(i, lo, hi) for i, (lo, hi) in enumerate(inst.intervals[:m])]
+        items: list[Item] = [(i, lo, hi) for i, (lo, hi) in enumerate(ivs[:m])]
         y_hat, assignments = divide_and_conquer(items, dc_target, params)
     solution, value = midrange_solution(inst, m, assignments, y_hat)
     kind = "exact" if (value == t or case_a or inst.n == 1) else "approximate"

@@ -1,10 +1,12 @@
-"""The instance parser and polynomial-route detectors as first written.
+"""The instance parser, polynomial-route detectors and solution check as
+first written.
 
-These are the line-by-line parser with its per-pair validation loop, and
-the detectors that make one pass over the intervals per aggregate and test
-c* >= 2 on a ``Fraction`` per interval.  They are kept as the references
-for the one-split parser, the C-level validation and the one-pass
-detectors in ``issp``, on small inputs.
+These are the line-by-line parser with its per-pair validation loop, the
+detectors that make one pass over the intervals per aggregate and test
+c* >= 2 on a ``Fraction`` per interval, and the check that visits every
+entry of a solution.  They are kept as the references for the one-split
+parser, the C-level validation, the one-pass detectors and the
+nonzero-only check in ``issp``, on small inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from issp.errors import (
     IsspError,
     NonPositiveEndpoint,
     NonPositiveTarget,
+    TargetExceeded,
+    ValueOutsideInterval,
 )
 
 
@@ -140,3 +144,19 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
         return outcome(place(inst, fill_values(inst.intervals, chosen, t)), "c")
 
     return None
+
+
+def evaluate(inst: Instance, sol: Solution) -> int:
+    ref = inst.original
+    if len(sol.values) != len(ref):
+        raise ValueOutsideInterval(
+            f"solution has {len(sol.values)} entries, instance has {len(ref)} intervals"
+        )
+    total = 0
+    for i, (x, iv) in enumerate(zip(sol.values, ref)):
+        if x != 0 and not (iv.lo <= x <= iv.hi):
+            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{iv.lo}, {iv.hi}] and nonzero")
+        total += x
+    if total > inst.target:
+        raise TargetExceeded(f"total {total} exceeds target {inst.target}")
+    return total

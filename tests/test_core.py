@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from issp import core
 from issp.core import (
     Instance,
     Interval,
@@ -30,7 +31,7 @@ from issp.errors import (
     ValueOutsideInterval,
 )
 
-from conftest import instances
+from conftest import eager_sort, instances
 import reference_frontend
 
 
@@ -174,6 +175,53 @@ class TestSortByLength:
         assert inst.intervals is inst.original
 
 
+@st.composite
+def tied_views(draw):
+    """An instance with many equal and zero lengths, in input order or
+    reduced by preprocess (origin not the identity), and a list of
+    prefix lengths to read."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    pairs = []
+    for _ in range(n):
+        lo = draw(st.integers(min_value=1, max_value=30))
+        pairs.append((lo, lo + draw(st.integers(min_value=0, max_value=3))))
+    inst = validate(pairs, draw(st.integers(min_value=1, max_value=40)))
+    if draw(st.booleans()):
+        pre = preprocess(inst)
+        if isinstance(pre, Instance):
+            inst = pre
+    reads = draw(st.lists(st.integers(min_value=0, max_value=n + 1), max_size=6))
+    return inst, reads
+
+
+class TestLengthOrder:
+    """A lazily sorted view reads the same as the eager stable sort."""
+
+    @pytest.mark.parametrize("first, share", [(1, 2), (2, 2), (3, 8), (1024, 8)])
+    @given(tied_views())
+    def test_every_read_equals_the_eager_sort(self, first, share, case):
+        inst, reads = case
+        ref = eager_sort(inst)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "FIRST_CHUNK", first)
+            mp.setattr(core, "FULL_SORT_SHARE", share)
+            view = sort_by_length(inst)
+            assert view.n == ref.n and view.length_sorted
+            for k in reads:
+                ivs, origin = view.prefix(k)
+                done = view.materialized
+                assert min(k, ref.n) <= done <= ref.n == len(ivs) == len(origin)
+                assert tuple(ivs[:done]) == ref.intervals[:done]
+                assert tuple(origin[:done]) == ref.origin[:done]
+            assert tuple(sort_by_length(inst).stream()) == ref.intervals
+            assert (view.intervals, view.origin) == (ref.intervals, ref.origin)
+            assert view.unsorted is inst.intervals
+
+    def test_sorts_in_full_at_once_up_to_8192(self):
+        assert sort_by_length(validate([(1, 2)] * 8192, 5)).materialized == 8192
+        assert sort_by_length(validate([(1, 2)] * 8193, 5)).materialized == 1024
+
+
 class TestEvaluate:
     def test_accepts_feasible_solution(self):
         inst = validate([(10, 20), (10, 25)], 40)
@@ -207,6 +255,37 @@ class TestEvaluate:
         inst = sort_by_length(validate([(1, 50), (5, 6)], 100))
         # solution indices refer to the original input order
         assert evaluate(inst, Solution((50, 6))) == 56
+
+
+    @given(
+        instances(max_n=6, max_end=30, max_t=90),
+        st.lists(st.integers(-3, 40) | st.integers(2**64, 2**65), max_size=7),
+    )
+    def test_same_total_or_error_as_reference_loop(self, inst, values):
+        def result(check):
+            try:
+                return check(inst, Solution(tuple(values)))
+            except IsspError as e:
+                return type(e), str(e)
+
+        assert result(evaluate) == result(reference_frontend.evaluate)
+
+    @given(instances(max_n=6, max_end=30, max_t=90), st.data())
+    def test_same_as_reference_loop_on_full_length_solutions(self, inst, data):
+        # entries drawn around each interval, so totals over T and values
+        # just outside [lo, hi] both come up
+        values = tuple(
+            data.draw(st.sampled_from([0, -iv.lo, iv.lo - 1, iv.lo, iv.hi, iv.hi + 1]))
+            for iv in inst.original
+        )
+
+        def result(check):
+            try:
+                return check(inst, Solution(values))
+            except IsspError as e:
+                return type(e), str(e)
+
+        assert result(evaluate) == result(reference_frontend.evaluate)
 
 
 class TestMidrangeCount:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from issp import core
 from issp.core import (
     Solution,
     evaluate,
@@ -36,7 +37,7 @@ from issp.exact import (
 from issp.fptas import BucketArray, FptasParams, fptas_solve
 from issp.instgen import gen_c
 
-from conftest import instances, reference_optimum
+from conftest import chunk_ends, eager_sort, exit_instance, instances, reference_optimum
 from reference_dp import insort_dp
 
 
@@ -365,3 +366,43 @@ class TestMeetInTheMiddle:
     def test_rejects_proper_intervals(self):
         with pytest.raises(ValueError):
             ssp_optimum_mitm(validate([(1, 2)], 5))
+
+
+def _dp_outcome(out):
+    """Everything a DP outcome reports but its running time."""
+    stats = {k: v for k, v in out.stats.items() if k != "elapsed"}
+    return out.value, out.solution, out.kind, out.midrange_index, stats
+
+
+class TestLazyLengthOrder:
+    """The exact DP reads a lazily sorted view as it would the eager sort."""
+
+    @pytest.mark.parametrize("first, share", [(2, 2), (1, 4), (3, 2)])
+    def test_exits_around_every_chunk_boundary(self, monkeypatch, first, share):
+        monkeypatch.setattr(core, "FIRST_CHUNK", first)
+        monkeypatch.setattr(core, "FULL_SORT_SHARE", share)
+        n = 40
+        ends = chunk_ends(n)
+        exits = sorted({m for e in ends[:-1] for m in (e - 1, e, e + 1)})
+        for k in exits + [None]:  # None: no exit, so the full sort
+            inst = exit_instance(n, k)
+            ref = eager_sort(inst)
+            got = dp_exact(sort_by_length(inst), trace=True)
+            assert got.stats["early_exit_at"] == (None if k is None else k + 1)
+            assert _dp_outcome(got) == _dp_outcome(dp_exact(ref, trace=True))
+            for sums in (SparseSums, BitsetSums):
+                got = run_dp(sort_by_length(inst), sums, trace=True)
+                assert _dp_outcome(got) == _dp_outcome(run_dp(ref, sums, trace=True))
+
+    @given(instances(max_n=12, max_end=40, max_t=200), st.sampled_from([(1, 2), (2, 4)]))
+    @settings(max_examples=200)
+    def test_random_instances_match_the_eager_sort(self, inst, constants):
+        pre = preprocess(inst)
+        assume(not isinstance(pre, Solution))
+        ref = eager_sort(pre)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "FIRST_CHUNK", constants[0])
+            mp.setattr(core, "FULL_SORT_SHARE", constants[1])
+            for sums in (SparseSums, BitsetSums):
+                got = run_dp(sort_by_length(pre), sums, trace=True)
+                assert _dp_outcome(got) == _dp_outcome(run_dp(ref, sums, trace=True))

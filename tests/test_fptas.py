@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from issp import analysis, core
 from issp.core import (
     Solution,
     evaluate,
@@ -30,7 +31,7 @@ from issp.fptas import (
 )
 from issp.instgen import SplitMix64, gen_b, gen_c
 
-from conftest import instances
+from conftest import chunk_ends, eager_sort, exit_instance, instances
 from reference_dp import rebuild_dc
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
@@ -459,3 +460,56 @@ class TestFptasSolve:
         big_pairs = [(lo * 1000, hi * 1000) for lo, hi in pairs]
         big = fptas_solve(validate(big_pairs, 120000), Fraction(1, 10))
         assert small.stats["peak_slots"] == big.stats["peak_slots"]
+
+
+def _outcome(out):
+    """Everything an FPTAS outcome reports but its running time."""
+    stats = {k: v for k, v in out.stats.items() if k != "elapsed"}
+    return out.value, out.solution, out.kind, out.midrange_index, out.epsilon, stats
+
+
+class TestLazyLengthOrder:
+    """fptas_solve reads a lazily sorted view as it would the eager sort."""
+
+    @pytest.mark.parametrize("first, share", [(2, 2), (1, 4), (3, 2)])
+    def test_exits_around_every_chunk_boundary(self, monkeypatch, first, share):
+        monkeypatch.setattr(core, "FIRST_CHUNK", first)
+        monkeypatch.setattr(core, "FULL_SORT_SHARE", share)
+        n = 40
+        ends = chunk_ends(n)
+        assert len(ends) >= 3  # at least one extension before the full sort
+        exits = sorted({m for e in ends[:-1] for m in (e - 1, e, e + 1)})
+        for k in exits + [None]:  # None: no exit, so the full sort
+            inst = exit_instance(n, k)
+            view = sort_by_length(inst)
+            got = fptas_solve(view, Fraction(1, 1000), trace=True)
+            assert got.midrange_index == (n if k is None else k + 1)
+            assert got.stats["early_exit"] == (k is not None)
+            assert _outcome(got) == _outcome(fptas_solve(eager_sort(inst), Fraction(1, 1000), trace=True))
+            # the scan read items 0..k, so the view holds the chunk with k
+            assert view.materialized == min(e for e in ends if e > (n - 1 if k is None else k))
+
+    @given(
+        instances(max_n=30, max_end=60, max_t=400),
+        st.sampled_from([Fraction(1, 10), Fraction(1, 100)]),
+        st.sampled_from([(1, 2), (2, 4)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_instances_match_the_eager_sort(self, inst, eps, constants):
+        pre = preprocess(inst)
+        if isinstance(pre, Solution):
+            return
+        ref = _outcome(fptas_solve(eager_sort(pre), eps, trace=True))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "FIRST_CHUNK", constants[0])
+            mp.setattr(core, "FULL_SORT_SHARE", constants[1])
+            assert _outcome(fptas_solve(sort_by_length(pre), eps, trace=True)) == ref
+
+    def test_early_exit_sorts_a_prefix_only(self):
+        # the scan stops at item 360 of 20,000, inside the first chunk;
+        # neither the detectors nor the solve sort any further
+        work = sort_by_length(preprocess(gen_c(20000, Fraction(3, 2), seed=1)))
+        assert analysis.solve_polynomial(work) is None
+        out = fptas_solve(work, Fraction(1, 1000))
+        assert out.midrange_index == 360
+        assert work.materialized < work.n / 8
