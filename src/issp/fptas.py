@@ -142,14 +142,18 @@ class BucketArray:
 
     def _sorted_slots(self) -> list[int]:
         """Every bucket's min then max over the occupied range, built at C
-        level: non-decreasing, with a one-value bucket's value repeated."""
-        if not self.nonempty:
+        level: non-decreasing, with a one-value bucket's value repeated.
+        Empty buckets interleave zeros, which are filtered out; when every
+        bucket in the range is nonempty there are none, and the interleaved
+        list is returned as it is."""
+        nonempty = self.nonempty
+        if not nonempty:
             return []
-        k0, k1 = self.nonempty[0], self.nonempty[-1] + 1
+        k0, k1 = nonempty[0], nonempty[-1] + 1
         out = [0] * (2 * (k1 - k0))
         out[0::2] = self.neg[k0:k1]
         out[1::2] = self.pos[k0:k1]
-        return list(filter(None, out))
+        return out if len(nonempty) == k1 - k0 else list(filter(None, out))
 
     def snapshot(self) -> tuple[list[int], list[int]]:
         """Copies of the per-bucket minima and maxima, for traces."""
@@ -203,23 +207,22 @@ class BucketArray:
             insort(self.nonempty, k)
 
     def _put(self, k: int, first: int, last: int, d1: int, d2: int) -> bool:
-        """Offer first and last (first <= last), from endpoint d2 of item
-        d1, to bucket k's min and max slots; True if k was empty."""
+        """Offer first and last (0 < first <= last), from endpoint d2 of
+        item d1, to bucket k's min and max slots; True if k was empty.
+
+        The max is tested first: an empty bucket's max is 0, so it always
+        takes that branch, where a zero max marks it as new and both slots
+        are set.  A close that changes nothing reads two slots and makes
+        two compares."""
         neg, pos = self.neg, self.pos
-        if neg[k] == 0:
-            neg[k] = first
-            pos[k] = last
-            self.neg_d1[k] = self.pos_d1[k] = d1
-            self.neg_d2[k] = self.pos_d2[k] = d2
-            return True
-        if first < neg[k]:
-            neg[k] = first
-            self.neg_d1[k] = d1
-            self.neg_d2[k] = d2
         if last > pos[k]:
-            pos[k] = last
-            self.pos_d1[k] = d1
-            self.pos_d2[k] = d2
+            was_empty = not pos[k]
+            pos[k], self.pos_d1[k], self.pos_d2[k] = last, d1, d2
+            if was_empty or first < neg[k]:
+                neg[k], self.neg_d1[k], self.neg_d2[k] = first, d1, d2
+            return was_empty
+        if first < neg[k]:
+            neg[k], self.neg_d1[k], self.neg_d2[k] = first, d1, d2
         return False
 
     def _merge(self, base: list[int], cut: int, a: int, d1: int, d2: int) -> None:
@@ -230,10 +233,11 @@ class BucketArray:
         The shifted values are walked against the boundary table, so no
         value is divided: a bucket's smallest value is the first one to
         enter it and its largest the last one before the walk leaves it.
-        Repeats in ``base`` cannot change a slot, because a slot changes
-        only on a strict improvement, as single inserts would do.  The last
-        bucket is closed after the walk, and the buckets the walk opens are
-        merged into ``nonempty`` at the end.
+        Leaving a bucket closes it as ``_put`` does, max first, since an
+        empty bucket's max is 0.  Repeats in ``base`` cannot change a slot,
+        because a slot changes only on a strict improvement, as single
+        inserts would do.  The last bucket is closed after the walk, and the
+        buckets the walk opens are merged into ``nonempty`` at the end.
         """
         bounds = self.params.bounds
         neg, pos = self.neg, self.pos
@@ -249,21 +253,15 @@ class BucketArray:
                 last = c
                 continue
             # close bucket k: _put, inlined because it runs once per bucket
-            if neg[k] == 0:
-                new.append(k)
-                neg[k] = first
-                pos[k] = last
-                neg_d1[k] = pos_d1[k] = d1
-                neg_d2[k] = pos_d2[k] = d2
-            else:
-                if first < neg[k]:
-                    neg[k] = first
-                    neg_d1[k] = d1
-                    neg_d2[k] = d2
-                if last > pos[k]:
-                    pos[k] = last
-                    pos_d1[k] = d1
-                    pos_d2[k] = d2
+            if last > pos[k]:
+                if not pos[k]:
+                    new.append(k)
+                    neg[k], neg_d1[k], neg_d2[k] = first, d1, d2
+                elif first < neg[k]:
+                    neg[k], neg_d1[k], neg_d2[k] = first, d1, d2
+                pos[k], pos_d1[k], pos_d2[k] = last, d1, d2
+            elif first < neg[k]:
+                neg[k], neg_d1[k], neg_d2[k] = first, d1, d2
             k += 1
             ub = bounds[k]
             if c > ub:

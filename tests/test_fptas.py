@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 from bisect import bisect_left, insort
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from issp.core import (
 )
 from issp import fptas
 from issp.errors import EpsilonOutOfRange, IsspError, MemoryBudgetExceeded, OutOfRange
-from issp.exact import brute_force_optimum, dp_exact
+from issp.exact import brute_force_optimum, dp_exact, scan
 from issp.fptas import (
     BucketArray,
     FptasParams,
@@ -55,18 +56,55 @@ def reference_insert(b, v, d1, d2):
         b.pos[k], b.pos_d1[k], b.pos_d2[k] = v, d1, d2
 
 
-def reference_relaxed_dp(items, local_target, params):
-    """relaxed_dp as a per-value insert loop: lo alone, lo plus each value
-    stored before the item, then the same for hi."""
-    b = BucketArray(params, local_target)
-    tf = b.tfloor
-    for idx, lo, hi in items:
-        base = [x for k in b.nonempty for x in sorted({b.neg[k], b.pos[k]})]
-        for j, a in ((1, lo), (2, hi)):
-            for c in [a] + [v + a for v in base]:
+CLOSES = ("new bucket", "max only", "max and min", "min only", "no change")
+
+
+def close_outcome(b, k, first, last):
+    """What a bucket close offering first..last changes in bucket k."""
+    if b.neg[k] == 0:
+        return "new bucket"
+    grew = (last > b.pos[k], first < b.neg[k])
+    return {(True, False): "max only", (True, True): "max and min",
+            (False, True): "min only", (False, False): "no change"}[grew]
+
+
+def reference_add(b, idx, lo, hi, seen):
+    """BucketArray.add as a per-value insert loop: lo alone, lo plus each
+    value stored before the item, then the same for hi (skipped when equal
+    to lo, since it repeats lo's values and no slot changes on a tie).
+
+    Each run is grouped by bucket as the kernel closes it (the lone
+    endpoint is a close of its own), and ``seen`` counts each close's
+    outcome, read from the slots before the group's values go in."""
+    tf, l, t = b.tfloor, b.params.l, b.params.target
+    base = [x for k in b.nonempty for x in sorted({b.neg[k], b.pos[k]})]
+    for j, a in ((1, lo), (2, hi)) if lo != hi else ((1, lo),):
+        for run in ([a], [v + a for v in base]):
+            groups: dict[int, list[int]] = {}
+            for c in run:
                 if c <= tf:
+                    groups.setdefault(-(-c * l // t), []).append(c)
+            for k, cs in groups.items():
+                seen[close_outcome(b, k, cs[0], cs[-1])] += 1
+                for c in cs:
                     reference_insert(b, c, idx, j)
-    return b
+
+
+def steps_match_reference(items, local_target, params):
+    """Add the items one at a time to a BucketArray and to the reference,
+    compare every slot array after each item, and return the array and
+    the counts of snapshot forms and close outcomes seen on the way."""
+    b, ref = BucketArray(params, local_target), BucketArray(params, local_target)
+    seen: Counter = Counter()
+    for idx, lo, hi in items:
+        if b.nonempty:
+            dense = len(b.nonempty) == b.nonempty[-1] - b.nonempty[0] + 1
+            seen["dense snapshot" if dense else "gapped snapshot"] += 1
+        b.add(idx, lo, hi)
+        reference_add(ref, idx, lo, hi, seen)
+        for name in SLOT_ARRAYS:
+            assert getattr(b, name) == getattr(ref, name), (idx, name)
+    return b, seen
 
 
 FILLED_TARGETS = [10**9 + 7, Fraction(2 * 10**9 + 1, 3)]
@@ -256,22 +294,36 @@ class TestRelaxedDp:
         b.release()
 
     @given(item_lists())
+    # the third item's snapshot spans buckets 1, 3 and 4: one empty bucket
+    @example(([(0, 10, 10), (1, 30, 30), (2, 50, 50)], 100, FptasParams(Fraction(1, 10), 100)))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_value_insert_loop(self, case):
-        items, local_target, p = case
-        b = relaxed_dp(items, local_target, p)
-        ref = reference_relaxed_dp(items, local_target, p)
-        for name in SLOT_ARRAYS:
-            assert getattr(b, name) == getattr(ref, name), name
+        steps_match_reference(*case)
 
     @pytest.mark.parametrize("local_target", FILLED_TARGETS)
     def test_matches_per_value_insert_loop_with_buckets_filled(self, local_target):
         items, _, p = filled_case(local_target)
-        b = relaxed_dp(items, local_target, p)
-        ref = reference_relaxed_dp(items, local_target, p)
+        b, seen = steps_match_reference(items, local_target, p)
         assert len(b.nonempty) >= 0.9 * p.l * local_target / p.target
-        for name in SLOT_ARRAYS:
-            assert getattr(b, name) == getattr(ref, name), name
+        # both snapshot forms (with and without empty buckets in the
+        # occupied range) and every branch of the bucket close are run
+        assert set(seen) == {"dense snapshot", "gapped snapshot", *CLOSES}, seen
+
+    @pytest.mark.parametrize(
+        "make, pinned",
+        [
+            (lambda: gen_c(20000, Fraction(3, 2), seed=1), "b40b046430640928f0b953f8b5b2849e"),
+            (lambda: gen_b(500), "28f4c92d025c22b843408157a103f623"),
+        ],
+    )
+    def test_scan_slots_pinned_at_one_per_mille(self, make, pinned):
+        # a digest of the scan's final slots and provenance: a kernel change
+        # that moves any slot fails here even if the answer stays the same
+        work = sort_by_length(preprocess(make()))
+        b = BucketArray(FptasParams(Fraction(1, 1000), work.target), work.target)
+        scan(work, b)
+        slots = [b.neg, b.pos, b.neg_d1, b.neg_d2, b.pos_d1, b.pos_d2]
+        assert hashlib.sha256(repr(slots).encode()).hexdigest()[:32] == pinned
 
     @given(item_lists(), st.fractions(min_value=0, max_value=1))
     @example(filled_case(FILLED_TARGETS[0]), Fraction(1, 3))
