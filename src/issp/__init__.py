@@ -19,6 +19,7 @@ from .core import (
     relative_error,
     sort_by_length,
     validate,
+    validate_columns,
 )
 from .exact import brute_force_optimum, dp_exact
 from .fptas import FptasParams, fptas_solve
@@ -38,6 +39,7 @@ __all__ = [
     "Solution",
     "SolveOutcome",
     "validate",
+    "validate_columns",
     "preprocess",
     "sort_by_length",
     "evaluate",

@@ -22,6 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .core import Instance, Solution, SolveOutcome, place, validate
@@ -44,11 +45,7 @@ def to_knapsack(inst: Instance) -> KnapsackInstance:
     The value map: the interval problem's optimum equals the maximum over
     subsets S with sum(weights[S]) <= capacity of min(sum(profits[S]), capacity).
     """
-    return KnapsackInstance(
-        weights=tuple(iv.lo for iv in inst.intervals),
-        profits=tuple(iv.hi for iv in inst.intervals),
-        capacity=inst.target,
-    )
+    return KnapsackInstance(weights=tuple(inst.lo), profits=tuple(inst.hi), capacity=inst.target)
 
 
 def fill_values(intervals, subset: list[int], target: int) -> dict[int, int]:
@@ -103,28 +100,21 @@ class Aggregates(NamedTuple):
 
 
 def aggregates(inst: Instance) -> Aggregates:
-    """All of the detectors' aggregates in one pass over a nonempty instance.
+    """All of the detectors' aggregates of a nonempty instance.
 
-    The aggregates do not depend on the order, so the pass reads
-    ``inst.unsorted``: in length order the intervals sit in no particular
-    memory order and each read costs a cache miss, and a ``LengthOrder``
-    view would have to sort in full first.
+    The aggregates do not depend on the order, so they are read from the
+    columns of ``inst.unsorted``, each by a C-level pass: a ``LengthOrder``
+    view would have to sort in full first, and would build an ``Interval``
+    per position.
     """
-    ivs = inst.unsorted
-    first = ivs[0]
-    lo_total = hi_total = 0
-    max_lo, min_length = first.lo, first.length
-    wide = True
-    for lo, hi in ivs:
-        lo_total += lo
-        hi_total += hi
-        if lo > max_lo:
-            max_lo = lo
-        if hi - lo < min_length:
-            min_length = hi - lo
-        if hi < lo + lo:
-            wide = False
-    return Aggregates(lo_total, hi_total, max_lo, min_length, wide)
+    lo, hi = inst.unsorted
+    return Aggregates(
+        lo_total=sum(lo),
+        hi_total=sum(hi),
+        max_lo=max(lo),
+        min_length=min(map(sub, hi, lo)),
+        wide=all(map(le, map(add, lo, lo), hi)),
+    )
 
 
 def check_theorem2(inst: Instance) -> bool:
@@ -151,10 +141,11 @@ def check_wide(inst: Instance) -> Optional[Fraction]:
     if inst.is_empty:
         return None
     # compare hi/lo by cross-multiplication; one Fraction at the end
-    best_lo, best_hi = inst.intervals[0]
-    for lo, hi in inst.intervals:
-        if hi * best_lo < best_hi * lo:
-            best_hi, best_lo = hi, lo
+    lo, hi = inst.unsorted
+    best_lo, best_hi = lo[0], hi[0]
+    for a, b in zip(lo, hi):
+        if b * best_lo < best_hi * a:
+            best_hi, best_lo = b, a
     return Fraction(best_hi, best_lo)
 
 

@@ -18,7 +18,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, TextIO
 
 from . import analysis, exact, fptas, instgen
@@ -31,7 +30,7 @@ from .core import (
     preprocess,
     relative_error,
     sort_by_length,
-    validate,
+    validate_columns,
 )
 from .errors import InstanceTooLarge, InvalidSetting, IsspError, MemoryBudgetExceeded
 
@@ -64,18 +63,18 @@ def parse_instance_text(text: str) -> Instance:
         numbers = list(map(int, tokens))
     except ValueError as e:
         raise IsspError(f"non-integer token in instance file: {e}") from e
+    del tokens  # the ints are all the rest reads
     n, target = numbers[0], numbers[1]
     if n < 0 or len(numbers) - 2 != 2 * n:
         raise IsspError(
             f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(numbers) - 2}"
         )
-    ends = islice(numbers, 2, None)
-    return validate(zip(ends, ends), target)
+    return validate_columns(numbers[2::2], numbers[3::2], target)
 
 
 def serialize_instance(inst: Instance) -> str:
     lines = [f"{inst.n} {inst.target}"]
-    lines += [f"{iv.lo} {iv.hi}" for iv in inst.intervals]
+    lines += [f"{lo} {hi}" for lo, hi in zip(inst.lo, inst.hi)]
     return "\n".join(lines) + "\n"
 
 
@@ -93,15 +92,18 @@ def _read_instance(path: str) -> Instance:
 
 
 def parse_ratio(text: str) -> Fraction:
-    """Accept 'p/q' or a decimal literal as an exact rational."""
-    return Fraction(text)
+    """Accept 'p/q' or a decimal literal as an exact rational, else ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {text!r} has a zero denominator") from None
 
 
 def parse_epsilon(text: str) -> Fraction:
     """An --epsilon value: an exact rational in (0, 1), else ValueError."""
     try:
         eps = parse_ratio(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         eps = None
     if eps is None or not 0 < eps < 1:
         raise ValueError(f"epsilon must be a rational in (0, 1), got {text!r}")
@@ -188,7 +190,7 @@ def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
                 seed=args.seed,
             )
         )
-    except (IsspError, ValueError, ZeroDivisionError) as e:
+    except (IsspError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
     out.write(serialize_instance(inst))
@@ -206,7 +208,7 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
         print("preprocessing: immediate solution (an interval contains T)", file=out)
         print(f"value {reduced.total}", file=out)
         return 0
-    dropped = [i for i, iv in enumerate(inst.intervals) if iv.lo > inst.target]
+    dropped = [i for i, lo in enumerate(inst.lo) if lo > inst.target]
     if dropped:
         print(f"preprocessing: dropped intervals {' '.join(map(str, dropped))}", file=out)
     else:
@@ -246,7 +248,7 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
         epsilons = [parse_epsilon(e) for e in args.epsilons.split(",")]
         sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
         fixed_param = parse_ratio(args.c) if args.c is not None else None
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
     if args.trials < 1:

@@ -12,12 +12,11 @@ sums far beyond 64-bit range are exact.
 
 from __future__ import annotations
 
-import gc
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from operator import itemgetter, le, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -51,43 +50,71 @@ _lo = itemgetter(0)
 _hi = itemgetter(1)
 
 
+def _intervals(lo: Iterable[int], hi: Iterable[int]) -> Iterator[Interval]:
+    """``Interval(a, b)`` for each pair of the two columns, each built in C
+    by ``tuple.__new__``; the one place that builds intervals from columns."""
+    return map(tuple.__new__, repeat(Interval), zip(lo, hi))
+
+
 @dataclass(frozen=True)
 class Instance:
-    """An interval list plus target.
+    """An interval list plus target, held as two int columns.
 
-    ``intervals`` is the current working view (possibly reduced and/or
-    sorted by length).  ``origin[i]`` gives the position of
-    ``intervals[i]`` in the original input, and ``original`` keeps the full
-    validated input so solutions can always be reported and checked in
-    input order.  When ``intervals is original``, ``origin`` is the
-    identity.
+    ``lo[i]`` and ``hi[i]`` are the endpoints of interval i of the current
+    working view (possibly reduced and/or sorted by length), and
+    ``origin[i]`` is its position in the validated input (``origin`` is
+    ``range(n)`` on that input itself).  ``source`` is the validated input,
+    or None when this instance is it, and ``input`` is the validated input
+    either way, so solutions can always be reported and checked in input
+    order.  Instances are equal when these fields are.
 
-    The solvers read the current order through ``stream`` and ``prefix``,
-    and the order-free detectors through ``unsorted``, so that a
-    ``LengthOrder`` view (what ``sort_by_length`` returns) sorts only as
-    far as they read; here all three are the tuples themselves.  ``n`` is
-    the full count of intervals, also in a view that has sorted a prefix.
+    ``intervals`` and ``original`` are read-only tuples of ``Interval`` for
+    the current view and for the input, built from the columns when first
+    read and kept.  The n-linear passes of the pipeline (validation,
+    preprocessing, sorting, the detectors' aggregates and the solution
+    check) read the columns instead, so an FPTAS solve builds tuples only
+    for the prefix of the length order that it scans.  The solvers read the current order through ``stream``
+    and ``prefix``, and the order-free detectors through ``unsorted``, so
+    that a ``LengthOrder`` view (what ``sort_by_length`` returns) sorts
+    only as far as they read; here ``stream`` and ``prefix`` read
+    ``intervals``, and ``unsorted`` is the two columns.  ``n`` is the full
+    count of intervals, also in a view that has sorted a prefix.
     """
 
-    intervals: tuple[Interval, ...]
+    lo: Sequence[int]
+    hi: Sequence[int]
     target: int
-    origin: tuple[int, ...]
-    original: tuple[Interval, ...]
+    origin: Sequence[int]
+    source: Optional[Instance] = None
     length_sorted: bool = False
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
 
     @property
     def is_empty(self) -> bool:
         return not self.n
 
     @property
-    def unsorted(self) -> tuple[Interval, ...]:
-        """The same intervals, for passes that do not depend on the order:
-        ``intervals`` here, and the not yet sorted tuple in a view."""
-        return self.intervals
+    def input(self) -> Instance:
+        """The validated instance, in input order, that this one views."""
+        return self if self.source is None else self.source
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(_intervals(self.lo, self.hi))
+
+    @cached_property
+    def original(self) -> tuple[Interval, ...]:
+        return self.input.intervals
+
+    @property
+    def unsorted(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The lo and hi columns in some order, for passes that do not
+        depend on it: this instance's own, and in a view those of the
+        instance it sorts."""
+        return self.lo, self.hi
 
     def stream(self) -> Iterator[Interval]:
         """The intervals in current order."""
@@ -124,39 +151,40 @@ class SolveOutcome:
 
 def validate(pairs: Iterable[tuple[int, int]], target: int) -> Instance:
     """Check endpoints and target, returning an Instance in input order."""
+    pairs = list(pairs)
+    return validate_columns(tuple(map(_lo, pairs)), tuple(map(_hi, pairs)), target)
+
+
+def validate_columns(lo: Sequence[int], hi: Sequence[int], target: int) -> Instance:
+    """``validate`` for the intervals [lo[i], hi[i]], given as two columns
+    of equal length; they become the Instance's (as tuples).
+
+    The checks run at C level: with lo <= hi everywhere, the smallest lo
+    bounds both endpoints from below.  Only after a check fails are the
+    pairs walked in Python, to report the first bad one.
+    """
     if target < 1:
         raise NonPositiveTarget(f"target must be >= 1, got {target}")
-    # tuple.__new__ builds each Interval in C from its (lo, hi) pair.  The
-    # cyclic collector is paused meanwhile: 10^5 new tracked tuples would
-    # trigger over a hundred passes, which have no cycle to free.
-    # With lo <= hi everywhere, the smallest lo (that of the least tuple)
-    # bounds both endpoints from below.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        ivs = tuple(map(tuple.__new__, repeat(Interval), pairs))
-    finally:
-        if collecting:
-            gc.enable()
-    if ivs and not (min(ivs)[0] >= 1 and all(starmap(le, ivs))):
-        _raise_first_invalid(ivs)
-    return Instance(intervals=ivs, target=target, origin=tuple(range(len(ivs))), original=ivs)
+    lo, hi = tuple(lo), tuple(hi)
+    if lo and not (min(lo) >= 1 and all(map(le, lo, hi))):
+        _raise_first_invalid(lo, hi)
+    return Instance(lo, hi, target, range(len(lo)))
 
 
-def _raise_first_invalid(intervals: tuple[Interval, ...]) -> None:
+def _raise_first_invalid(lo: Sequence[int], hi: Sequence[int]) -> None:
     """Raise the error for the first interval that fails validation."""
-    for pos, (lo, hi) in enumerate(intervals):
-        if lo < 1 or hi < 1:
-            raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{lo}, {hi}]")
-        if lo > hi:
-            raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
+    for pos, (a, b) in enumerate(zip(lo, hi)):
+        if a < 1 or b < 1:
+            raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{a}, {b}]")
+        if a > b:
+            raise InvertedInterval(f"interval {pos}: lo {a} > hi {b}")
 
 
 def place(inst: Instance, values: dict[int, int]) -> Solution:
     """The solution in input order that gives ``inst.intervals[k]`` the
     value ``values[k]`` and every other interval 0."""
     _, origin = inst.prefix(max(values, default=0) + 1)
-    x = [0] * len(inst.original)
+    x = [0] * inst.input.n
     for k, v in values.items():
         x[origin[k]] = v
     return Solution(tuple(x))
@@ -174,19 +202,21 @@ def preprocess(inst: Instance) -> Union[Solution, Instance]:
     already is returned as it is.
     """
     t = inst.target
-    if max(map(_hi, inst.intervals), default=t) < t:
+    lo, hi = inst.lo, inst.hi
+    if max(hi, default=t) < t:
         return inst
-    for i, iv in enumerate(inst.intervals):
-        if iv.lo <= t <= iv.hi:
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if a <= t <= b:
             return place(inst, {i: t})
-    keep = [i for i, iv in enumerate(inst.intervals) if iv.lo <= t]
+    keep = [i for i, a in enumerate(lo) if a <= t]
     if not keep:
         return place(inst, {})
     return Instance(
-        intervals=tuple(inst.intervals[i] for i in keep),
+        lo=tuple(map(lo.__getitem__, keep)),
+        hi=tuple(map(hi.__getitem__, keep)),
         target=t,
-        origin=tuple(inst.origin[i] for i in keep),
-        original=inst.original,
+        origin=tuple(map(inst.origin.__getitem__, keep)),
+        source=inst.input,
         length_sorted=inst.length_sorted,
     )
 
@@ -208,36 +238,37 @@ class LengthOrder(Instance):
     """``inst`` stable-sorted by nondecreasing width hi - lo, sorted only
     as far as it is read.
 
-    The first ``materialized`` positions of the order are in place.
-    Reading ``stream`` past them, or asking ``prefix`` for more, extends
-    the order by a larger ``heapq.nsmallest`` chunk, or by the one full
-    sort once a chunk would reach n / FULL_SORT_SHARE.  ``n`` is the full
-    count.  ``intervals`` and ``origin`` are the full sorted tuples, built
-    (and the order sorted in full) when first read; ``unsorted`` is
-    ``inst.intervals``, which the order-free detectors read instead.
+    The first ``materialized`` positions of the order are in place, as
+    ``Interval`` tuples built from ``inst``'s columns for those positions
+    only.  Reading ``stream`` past them, or asking ``prefix`` for more,
+    extends the order by a larger ``heapq.nsmallest`` chunk, or by the one
+    full sort once a chunk would reach n / FULL_SORT_SHARE.  ``n`` is the
+    full count.  ``intervals``, ``origin``, ``lo`` and ``hi`` are the full
+    sorted tuples, built (and the order sorted in full) when first read;
+    ``unsorted`` is ``inst``'s columns, which the order-free detectors read
+    instead.
     """
 
     length_sorted = True
 
     def __init__(self, inst: Instance) -> None:
-        ivs = inst.intervals
         object.__setattr__(self, "target", inst.target)  # frozen fields
-        object.__setattr__(self, "original", inst.original)
-        self._unsorted = ivs
-        self._unsorted_origin = None if ivs is inst.original else inst.origin  # None: identity
+        object.__setattr__(self, "source", inst.input)
+        self._unsorted = (inst.lo, inst.hi)
+        self._unsorted_origin = None if inst.source is None else inst.origin  # None: identity
         self._lengths: Optional[list[int]] = None  # kept while the order is partial
         # n long from the start, so a reader holding them sees each extension
-        self._ivs: list = [None] * len(ivs)
-        self._origin: list = [None] * len(ivs)
+        self._ivs: list = [None] * inst.n
+        self._origin: list = [None] * inst.n
         self.materialized = 0
         self._extend(FIRST_CHUNK)
 
     @property
     def n(self) -> int:
-        return len(self._unsorted)
+        return len(self._ivs)
 
     @property
-    def unsorted(self) -> tuple[Interval, ...]:
+    def unsorted(self) -> tuple[Sequence[int], Sequence[int]]:
         return self._unsorted
 
     @cached_property
@@ -247,6 +278,14 @@ class LengthOrder(Instance):
     @cached_property
     def origin(self) -> tuple[int, ...]:
         return tuple(self.prefix(self.n)[1])
+
+    @cached_property
+    def lo(self) -> tuple[int, ...]:
+        return tuple(map(_lo, self.intervals))
+
+    @cached_property
+    def hi(self) -> tuple[int, ...]:
+        return tuple(map(_hi, self.intervals))
 
     def stream(self) -> Iterator[Interval]:
         """The intervals in length order, extending the order as it is read."""
@@ -269,8 +308,8 @@ class LengthOrder(Instance):
         done, n = self.materialized, self.n
         if k <= done or done == n:
             return
-        ivs = self._unsorted
-        lengths = self._lengths or list(map(sub, map(_hi, ivs), map(_lo, ivs)))
+        lo, hi = self._unsorted
+        lengths = self._lengths or list(map(sub, hi, lo))
         size = max(k, 4 * done, FIRST_CHUNK)
         if size * FULL_SORT_SHARE >= n:
             size = n
@@ -279,7 +318,7 @@ class LengthOrder(Instance):
             order = heapq.nsmallest(size, range(n), key=lengths.__getitem__)
         self._lengths = lengths if size < n else None
         tail = order[done:]
-        self._ivs[done:size] = map(ivs.__getitem__, tail)
+        self._ivs[done:size] = _intervals(map(lo.__getitem__, tail), map(hi.__getitem__, tail))
         src = self._unsorted_origin
         self._origin[done:size] = tail if src is None else map(src.__getitem__, tail)
         self.materialized = size
@@ -301,20 +340,20 @@ def evaluate(inst: Instance, sol: Solution) -> int:
     """Return the total of a solution, raising if it is infeasible.
 
     The solution is interpreted in original input order and checked
-    against the originally validated intervals.  Only its nonzero entries
+    against the columns of the validated input.  Only its nonzero entries
     are checked, in input order, so the first bad one is reported.
     """
-    ref = inst.original
+    src = inst.input
+    lo, hi = src.lo, src.hi
     values = sol.values
-    if len(values) != len(ref):
+    if len(values) != src.n:
         raise ValueOutsideInterval(
-            f"solution has {len(values)} entries, instance has {len(ref)} intervals"
+            f"solution has {len(values)} entries, instance has {src.n} intervals"
         )
     for i in compress(range(len(values)), values):
         x = values[i]
-        lo, hi = ref[i]
-        if not lo <= x <= hi:
-            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{lo}, {hi}] and nonzero")
+        if not lo[i] <= x <= hi[i]:
+            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{lo[i]}, {hi[i]}] and nonzero")
     total = sum(values)
     if total > inst.target:
         raise TargetExceeded(f"total {total} exceeds target {inst.target}")
@@ -323,11 +362,9 @@ def evaluate(inst: Instance, sol: Solution) -> int:
 
 def midrange_count(inst: Instance, sol: Solution) -> int:
     """Number of entries strictly between their interval's endpoints."""
-    return sum(
-        1
-        for x, iv in zip(sol.values, inst.original)
-        if x != 0 and iv.lo < x < iv.hi
-    )
+    src = inst.input
+    lo, hi, values = src.lo, src.hi, sol.values
+    return sum(lo[i] < values[i] < hi[i] for i in compress(range(src.n), values))
 
 
 def relative_error(approx_value: int, reference_value: int) -> Fraction:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Instance, validate
+from .core import Instance, validate, validate_columns
 from .errors import NOutOfRange
 
 HI_RANGE = 10**14
@@ -92,7 +92,7 @@ def gen_a(n: int) -> Instance:
     k = n.bit_length() - 1  # floor(log2 n)
     items = [2 ** (k + n + 1) + 2 ** (k + i) + 1 for i in range(1, n + 1)]
     target = sum(items) // 2
-    return validate([(a, a) for a in items], target)
+    return validate_columns(items, items, target)
 
 
 def gen_b(n: int) -> Instance:
@@ -104,7 +104,7 @@ def gen_b(n: int) -> Instance:
         # n = 1 gives target 0; keep the instance valid, every item is
         # dropped by preprocessing and the optimum is 0.
         target = 1
-    return validate([(a, a) for a in items], target)
+    return validate_columns(items, items, target)
 
 
 def gen_c(n: int, c: Fraction, seed: int) -> Instance:

@@ -57,11 +57,13 @@ def eager_sort(inst: Instance) -> Instance:
     """``inst`` stable-sorted by length at once into plain tuples: the
     reference for a lazily sorted ``LengthOrder`` view."""
     order = sorted(range(inst.n), key=lambda i: inst.intervals[i].length)
+    ivs = [inst.intervals[i] for i in order]
     return Instance(
-        intervals=tuple(inst.intervals[i] for i in order),
+        lo=tuple(iv.lo for iv in ivs),
+        hi=tuple(iv.hi for iv in ivs),
         target=inst.target,
         origin=tuple(inst.origin[i] for i in order),
-        original=inst.original,
+        source=inst.input,
         length_sorted=True,
     )
 

@@ -39,8 +39,12 @@ def validate(pairs, target: int) -> Instance:
         if lo > hi:
             raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
         intervals.append(Interval(lo, hi))
-    ivs = tuple(intervals)
-    return Instance(intervals=ivs, target=target, origin=tuple(range(len(ivs))), original=ivs)
+    return Instance(
+        lo=tuple(iv.lo for iv in intervals),
+        hi=tuple(iv.hi for iv in intervals),
+        target=target,
+        origin=range(len(intervals)),
+    )
 
 
 def parse_instance_text(text: str) -> Instance:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issp
-from issp import analysis, cli, fptas
+from issp import analysis, cli, core, fptas
 from issp.cli import (
     BENCH_HEADER,
     EXIT_BUDGET,
@@ -26,10 +27,10 @@ from issp.cli import (
     parse_ratio,
     serialize_instance,
 )
-from issp.core import validate
+from issp.core import Solution, preprocess, sort_by_length, validate
 from issp.errors import IsspError, NoPairFound
 
-from conftest import instances
+from conftest import eager_sort, instances
 import reference_frontend
 
 
@@ -147,9 +148,47 @@ def parse_result(parse, text):
         return type(e), str(e)
 
 
+@st.composite
+def reducible_texts(draw):
+    """Valid instance files with many tied and zero lengths, whose target
+    often lies below some lower endpoints and inside no interval, so that
+    preprocess drops intervals and the reduced origin is not the identity."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    scale = draw(st.sampled_from([1, 2**64 + 7]))
+    pairs = []
+    for _ in range(n):
+        lo = draw(st.integers(min_value=1, max_value=30))
+        pairs.append((lo * scale, (lo + draw(st.integers(min_value=0, max_value=2))) * scale))
+    target = draw(st.integers(min_value=1, max_value=40)) * scale + draw(st.sampled_from([0, 1]))
+    return "".join([f"{n} {target}\n"] + [f"{lo} {hi}\n" for lo, hi in pairs])
+
+
 class TestParserAgainstReference:
     """The one-split parser and C-level validation against the line-by-line
     parser with its per-pair validation loop (tests/reference_frontend.py)."""
+
+    @given(reducible_texts())
+    @settings(max_examples=300)
+    def test_same_reduced_and_sorted_instance(self, text):
+        got, ref = parse_instance_text(text), reference_frontend.parse_instance_text(text)
+        assert got == ref
+        t = ref.target
+        out = preprocess(got)
+        hit = next((i for i, iv in enumerate(ref.intervals) if iv.lo <= t <= iv.hi), None)
+        keep = [i for i, iv in enumerate(ref.intervals) if iv.lo <= t]
+        if hit is not None or not keep:
+            expected = [0] * ref.n
+            if hit is not None:
+                expected[hit] = t
+            assert out == Solution(tuple(expected))
+            return
+        assert out.intervals == tuple(ref.intervals[i] for i in keep)
+        assert tuple(out.origin) == tuple(keep)
+        assert (out.target, out.original) == (t, ref.original)
+        view, eager = sort_by_length(out), eager_sort(out)
+        assert (view.intervals, view.origin, view.original) == (
+            eager.intervals, eager.origin, eager.original
+        )
 
     @given(instance_texts())
     @settings(max_examples=400)
@@ -186,10 +225,39 @@ class TestParserAgainstReference:
         assert parse_result(parse_instance_text, text) == ref
 
 
+class TestColumnarFrontEnd:
+    def test_solve_builds_intervals_for_the_scanned_prefix_only(self, monkeypatch):
+        # issp solve's op on C n = 20,000: the scan exits at item 360, inside
+        # the length order's first chunk, and every n-linear pass reads the
+        # columns, so neither the input nor the view builds its full
+        # intervals or original tuple
+        n = 20_000
+        text = serialize_instance(issp.gen_c(n, Fraction(3, 2), 1))
+        built = 0
+        make = core._intervals
+
+        def counting(lo, hi):
+            nonlocal built
+            for iv in make(lo, hi):
+                built += 1
+                yield iv
+
+        views = []
+        sort = cli.sort_by_length
+        monkeypatch.setattr(core, "_intervals", counting)
+        monkeypatch.setattr(cli, "sort_by_length", lambda inst: views.append(sort(inst)) or views[-1])
+        inst = parse_instance_text(text)
+        out = cli._solve_instance(inst, "auto", Fraction(1, 1000))
+        assert cli.evaluate(inst, out.solution) == out.value
+        assert core.midrange_count(inst, out.solution) <= 1
+        assert out.midrange_index == 360 and len(views) == 1
+        for obj in (inst, *views):
+            assert not {"intervals", "original"} & vars(obj).keys()
+        assert 0 < built < n / 8
+
+
 class TestParseRatio:
     def test_fraction_and_decimal(self):
-        from fractions import Fraction
-
         assert parse_ratio("3/2") == Fraction(3, 2)
         assert parse_ratio("1.5") == Fraction(3, 2)
 
@@ -450,6 +518,8 @@ class TestGenerateCommand:
         assert code == EXIT_FLAGS
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+        if "1/0" in flags:
+            assert "'1/0'" in err
 
     def test_generated_file_solves_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -602,7 +672,8 @@ class TestBenchCommand:
         assert err.count("\n") == 1 and "epsilon" in err
 
     @pytest.mark.parametrize(
-        "flags", [("--sizes", "x"), ("--sizes", "0"), ("--c", "x"), ("--c", "1/2")]
+        "flags",
+        [("--sizes", "x"), ("--sizes", "0"), ("--c", "x"), ("--c", "1/2"), ("--c", "1/0")],
     )
     def test_invalid_instance_flags_exit_code(self, capsys, flags):
         args = ["bench", "--suite", "C", "--sizes", "10", "--c", "3/2", "--epsilons", "0.1"]
@@ -610,6 +681,8 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, *args)
         assert code == EXIT_FLAGS
         assert err.count("\n") == 1 and err.startswith("error:")
+        if flags[1] == "1/0":
+            assert "'1/0'" in err
 
 
 class TestPinnedOutput:
