@@ -23,11 +23,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Instance, Solution, SolveOutcome, place, validate
+from .core import Instance, Solution, SolveOutcome, place, validate_columns
 from .errors import DegenerateLength, IsspError, SubsetInfeasible
-from .instgen import SplitMix64, ratio_pairs
+from .instgen import SplitMix64, ratio_columns
 
 
 @dataclass(frozen=True)
@@ -48,27 +48,27 @@ def to_knapsack(inst: Instance) -> KnapsackInstance:
     return KnapsackInstance(weights=tuple(inst.lo), profits=tuple(inst.hi), capacity=inst.target)
 
 
-def fill_values(intervals, subset: list[int], target: int) -> dict[int, int]:
+def fill_values(
+    lo: Sequence[int], hi: Sequence[int], subset: Sequence[int], target: int
+) -> dict[int, int]:
     """Greedy fill of a feasible subset, achieving min(sum hi, T).
 
-    ``subset`` lists positions into ``intervals`` in fill order.  Members are
-    pushed to their upper endpoints one by one until the target would be
-    crossed; the member that crosses it takes an intermediate value so the
-    total lands exactly on the target.  At most that single member ends up
-    strictly inside its interval.
+    ``subset`` lists positions into the columns ``lo`` and ``hi`` in fill
+    order.  Members are pushed to their upper endpoints one by one until
+    the target would be crossed; the member that crosses it takes an
+    intermediate value so the total lands exactly on the target.  At most
+    that single member ends up strictly inside its interval.
     """
-    lo_sum = sum(intervals[i].lo for i in subset)
+    lo_sum = sum(map(lo.__getitem__, subset))
     if lo_sum > target:
         raise SubsetInfeasible(f"subset lower endpoints sum to {lo_sum} > target {target}")
-    values = {i: intervals[i].lo for i in subset}
+    values = {i: lo[i] for i in subset}
     v = lo_sum
     for i in subset:
         if v >= target:
             break
-        room = target - v
-        step = intervals[i].hi - intervals[i].lo
-        take = min(step, room)
-        values[i] = intervals[i].lo + take
+        take = min(hi[i] - lo[i], target - v)
+        values[i] = lo[i] + take
         v += take
     return values
 
@@ -76,11 +76,13 @@ def fill_values(intervals, subset: list[int], target: int) -> dict[int, int]:
 def solution_from_subset(inst: Instance, subset: Iterable[int]) -> Solution:
     """Build a feasible solution of value min(sum hi over subset, T).
 
-    ``subset`` holds 0-based positions into ``inst.intervals``; the fill
-    proceeds in ascending position order.  The returned solution is in
-    original input order.
+    ``subset`` holds 0-based positions in ``inst``'s order; the fill
+    proceeds in ascending position order and reads the order only up to
+    the last one.  The returned solution is in original input order.
     """
-    return place(inst, fill_values(inst.intervals, sorted(set(subset)), inst.target))
+    subset = sorted(set(subset))
+    lo, hi, _ = inst.prefix(subset[-1] + 1 if subset else 0)
+    return place(inst, fill_values(lo, hi, subset, inst.target))
 
 
 class Aggregates(NamedTuple):
@@ -165,14 +167,13 @@ def polynomial_rate_monte_carlo(
     rng = SplitMix64(seed)
     hits = 0
     for _ in range(trials):
-        pairs = ratio_pairs(rng, n, c)
-        max_hi = max(hi for _, hi in pairs)
-        hi_sum = sum(hi for _, hi in pairs)
+        lo, hi = ratio_columns(rng, n, c)
+        max_hi, hi_sum = max(hi), sum(hi)
         if hi_sum <= max_hi + 1:
             t = max_hi + 1
         else:
             t = max_hi + rng.randint(hi_sum - max_hi)
-        inst = validate(pairs, t)
+        inst = validate_columns(lo, hi, t)
         if solve_polynomial(inst) is not None:
             hits += 1
     return Fraction(hits, trials)
@@ -211,39 +212,39 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
 
     if agg.large_target(t):
         # lo_total > t here, so a proper prefix crosses t: take the longest
-        # prefix whose lower endpoints still fit.
-        acc = 0
-        prefix_end = 0
-        for i, iv in enumerate(inst.intervals):
-            if acc + iv.lo > t:
+        # prefix whose lower endpoints still fit, reading the order no further.
+        lo_sum = hi_sum = prefix_end = 0
+        for a, b in inst.stream():
+            if lo_sum + a > t:
                 break
-            acc += iv.lo
-            prefix_end = i + 1
-        prefix = list(range(prefix_end))
-        hi_sum = sum(inst.intervals[i].hi for i in prefix)
+            lo_sum += a
+            hi_sum += b
+            prefix_end += 1
         if hi_sum < t:
             raise IsspError(
                 "large-target route: prefix upper endpoints do not cover the "
                 "target; the route's guarantee is violated, indicating a bug"
             )
-        return outcome(solution_from_subset(inst, prefix), "b")
+        return outcome(solution_from_subset(inst, range(prefix_end)), "b")
 
     if agg.wide and t <= agg.hi_total:
-        order = sorted(range(inst.n), key=lambda i: -inst.intervals[i].hi)
+        lo, hi, _ = inst.prefix(inst.n)
+        # stable, so intervals of equal hi keep the length order
+        order = sorted(range(inst.n), key=hi.__getitem__, reverse=True)
         # minimal prefix (max-hi interval first) whose upper endpoints cover t
         acc = 0
         chosen: list[int] = []
         for i in order:
             chosen.append(i)
-            acc += inst.intervals[i].hi
+            acc += hi[i]
             if acc >= t:
                 break
-        lo_sum = sum(inst.intervals[i].lo for i in chosen)
+        lo_sum = sum(map(lo.__getitem__, chosen))
         if lo_sum > t:
             raise IsspError(
                 "wide-interval route: minimal covering prefix is infeasible; "
                 "the route's guarantee is violated, indicating a bug"
             )
-        return outcome(place(inst, fill_values(inst.intervals, chosen, t)), "c")
+        return outcome(place(inst, fill_values(lo, hi, chosen, t)), "c")
 
     return None

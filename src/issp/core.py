@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import itemgetter, le, sub
+from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -46,10 +46,6 @@ class Interval(NamedTuple):
         return self.hi - self.lo
 
 
-_lo = itemgetter(0)
-_hi = itemgetter(1)
-
-
 def _intervals(lo: Iterable[int], hi: Iterable[int]) -> Iterator[Interval]:
     """``Interval(a, b)`` for each pair of the two columns, each built in C
     by ``tuple.__new__``; the one place that builds intervals from columns."""
@@ -68,17 +64,16 @@ class Instance:
     either way, so solutions can always be reported and checked in input
     order.  Instances are equal when these fields are.
 
+    The columns are the one interval format the library reads.
     ``intervals`` and ``original`` are read-only tuples of ``Interval`` for
-    the current view and for the input, built from the columns when first
-    read and kept.  The n-linear passes of the pipeline (validation,
-    preprocessing, sorting, the detectors' aggregates and the solution
-    check) read the columns instead, so an FPTAS solve builds tuples only
-    for the prefix of the length order that it scans.  The solvers read the current order through ``stream``
-    and ``prefix``, and the order-free detectors through ``unsorted``, so
-    that a ``LengthOrder`` view (what ``sort_by_length`` returns) sorts
-    only as far as they read; here ``stream`` and ``prefix`` read
-    ``intervals``, and ``unsorted`` is the two columns.  ``n`` is the full
-    count of intervals, also in a view that has sorted a prefix.
+    the current view and for the input, built from the columns for callers
+    when first read and kept; no solver reads them.  The solvers read the
+    current order through ``stream`` and ``prefix``, and the order-free
+    detectors through ``unsorted``, so that a ``LengthOrder`` view (what
+    ``sort_by_length`` returns) sorts only as far as they read; here
+    ``stream`` zips the columns, ``prefix`` is the columns and ``origin``,
+    and ``unsorted`` is the two columns.  ``n`` is the full count of
+    intervals, also in a view that has sorted a prefix.
     """
 
     lo: Sequence[int]
@@ -116,14 +111,14 @@ class Instance:
         instance it sorts."""
         return self.lo, self.hi
 
-    def stream(self) -> Iterator[Interval]:
-        """The intervals in current order."""
-        return iter(self.intervals)
+    def stream(self) -> Iterator[tuple[int, int]]:
+        """The (lo, hi) pairs in current order."""
+        return zip(self.lo, self.hi)
 
-    def prefix(self, k: int) -> tuple[Sequence[Interval], Sequence[int]]:
-        """``intervals`` and ``origin``, or sequences of the same length n
+    def prefix(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """``lo``, ``hi`` and ``origin``, or sequences of the same length n
         that agree with them on (at least) the first k positions."""
-        return self.intervals, self.origin
+        return self.lo, self.hi, self.origin
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ class SolveOutcome:
 def validate(pairs: Iterable[tuple[int, int]], target: int) -> Instance:
     """Check endpoints and target, returning an Instance in input order."""
     pairs = list(pairs)
-    return validate_columns(tuple(map(_lo, pairs)), tuple(map(_hi, pairs)), target)
+    return validate_columns([a for a, _ in pairs], [b for _, b in pairs], target)
 
 
 def validate_columns(lo: Sequence[int], hi: Sequence[int], target: int) -> Instance:
@@ -181,9 +176,9 @@ def _raise_first_invalid(lo: Sequence[int], hi: Sequence[int]) -> None:
 
 
 def place(inst: Instance, values: dict[int, int]) -> Solution:
-    """The solution in input order that gives ``inst.intervals[k]`` the
-    value ``values[k]`` and every other interval 0."""
-    _, origin = inst.prefix(max(values, default=0) + 1)
+    """The solution in input order that gives the interval at position k
+    of ``inst``'s order the value ``values[k]`` and every other interval 0."""
+    origin = inst.prefix(max(values, default=0) + 1)[2]
     x = [0] * inst.input.n
     for k, v in values.items():
         x[origin[k]] = v
@@ -238,15 +233,15 @@ class LengthOrder(Instance):
     """``inst`` stable-sorted by nondecreasing width hi - lo, sorted only
     as far as it is read.
 
-    The first ``materialized`` positions of the order are in place, as
-    ``Interval`` tuples built from ``inst``'s columns for those positions
-    only.  Reading ``stream`` past them, or asking ``prefix`` for more,
-    extends the order by a larger ``heapq.nsmallest`` chunk, or by the one
-    full sort once a chunk would reach n / FULL_SORT_SHARE.  ``n`` is the
-    full count.  ``intervals``, ``origin``, ``lo`` and ``hi`` are the full
-    sorted tuples, built (and the order sorted in full) when first read;
-    ``unsorted`` is ``inst``'s columns, which the order-free detectors read
-    instead.
+    The first ``materialized`` positions of the order are in place, in
+    three lists of n: the endpoints ``inst``'s columns give those positions,
+    and their input positions.  Reading ``stream`` past them, or asking
+    ``prefix`` for more, extends the order by a larger ``heapq.nsmallest``
+    chunk, or by the one full sort once a chunk would reach
+    n / FULL_SORT_SHARE.  ``n`` is the full count.  ``lo``, ``hi`` and
+    ``origin`` are the full sorted tuples, built (and the order sorted in
+    full) when first read; ``unsorted`` is ``inst``'s columns, which the
+    order-free detectors read instead.
     """
 
     length_sorted = True
@@ -258,50 +253,47 @@ class LengthOrder(Instance):
         self._unsorted_origin = None if inst.source is None else inst.origin  # None: identity
         self._lengths: Optional[list[int]] = None  # kept while the order is partial
         # n long from the start, so a reader holding them sees each extension
-        self._ivs: list = [None] * inst.n
+        self._lo: list = [None] * inst.n
+        self._hi: list = [None] * inst.n
         self._origin: list = [None] * inst.n
         self.materialized = 0
         self._extend(FIRST_CHUNK)
 
     @property
     def n(self) -> int:
-        return len(self._ivs)
+        return len(self._lo)
 
     @property
     def unsorted(self) -> tuple[Sequence[int], Sequence[int]]:
         return self._unsorted
 
     @cached_property
-    def intervals(self) -> tuple[Interval, ...]:
+    def lo(self) -> tuple[int, ...]:
         return tuple(self.prefix(self.n)[0])
 
     @cached_property
-    def origin(self) -> tuple[int, ...]:
+    def hi(self) -> tuple[int, ...]:
         return tuple(self.prefix(self.n)[1])
 
     @cached_property
-    def lo(self) -> tuple[int, ...]:
-        return tuple(map(_lo, self.intervals))
+    def origin(self) -> tuple[int, ...]:
+        return tuple(self.prefix(self.n)[2])
 
-    @cached_property
-    def hi(self) -> tuple[int, ...]:
-        return tuple(map(_hi, self.intervals))
-
-    def stream(self) -> Iterator[Interval]:
-        """The intervals in length order, extending the order as it is read."""
+    def stream(self) -> Iterator[tuple[int, int]]:
+        """The (lo, hi) pairs in length order, extending the order as it is read."""
         done = 0
         while done < self.n:
             self._extend(done + 1)
             stop = self.materialized
-            yield from self._ivs[done:stop]
+            yield from zip(self._lo[done:stop], self._hi[done:stop])
             done = stop
 
-    def prefix(self, k: int) -> tuple[Sequence[Interval], Sequence[int]]:
-        """The view's own lists of the intervals and their input positions
-        in length order: n long, with at least the first k positions in
-        place.  They grow in place as the order is extended."""
+    def prefix(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """The view's own lists of lo, hi and input position in length
+        order: n long, with at least the first k positions in place.  They
+        grow in place as the order is extended."""
         self._extend(k)
-        return self._ivs, self._origin
+        return self._lo, self._hi, self._origin
 
     def _extend(self, k: int) -> None:
         """Put at least the first min(k, n) positions of the order in place."""
@@ -318,7 +310,8 @@ class LengthOrder(Instance):
             order = heapq.nsmallest(size, range(n), key=lengths.__getitem__)
         self._lengths = lengths if size < n else None
         tail = order[done:]
-        self._ivs[done:size] = _intervals(map(lo.__getitem__, tail), map(hi.__getitem__, tail))
+        self._lo[done:size] = map(lo.__getitem__, tail)
+        self._hi[done:size] = map(hi.__getitem__, tail)
         src = self._unsorted_origin
         self._origin[done:size] = tail if src is None else map(src.__getitem__, tail)
         self.materialized = size
@@ -330,8 +323,9 @@ def sort_by_length(inst: Instance) -> LengthOrder:
     The result is a ``LengthOrder`` view.  Only its first ``FIRST_CHUNK``
     positions (all of them when n <= FIRST_CHUNK * FULL_SORT_SHARE) are
     sorted now, and the rest as ``stream`` and ``prefix`` read them; its
-    ``n`` is the full count.  Reading ``intervals`` or ``origin`` sorts in
-    full and gives the tuples of the eager stable sort.
+    ``n`` is the full count.  Reading ``lo``, ``hi``, ``origin`` or
+    ``intervals`` sorts in full and gives the tuples of the eager stable
+    sort.
     """
     return LengthOrder(inst)
 

@@ -40,9 +40,11 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import filterfalse, islice
 from math import isqrt
+from operator import ne
+from typing import Sequence
 
 from .analysis import fill_values
-from .core import Instance, Interval, Solution, SolveOutcome, place, sort_by_length
+from .core import Instance, Solution, SolveOutcome, place, sort_by_length
 from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
@@ -79,7 +81,7 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
     if n > BRUTE_FORCE_CAP:
         raise InstanceTooLarge(f"n = {n} exceeds the enumeration cap {BRUTE_FORCE_CAP}")
     t = inst.target
-    intervals = inst.intervals
+    lo, hi = inst.lo, inst.hi
     best_value = 0
     best_subset: list[int] = []
     chosen: list[int] = []
@@ -97,15 +99,14 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
         if best_value == t:
             return
         # take interval i
-        iv = intervals[i]
-        if lo_sum + iv.lo <= t:
+        if lo_sum + lo[i] <= t:
             chosen.append(i)
-            dfs(i + 1, lo_sum + iv.lo, hi_sum + iv.hi)
+            dfs(i + 1, lo_sum + lo[i], hi_sum + hi[i])
             chosen.pop()
 
     dfs(0, 0, 0)
     return SolveOutcome(
-        solution=place(inst, fill_values(intervals, best_subset, t)),
+        solution=place(inst, fill_values(lo, hi, best_subset, t)),
         value=best_value,
         kind="exact",
         stats={"elapsed": time.perf_counter() - start, "subset": tuple(best_subset)},
@@ -166,13 +167,15 @@ class SparseSums:
     first: its ``d + hi`` run, then its ``d + lo`` run, each sorted, with a
     lone endpoint at the head of its run (it is smaller than every shifted
     sum).  Item k's runs are ``firsts[ends[2k]:ends[2k + 1]]`` (hi) and
-    ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).
+    ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).  Backtracking reads the
+    endpoints of item k as ``lo[k]`` and ``hi[k]`` of the columns it is
+    given, in scan order.
     """
 
     name = "sparse"
 
-    def __init__(self, intervals: tuple[Interval, ...], t: int) -> None:
-        self.intervals = intervals
+    def __init__(self, lo: Sequence[int], hi: Sequence[int], t: int) -> None:
+        self.lo, self.hi = lo, hi
         self.t = t
         self.budget = memory_budget_entries()
         self.values: list[int] = []
@@ -239,18 +242,18 @@ class SparseSums:
         x: dict[int, int] = {}
         if not d:  # also when no item was scanned and m is None
             return x
-        firsts, ends, ivs = self.firsts, self.ends, self.intervals
+        firsts, ends, lo, hi = self.firsts, self.ends, self.lo, self.hi
         stop = ends[2 * m]
         for k in range(m - 1, -1, -1):
             start, mid = ends[2 * k], ends[2 * k + 1]
             pos = bisect_left(firsts, d, start, mid)
             if pos < mid and firsts[pos] == d:
-                e = x[k] = ivs[k].hi
+                e = x[k] = hi[k]
                 d -= e
             else:
                 pos = bisect_left(firsts, d, mid, stop)
                 if pos < stop and firsts[pos] == d:
-                    e = x[k] = ivs[k].lo
+                    e = x[k] = lo[k]
                     d -= e
             if not d:
                 break
@@ -280,16 +283,18 @@ class BitsetSums:
     """Reachable sums in [0, T] as the set bits of one int; bit 0 is the empty sum.
 
     The bits after every ``step`` ~ sqrt(n) items are kept; backtracking
-    replays one segment of items from its checkpoint at a time.
+    replays one segment of items from its checkpoint at a time, reading
+    item k's endpoints as ``lo[k]`` and ``hi[k]`` of the columns it is
+    given, in scan order.
     """
 
     name = "bitset"
 
-    def __init__(self, intervals: tuple[Interval, ...], t: int) -> None:
-        self.intervals = intervals
+    def __init__(self, lo: Sequence[int], hi: Sequence[int], t: int) -> None:
+        self.lo, self.hi = lo, hi
         self.t = t
         self.reach = 1
-        self.step = _checkpoint_step(len(intervals))
+        self.step = _checkpoint_step(len(lo))
         self.marks = [1]  # marks[q] = reach after the first q * step items
 
     def largest_le(self, bound: int) -> int:
@@ -316,19 +321,19 @@ class BitsetSums:
         if d - lo > 0 was, else d itself (a lone endpoint).  This is the item
         and endpoint SparseSums records when it first reaches d.
         """
-        ivs, t, step = self.intervals, self.t, self.step
+        los, his, t, step = self.lo, self.hi, self.t, self.step
         x = {}
         j = m
         while d:
             base = (j - 1) // step * step
             before = [self.marks[base // step]]  # before[k - base]: bits before item k
             for k in range(base, j - 1):
-                before.append(_extend(before[-1], ivs[k].lo, ivs[k].hi, t))
+                before.append(_extend(before[-1], los[k], his[k], t))
             for k in range(j - 1, base - 1, -1):
                 r = before[k - base]
                 if r >> d & 1:
                     continue
-                lo, hi = ivs[k].lo, ivs[k].hi
+                lo, hi = los[k], his[k]
                 if d > hi and r >> (d - hi) & 1:
                     e = hi
                 elif d > lo and r >> (d - lo) & 1:
@@ -353,8 +358,8 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
     scan stops once it reaches T.  Unless it stops, interval i then joins
     the set, whatever its lo.
 
-    The intervals are read through ``inst.stream()``, so a ``LengthOrder``
-    view is sorted only as far as the scan goes.
+    The (lo, hi) pairs are read through ``inst.stream()``, so a
+    ``LengthOrder`` view is sorted only as far as the scan goes.
 
     Returns (best, m, delta, exit, states): the best candidate, the
     0-based index of the interval that gave it (None when no interval has
@@ -391,7 +396,7 @@ def midrange_solution(
     value; with m None only the endpoints are placed.
     """
     if m is not None:
-        endpoints[m] = xm = min(inst.prefix(m + 1)[0][m].hi, inst.target - y)
+        endpoints[m] = xm = min(inst.prefix(m + 1)[1][m], inst.target - y)
         y += xm
     return place(inst, endpoints), y
 
@@ -402,7 +407,8 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     if not inst.length_sorted:
         inst = sort_by_length(inst)
     # the scan puts in place every position that backtracking reads
-    reach = sums(inst.prefix(0)[0], inst.target)
+    lo, hi, _ = inst.prefix(0)
+    reach = sums(lo, hi, inst.target)
     _, m, delta, exit_at, states = scan(inst, reach, trace)
     # when m is None, delta is 0 and backtrack places no item
     sol, value = midrange_solution(inst, m, reach.backtrack(delta, m), delta)
@@ -450,10 +456,10 @@ def ssp_optimum_mitm(inst: Instance) -> int:
     Meet-in-the-middle: enumerate subset sums of each half, sort one half,
     and binary-search the best partner.  Handles n around 40 comfortably.
     """
-    if any(iv.lo != iv.hi for iv in inst.intervals):
+    if any(map(ne, inst.lo, inst.hi)):
         raise ValueError("meet-in-the-middle path requires lo == hi everywhere")
     t = inst.target
-    items = [iv.hi for iv in inst.intervals]
+    items = list(inst.hi)
     half = len(items) // 2
 
     def sums(part: list[int]) -> list[int]:

@@ -340,34 +340,34 @@ def backtrack(
     value y, the index in ``items`` where that suffix starts, and the
     endpoint assignments.
     """
-    tf = math.floor(local_target)
-    tlow = math.ceil(local_target - params.eps_t)
-    u = b.largest_le(tf)
+    u = b.largest_le(math.floor(local_target))
     if u == 0:
         raise EmptyArray("no stored value at or below the target")
+    # u + y stays at the start value u, so it never exceeds the target, and
+    # whether it is admissible is decided once
+    admissible = u >= math.ceil(local_target - params.eps_t)
     assignments: dict[int, int] = {}
     y = 0
+    d1, d2 = b.slot_for(u)
     while True:
-        d1, d2 = b.slot_for(u)
         j = bisect_left(items, (d1,))
         _, lo, hi = items[j]
         a = lo if d2 == 1 else hi
         assignments[d1] = a
         y += a
         u -= a
-        if u > 0:
-            # Continue only while the residual's value survives verbatim in
-            # its bucket with an older provenance index; anything else is
-            # left to the recursive re-solve, which recovers it from fresh
-            # arrays instead of drifting to a nearby (smaller) stored value.
-            k = params.bucket_index(u)
-            if b.pos[k] == u and b.pos_d1[k] < d1 and u + y <= tf:
-                pass
-            elif b.neg[k] == u and b.neg_d1[k] < d1 and u + y >= tlow:
-                pass
-            else:
-                u = 0
         if u == 0:
+            return y, j, assignments
+        # Continue only while the residual's value survives verbatim in its
+        # bucket with an older provenance index; anything else is left to
+        # the recursive re-solve, which recovers it from fresh arrays
+        # instead of drifting to a nearby (smaller) stored value.
+        k = params.bucket_index(u)
+        if b.pos[k] == u and b.pos_d1[k] < d1:
+            d1, d2 = b.pos_d1[k], b.pos_d2[k]
+        elif admissible and b.neg[k] == u and b.neg_d1[k] < d1:
+            d1, d2 = b.neg_d1[k], b.neg_d2[k]
+        else:
             return y, j, assignments
 
 
@@ -471,13 +471,13 @@ def fptas_solve(
     if m is None:  # no interval has lo <= T, so 0 is optimal
         case_a, dc_target = True, Fraction(0)
     else:
-        ivs, _ = inst.prefix(m + 1)
-        lo_m = ivs[m].lo
+        lo, hi, _ = inst.prefix(m + 1)
+        lo_m = lo[m]
         case_a = delta_hat + params.eps_t <= t - lo_m
         dc_target = min(delta_hat + params.eps_t, Fraction(t - lo_m))
     y_hat, assignments = 0, {}
     if m and dc_target > 0:
-        items: list[Item] = [(i, lo, hi) for i, (lo, hi) in enumerate(ivs[:m])]
+        items: list[Item] = list(zip(range(m), lo[:m], hi[:m]))
         y_hat, assignments = divide_and_conquer(items, dc_target, params)
     solution, value = midrange_solution(inst, m, assignments, y_hat)
     kind = "exact" if (value == t or case_a or inst.n == 1) else "approximate"

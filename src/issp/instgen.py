@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Instance, validate, validate_columns
+from .core import Instance, validate_columns
 from .errors import NOutOfRange
 
 HI_RANGE = 10**14
@@ -113,18 +113,15 @@ def gen_c(n: int, c: Fraction, seed: int) -> Instance:
     c = Fraction(c)
     if c <= 1:
         raise ValueError(f"family C requires ratio c > 1, got {c}")
-    return validate(ratio_pairs(SplitMix64(seed), n, c), TARGET_CD)
+    return validate_columns(*ratio_columns(SplitMix64(seed), n, c), TARGET_CD)
 
 
-def ratio_pairs(rng: SplitMix64, n: int, c: Fraction) -> list[tuple[int, int]]:
-    """n draws of family C's (lo, hi): hi uniform in [1, HI_RANGE] and
-    lo = max(1, floor(hi / c))."""
-    pairs = []
-    for _ in range(n):
-        hi = rng.randint(HI_RANGE)
-        lo = max(1, hi * c.denominator // c.numerator)
-        pairs.append((lo, hi))
-    return pairs
+def ratio_columns(rng: SplitMix64, n: int, c: Fraction) -> tuple[list[int], list[int]]:
+    """The lo and hi columns of n draws of family C: hi uniform in
+    [1, HI_RANGE] and lo = max(1, floor(hi / c))."""
+    hi = [rng.randint(HI_RANGE) for _ in range(n)]
+    p, q = c.denominator, c.numerator
+    return [max(1, b * p // q) for b in hi], hi
 
 
 def gen_d(n: int, cap: Fraction, seed: int) -> Instance:
@@ -135,14 +132,14 @@ def gen_d(n: int, cap: Fraction, seed: int) -> Instance:
         raise ValueError(f"family D requires Cap > 1, got {cap}")
     cap_scaled = int(cap * RATIO_DENOM)  # floor; c_i numerators live in [10**6, this]
     rng = SplitMix64(seed)
-    pairs = []
+    lo, hi = [], []
     for _ in range(n):
-        hi = rng.randint(HI_RANGE)
+        b = rng.randint(HI_RANGE)
         # c_i = num / 10**6, uniform over denominators-10**6 rationals in [1, Cap]
         num = RATIO_DENOM - 1 + rng.randint(cap_scaled - RATIO_DENOM + 1)
-        lo = max(1, hi * RATIO_DENOM // num)
-        pairs.append((lo, hi))
-    return validate(pairs, TARGET_CD)
+        lo.append(max(1, b * RATIO_DENOM // num))
+        hi.append(b)
+    return validate_columns(lo, hi, TARGET_CD)
 
 
 def generate(spec: GenSpec) -> Instance:

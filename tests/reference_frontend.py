@@ -145,7 +145,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
         lo_sum = sum(inst.intervals[i].lo for i in chosen)
         if lo_sum > t:
             raise IsspError("wide-interval route: minimal covering prefix is infeasible")
-        return outcome(place(inst, fill_values(inst.intervals, chosen, t)), "c")
+        return outcome(place(inst, fill_values(inst.lo, inst.hi, chosen, t)), "c")
 
     return None
 

@@ -19,11 +19,11 @@ from issp.analysis import (
     solve_polynomial,
     to_knapsack,
 )
-from issp.core import Solution, evaluate, preprocess, sort_by_length, validate
+from issp.core import Solution, evaluate, preprocess, sort_by_length, validate, validate_columns
 from issp.errors import DegenerateLength, SubsetInfeasible
 from issp.exact import brute_force_optimum
 
-from conftest import instances
+from conftest import eager_sort, instances
 import reference_frontend
 
 
@@ -53,23 +53,21 @@ class TestToKnapsack:
 
 class TestFillValues:
     def test_reaches_clipped_value_with_one_interior_entry(self):
-        intervals = validate([(10, 20), (10, 25), (5, 9)], 40).intervals
-        values = fill_values(intervals, [0, 1, 2], 40)
+        inst = validate([(10, 20), (10, 25), (5, 9)], 40)
+        values = fill_values(inst.lo, inst.hi, [0, 1, 2], 40)
         assert sum(values.values()) == 40
-        interior = [
-            i for i, v in values.items() if intervals[i].lo < v < intervals[i].hi
-        ]
+        interior = [i for i, v in values.items() if inst.lo[i] < v < inst.hi[i]]
         assert len(interior) <= 1
 
     def test_caps_at_upper_endpoints_when_target_far(self):
-        intervals = validate([(10, 20), (10, 25)], 1000).intervals
-        values = fill_values(intervals, [0, 1], 1000)
+        inst = validate([(10, 20), (10, 25)], 1000)
+        values = fill_values(inst.lo, inst.hi, [0, 1], 1000)
         assert values == {0: 20, 1: 25}
 
     def test_rejects_infeasible_subset(self):
-        intervals = validate([(30, 40), (30, 40)], 50).intervals
+        inst = validate([(30, 40), (30, 40)], 50)
         with pytest.raises(SubsetInfeasible):
-            fill_values(intervals, [0, 1], 50)
+            fill_values(inst.lo, inst.hi, [0, 1], 50)
 
 
 class TestSolutionFromSubset:
@@ -140,6 +138,19 @@ class TestSolvePolynomial:
         assert out is not None
         assert out.stats["route"] == "c"
         assert out.value == 24
+
+    def test_route_b_reads_only_the_prefix_it_fills(self):
+        # min length 100 >= max lo = 100, so the bound is 100 <= T = 301;
+        # the 24 shortest intervals (lo 1..24) fill T, and the view stays
+        # at its first chunk, where it sorted all 20,000 positions before
+        n = 20_000
+        lo = [1 + i % 100 for i in range(n)]
+        inst = validate_columns(lo, [a + 100 + i % 101 for i, a in enumerate(lo)], 301)
+        view = sort_by_length(inst)
+        out = solve_polynomial(view)
+        assert (out.stats["route"], out.value, view.materialized) == ("b", 301, 1024)
+        ref = reference_frontend.solve_polynomial(eager_sort(inst))
+        assert (ref.stats["route"], ref.solution) == ("b", out.solution)
 
     def test_no_route_returns_none(self):
         # sum lo = 110 > T, large-target bound 360 > T, c* = 85/60 < 2

@@ -228,9 +228,8 @@ class TestParserAgainstReference:
 class TestColumnarFrontEnd:
     def test_solve_builds_intervals_for_the_scanned_prefix_only(self, monkeypatch):
         # issp solve's op on C n = 20,000: the scan exits at item 360, inside
-        # the length order's first chunk, and every n-linear pass reads the
-        # columns, so neither the input nor the view builds its full
-        # intervals or original tuple
+        # the length order's first chunk, and every pass reads the columns,
+        # so no Interval is built, for the scanned prefix or any other
         n = 20_000
         text = serialize_instance(issp.gen_c(n, Fraction(3, 2), 1))
         built = 0
@@ -253,7 +252,35 @@ class TestColumnarFrontEnd:
         assert out.midrange_index == 360 and len(views) == 1
         for obj in (inst, *views):
             assert not {"intervals", "original"} & vars(obj).keys()
-        assert 0 < built < n / 8
+        assert built == 0
+
+    @pytest.mark.parametrize(
+        "pairs, t, route",
+        [
+            ([(3, 5), (4, 6)], 9, "a"),
+            ([(3, 5), (200, 300), (4, 6)], 9, "a"),  # reduced: origin (0, 2)
+            ([(5, 10), (5, 10), (5, 10)], 14, "b"),
+            ([(5, 10)] * 10 + [(1, 2)], 24, "c"),
+            ([(10, 20), (10, 25), (60, 85), (30, 50)], 100, None),
+        ],
+    )
+    def test_no_pass_builds_an_interval(self, monkeypatch, capsys, tmp_path, pairs, t, route):
+        def refuse(lo, hi):
+            raise AssertionError("an Interval was built")
+
+        monkeypatch.setattr(core, "_intervals", refuse)
+        inst = validate(pairs, t)
+        poly = analysis.solve_polynomial(sort_by_length(preprocess(inst)))
+        assert (poly and poly.stats["route"]) == route
+        for algorithm in ("fptas", "dp", "brute", "auto"):
+            out = cli._solve_instance(inst, algorithm, Fraction(1, 10))
+            assert core.evaluate(inst, out.solution) == out.value
+            assert core.midrange_count(inst, out.solution) <= 1
+        path = tmp_path / "inst.txt"
+        path.write_text(serialize_instance(inst))
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, err) == (0, "")
+        assert f"polynomial route: {'none' if route is None else f'({route})'}\n" in out
 
 
 class TestParseRatio:

@@ -184,10 +184,10 @@ class TestLengthOrder:
             view = sort_by_length(inst)
             assert view.n == ref.n and view.length_sorted
             for k in reads:
-                ivs, origin = view.prefix(k)
+                lo, hi, origin = view.prefix(k)
                 done = view.materialized
-                assert min(k, ref.n) <= done <= ref.n == len(ivs) == len(origin)
-                assert tuple(ivs[:done]) == ref.intervals[:done]
+                assert min(k, ref.n) <= done <= ref.n == len(lo) == len(hi) == len(origin)
+                assert tuple(lo[:done]) == ref.lo[:done] and tuple(hi[:done]) == ref.hi[:done]
                 assert tuple(origin[:done]) == ref.origin[:done]
             assert tuple(sort_by_length(inst).stream()) == ref.intervals
             assert (view.intervals, view.origin) == (ref.intervals, ref.origin)

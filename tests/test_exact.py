@@ -267,7 +267,7 @@ class TestRepresentations:
         arrays = BucketArray(FptasParams(Fraction(1, t + extra), t), t)
         got = scan(inst, arrays)
         for sums in (SparseSums, BitsetSums):
-            reach = sums(inst.intervals, t)
+            reach = sums(inst.lo, inst.hi, t)
             assert scan(inst, reach)[:4] == got[:4]
             assert reach.snapshot() == tuple(arrays.values())
 
@@ -321,7 +321,7 @@ class TestSparseSums:
         assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
 
     def test_lone_point_takes_the_lo_run(self):
-        reach = SparseSums(validate([(2, 2)], 10).intervals, 10)
+        reach = SparseSums((2,), (2,), 10)
         reach.add(0, 2, 2)
         assert (reach.firsts, reach.ends) == ([2], [0, 0, 1])
 
@@ -331,7 +331,7 @@ class TestSparseSums:
         inst = validate([(1, 2)] * 2000, 10**12)
         assert run_dp(inst, SparseSums).solution == run_dp(inst, BitsetSums).solution
         work = sort_by_length(inst)
-        reach = SparseSums(work.intervals, work.target)
+        reach = SparseSums(work.lo, work.hi, work.target)
         _, m, delta, _, _ = scan(work, reach)
         assert (m, delta) == (1999, 3998)
         reach.ends = ReadLog(reach.ends)
