@@ -17,8 +17,8 @@ instead recursively splits the item set in two, computes the relaxed
 arrays per half, picks a compatible pair (u1, u2) of half-sums, and
 backtracks greedily with provenance indices, removing every touched
 suffix so no item is ever used twice.  The second half is backtracked
-toward an updated target, on its first arrays when a re-run at that
-target would end with the same ones and on a re-run otherwise.
+toward an updated target by a walk taken from its first arrays before
+their release when a re-run would end with them, or on a re-run.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
@@ -323,29 +323,27 @@ def find_u1_u2(
 
 
 def backtrack(
-    b: BucketArray,
-    items: list[Item],
-    local_target: Number,
-    params: FptasParams,
+    b: BucketArray, items: list[Item], local_target: Number, params: FptasParams
 ) -> tuple[int, int, dict[int, int]]:
-    """Greedy provenance walk from the best stored value <= local_target.
-
-    Each step fixes one item at the recorded endpoint and removes every
-    item at or after it from further consideration.  The walk continues
-    through older slots only while the accumulated value stays admissible
-    (within eps*T below the target, never above it); otherwise it stops,
-    leaving the remainder to a recursive split.  ``items`` is sorted by
-    position and the walk's positions strictly decrease, so the removed
-    items are the suffix from the last one fixed.  Returns the accumulated
-    value y, the index in ``items`` where that suffix starts, and the
-    endpoint assignments.
-    """
+    """``walk`` from the largest stored value <= local_target."""
     u = b.largest_le(math.floor(local_target))
     if u == 0:
         raise EmptyArray("no stored value at or below the target")
-    # u + y stays at the start value u, so it never exceeds the target, and
-    # whether it is admissible is decided once
-    admissible = u >= math.ceil(local_target - params.eps_t)
+    return walk(b, items, u, u >= math.ceil(local_target - params.eps_t))
+
+
+def walk(
+    b: BucketArray, items: list[Item], u: int, admissible: bool
+) -> tuple[int, int, dict[int, int]]:
+    """Greedy provenance walk from the stored value u.
+
+    Each step fixes one item at the recorded endpoint and removes every
+    item at or after it; a bucket minimum is followed only if
+    ``admissible`` (u is within eps*T below the target).  The positions
+    strictly decrease, so the removed items are a suffix of ``items``.
+    Returns the value y reached, the index where that suffix starts, and
+    the endpoint assignments.
+    """
     assignments: dict[int, int] = {}
     y = 0
     d1, d2 = b.slot_for(u)
@@ -362,7 +360,7 @@ def backtrack(
         # bucket with an older provenance index; anything else is left to
         # the recursive re-solve, which recovers it from fresh arrays
         # instead of drifting to a nearby (smaller) stored value.
-        k = params.bucket_index(u)
+        k = b.params.bucket_index(u)
         if b.pos[k] == u and b.pos_d1[k] < d1:
             d1, d2 = b.pos_d1[k], b.pos_d2[k]
         elif admissible and b.neg[k] == u and b.neg_d1[k] < d1:
@@ -397,14 +395,14 @@ def _dc(
     t2 = t_local - (what the first half reached): a backtrack on its
     relaxed arrays at t2, then a recursion on what that left.
 
-    Those arrays are b2 itself when the first half did not recurse and no
-    value stored in b2 exceeds t2: a value the run offers at or below its
-    cut never exceeds its bucket's final maximum, so the run cut at
-    floor(t2) is offered the same values in the same order and ends with
-    the same slots.  Otherwise b2 is released and the second half re-run at
-    t2.  b1 is released after its backtrack and b2 before any recursion, so
-    no frame holds an array while it recurses and at most two arrays (b1
-    and b2 of the innermost frame) are live at once.
+    That backtrack is taken from b2 before b2 is released.  Every value the run
+    offered is at most b2's largest value top2, so if top2 <= t2 a re-run cut
+    at t2 ends with b2's slots and its backtrack is the walk from top2,
+    admissible if top2 >= t2 - eps*T.  The first half gets within eps*T of
+    t_local - u2, so t2 <= u2 + eps*T: the admissible walk is taken only if
+    top2 <= u2 + eps*T, and used if top2 is in [t2 - eps*T, t2]; otherwise the
+    half is re-run at t2.  At most two arrays (b1 and b2 of the innermost
+    frame) are live at once; the frames hold O(m) walk entries.
     """
     if not items:
         return 0
@@ -421,21 +419,22 @@ def _dc(
         assignments.update(asg1)
         lam1_rest = lam1[:cut1]
     b1.release()
-    first_recurses = t_local - u2 - y1b > eps_t
-    if first_recurses:
-        b2.release()
+    top2 = b2.largest_le(params.target)
+    early = walk(b2, lam2, top2, True) if 0 < top2 <= u2 + eps_t else None
+    b2.release()
+    if t_local - u2 - y1b > eps_t:
         y1dc = _dc(lam1_rest, t_local - u2 - y1b, params, assignments)
     t2 = t_local - y1b - y1dc
     lam2_rest = lam2
     if t2 > eps_t:
-        # tested first: a released b2 reads as empty, so it would pass the max test
-        if first_recurses or b2.largest_le(params.target) > t2:
-            b2.release()
+        if early and math.ceil(t2 - eps_t) <= top2 <= t2:
+            y2b, cut2, asg2 = early
+        else:
             b2 = relaxed_dp(lam2, t2, params)
-        y2b, cut2, asg2 = backtrack(b2, lam2, t2, params)
+            y2b, cut2, asg2 = backtrack(b2, lam2, t2, params)
+            b2.release()
         assignments.update(asg2)
         lam2_rest = lam2[:cut2]
-    b2.release()
     if t2 - y2b > eps_t:
         y2dc = _dc(lam2_rest, t2 - y2b, params, assignments)
     return y1b + y1dc + y2b + y2dc

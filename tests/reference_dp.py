@@ -8,8 +8,9 @@ small inputs.
 
 ``rebuild_dc`` is the FPTAS reconstruction as first written: every level
 re-runs ``relaxed_dp`` on the second half at its updated target, where
-``issp.fptas`` reuses the second half's first run when that is exact.  It
-is the reference for ``divide_and_conquer``.
+``issp.fptas`` takes the second half's backtrack from its first run when a
+re-run would end with the same arrays.  It is the reference for
+``divide_and_conquer``.
 """
 
 from __future__ import annotations

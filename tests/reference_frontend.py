@@ -3,10 +3,11 @@ first written.
 
 These are the line-by-line parser with its per-pair validation loop, the
 detectors that make one pass over the intervals per aggregate and test
-c* >= 2 on a ``Fraction`` per interval, and the check that visits every
-entry of a solution.  They are kept as the references for the one-split
-parser, the C-level validation, the one-pass detectors and the
-nonzero-only check in ``issp``, on small inputs.
+c* >= 2 on a ``Fraction`` per interval, the routes' greedy fill with its
+input-order placement, and the check that visits every entry of a
+solution.  They are kept as the references for the one-split parser, the
+C-level validation, the one-pass detectors, ``analysis.fill_values`` with
+``core.place`` and the nonzero-only check in ``issp``, on small inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import warnings
 from fractions import Fraction
 from typing import Optional
 
-from issp.analysis import fill_values, solution_from_subset
-from issp.core import Instance, Interval, Solution, SolveOutcome, place
+from issp.core import Instance, Interval, Solution, SolveOutcome
 from issp.errors import (
     DegenerateLength,
     InvertedInterval,
@@ -68,6 +68,22 @@ def parse_instance_text(text: str) -> Instance:
     return validate(pairs, target)
 
 
+def fill(inst: Instance, subset: list[int]) -> Solution:
+    """Each member of ``subset`` (positions in ``inst``'s order) at its
+    lower endpoint, then raised in the order given toward its upper one
+    until the total meets the target; returned in input order."""
+    values = {i: inst.lo[i] for i in subset}
+    total = sum(values.values())
+    for i in subset:
+        step = min(inst.hi[i] - inst.lo[i], inst.target - total)
+        values[i] += step
+        total += step
+    x = [0] * inst.input.n
+    for i, v in values.items():
+        x[inst.origin[i]] = v
+    return Solution(tuple(x))
+
+
 def min_interval_length(inst: Instance) -> Optional[int]:
     if inst.is_empty:
         return None
@@ -112,7 +128,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
 
     lo_total = sum(iv.lo for iv in inst.intervals)
     if t >= lo_total:
-        return outcome(solution_from_subset(inst, range(inst.n)), "a")
+        return outcome(fill(inst, list(range(inst.n))), "a")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLength)
@@ -129,7 +145,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
         hi_sum = sum(inst.intervals[i].hi for i in prefix)
         if hi_sum < t:
             raise IsspError("large-target route: prefix upper endpoints do not cover the target")
-        return outcome(solution_from_subset(inst, prefix), "b")
+        return outcome(fill(inst, prefix), "b")
 
     cstar = check_wide(inst)
     hi_total = sum(iv.hi for iv in inst.intervals)
@@ -145,7 +161,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
         lo_sum = sum(inst.intervals[i].lo for i in chosen)
         if lo_sum > t:
             raise IsspError("wide-interval route: minimal covering prefix is infeasible")
-        return outcome(place(inst, fill_values(inst.lo, inst.hi, chosen, t)), "c")
+        return outcome(fill(inst, chosen), "c")
 
     return None
 

@@ -1,13 +1,14 @@
 """Approximation scheme: buckets, reconstruction, guarantee, space meter."""
 
 import hashlib
+import math
 import tracemalloc
 from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from issp import analysis, core
@@ -25,10 +26,12 @@ from issp.exact import brute_force_optimum, dp_exact, scan
 from issp.fptas import (
     BucketArray,
     FptasParams,
+    backtrack,
     divide_and_conquer,
     find_u1_u2,
     fptas_solve,
     relaxed_dp,
+    walk,
 )
 from issp.instgen import SplitMix64, gen_b, gen_c
 
@@ -330,9 +333,9 @@ class TestRelaxedDp:
     @example(filled_case(FILLED_TARGETS[1]), Fraction(1, 3))
     @settings(max_examples=300, deadline=None)
     def test_cut_above_largest_stored_value_changes_nothing(self, case, frac):
-        # the lemma behind the D&C's reuse of the second half's arrays: a
-        # run cut at any t' <= t with floor(t') >= the t-run's largest
-        # stored value ends with the same slots
+        # the lemma behind the D&C's backtrack on the second half's first
+        # arrays: a run cut at any t' <= t with floor(t') >= the t-run's
+        # largest stored value ends with the same slots
         items, local_target, p = case
         b = relaxed_dp(items, local_target, p)
         top = b.largest_le(p.target)
@@ -375,16 +378,60 @@ class TestDivideAndConquer:
             FptasParams(Fraction(1, 10), 505574),
         )
     )
+    # the first half recurses, then the second half's early walk is used
+    @example(([(0, 63, 63), (1, 61, 617), (2, 584, 584)], 925, FptasParams(Fraction(3, 10), 925)))
+    # the first half recurses, then the early walk is dropped for a re-run
+    # because the second half's largest value exceeds its updated target
+    @example(
+        (
+            [(0, 320517, 341073), (1, 57763, 400142), (2, 206520, 255954)],
+            960374,
+            FptasParams(Fraction(1, 10), 960374),
+        )
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_rebuilding_reference(self, case):
-        # the reference re-runs the second half at every level; reusing
-        # its first run must change neither the answer nor the peak slots.
-        # In the explicit 4-item case the first half does not recurse but
-        # the second half stores a value above its updated target, so its
-        # first run must not be reused.
+        # the reference re-runs the second half at every level; taking its
+        # backtrack from the first run must change neither the answer nor
+        # the peak slots.  In the explicit 4-item case the first half does
+        # not recurse but the second half stores a value above its updated
+        # target, so its first run must not be used.
         items, local_target, p = case
         args = (items, local_target, p.epsilon, p.target)
         assert dc_outcome(divide_and_conquer, *args) == dc_outcome(rebuild_dc, *args)
+
+    @given(item_lists(), st.fractions(min_value=0, max_value=3))
+    # the walk from top = 958 goes on to 943, a bucket minimum, only when
+    # admissible: at frac = 1, t - eps*T is exactly top, and 3/2 is above
+    @example(([(0, 943, 943), (1, 15, 204)], 1000, FptasParams(Fraction(1, 5), 1000)), Fraction(1))
+    @example(([(0, 943, 943), (1, 15, 204)], 1000, FptasParams(Fraction(1, 5), 1000)), Fraction(3, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_backtrack_is_the_walk_from_the_largest_value(self, case, frac):
+        # at any t with floor(t) >= top, backtrack starts at top and reads t
+        # only for the admissibility test; frac > 1 makes top inadmissible
+        items, local_target, p = case
+        b = relaxed_dp(items, local_target, p)
+        top = b.largest_le(p.target)
+        assume(top)
+        t = top + frac * p.eps_t
+        assert backtrack(b, items, t, p) == walk(b, items, top, top >= math.ceil(t - p.eps_t))
+
+    @given(item_lists(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reaches_within_eps_t_of_a_target_near_a_subset_sum(self, case, data):
+        # each recursion's target lies within eps*T above an exact subset
+        # sum of its items, and so does this one; that the result gets
+        # within eps*T is why the second half's early walk is admissible
+        items, _, p = case
+        n = len(items)
+        picks = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+        r = sum(item[k] if k else 0 for item, k in zip(items, picks))
+        assume(r <= p.target)
+        t = min(p.target, r + data.draw(st.fractions(min_value=0, max_value=1)) * p.eps_t)
+        y, assignments = divide_and_conquer(items, t, p)
+        assert t - p.eps_t <= y <= t
+        assert sum(assignments.values()) == y
+        assert all(a in items[i][1:] for i, a in assignments.items())
 
 
 class TestFindPair:
@@ -471,7 +518,9 @@ class TestFptasSolve:
 
     def test_second_half_reuses_its_relaxed_arrays(self, monkeypatch):
         # rebuilding the second half at every level takes 24 relaxed_dp
-        # calls over 1,473 items here; the answer is the pinned one
+        # calls over 1,473 items here; backtracking on its first run
+        # whenever a re-run would end with the same arrays takes 16 over
+        # 983; the answer is the pinned one
         sizes = []
 
         def counted(items, local_target, params):
@@ -481,7 +530,7 @@ class TestFptasSolve:
         monkeypatch.setattr(fptas, "relaxed_dp", counted)
         work = sort_by_length(preprocess(gen_b(500)))
         out = fptas_solve(work, Fraction(1, 1000))
-        assert (len(sizes), sum(sizes)) == (22, 1223)
+        assert (len(sizes), sum(sizes)) == (16, 983)
         got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"])
         assert got == (62468124, "approximate", 500, 4000)
 
