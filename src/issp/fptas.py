@@ -16,9 +16,11 @@ so plain backtracking cannot reconstruct a solution; reconstruction
 instead recursively splits the item set in two, computes the relaxed
 arrays per half, picks a compatible pair (u1, u2) of half-sums, and
 backtracks greedily with provenance indices, removing every touched
-suffix so no item is ever used twice.  The second half is backtracked
-toward an updated target by a walk taken from its first arrays before
-their release when a re-run would end with them, or on a re-run.
+suffix so no item is ever used twice.  Every backtrack is one walk from
+the largest stored value at or below its target.  The second half's is
+taken from its first arrays before their release and used when that value
+is at or below the half's updated target, where a re-run would end with the
+same arrays; otherwise the half is re-run.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
@@ -40,7 +42,6 @@ from .core import Instance, SolveOutcome, sort_by_length
 from .errors import (
     EmptyArray,
     EpsilonOutOfRange,
-    IsspError,
     MemoryBudgetExceeded,
     NoPairFound,
     OutOfRange,
@@ -163,7 +164,7 @@ class BucketArray:
         """Largest stored value <= bound, or 0 if none."""
         if bound <= 0 or not self.nonempty:
             return 0
-        kb = min(self.params.bucket_index(min(bound, self.params.target)), self.params.l)
+        kb = self.params.bucket_index(min(bound, self.params.target))
         i = bisect_right(self.nonempty, kb) - 1
         if i < 0:
             return 0
@@ -274,15 +275,6 @@ class BucketArray:
             self.nonempty += new
             self.nonempty.sort()  # two sorted runs, so the sort is a linear merge
 
-    def slot_for(self, v: int) -> tuple[int, int]:
-        """(d1, d2) of the slot currently holding value v."""
-        k = self.params.bucket_index(v)
-        if self.pos[k] == v:
-            return self.pos_d1[k], self.pos_d2[k]
-        if self.neg[k] == v:
-            return self.neg_d1[k], self.neg_d2[k]
-        raise IsspError(f"value {v} is not stored in its bucket (caller bug)")
-
 
 def relaxed_dp(items: list[Item], local_target: Number, params: FptasParams) -> BucketArray:
     """Stream the items, keeping min/max reachable sums per bucket.
@@ -325,48 +317,35 @@ def find_u1_u2(
 def backtrack(
     b: BucketArray, items: list[Item], local_target: Number, params: FptasParams
 ) -> tuple[int, int, dict[int, int]]:
-    """``walk`` from the largest stored value <= local_target."""
+    """Greedy provenance walk from u, the largest stored value <= local_target.
+
+    Each step finds the residual u verbatim in its bucket, max slot first,
+    with a provenance index below the last one fixed (the first step's bound
+    lies above every position in ``items``), fixes that item at the recorded
+    endpoint and removes every item at or after it.  A residual not found is
+    left to the recursive re-solve, which recovers it from fresh arrays
+    instead of drifting to a nearby smaller value.  Returns the value y
+    reached, the index where the removed suffix starts, and the assignments.
+    """
     u = b.largest_le(math.floor(local_target))
     if u == 0:
         raise EmptyArray("no stored value at or below the target")
-    return walk(b, items, u, u >= math.ceil(local_target - params.eps_t))
-
-
-def walk(
-    b: BucketArray, items: list[Item], u: int, admissible: bool
-) -> tuple[int, int, dict[int, int]]:
-    """Greedy provenance walk from the stored value u.
-
-    Each step fixes one item at the recorded endpoint and removes every
-    item at or after it; a bucket minimum is followed only if
-    ``admissible`` (u is within eps*T below the target).  The positions
-    strictly decrease, so the removed items are a suffix of ``items``.
-    Returns the value y reached, the index where that suffix starts, and
-    the endpoint assignments.
-    """
     assignments: dict[int, int] = {}
-    y = 0
-    d1, d2 = b.slot_for(u)
-    while True:
-        j = bisect_left(items, (d1,))
-        _, lo, hi = items[j]
-        a = lo if d2 == 1 else hi
-        assignments[d1] = a
-        y += a
-        u -= a
-        if u == 0:
-            return y, j, assignments
-        # Continue only while the residual's value survives verbatim in its
-        # bucket with an older provenance index; anything else is left to
-        # the recursive re-solve, which recovers it from fresh arrays
-        # instead of drifting to a nearby (smaller) stored value.
+    y, j, d1 = 0, len(items), items[-1][0] + 1
+    while u:
         k = b.params.bucket_index(u)
         if b.pos[k] == u and b.pos_d1[k] < d1:
             d1, d2 = b.pos_d1[k], b.pos_d2[k]
-        elif admissible and b.neg[k] == u and b.neg_d1[k] < d1:
+        elif b.neg[k] == u and b.neg_d1[k] < d1:
             d1, d2 = b.neg_d1[k], b.neg_d2[k]
         else:
-            return y, j, assignments
+            break
+        j = bisect_left(items, (d1,))
+        a = items[j][d2]  # d2 = 1 selects lo, 2 selects hi
+        assignments[d1] = a
+        y += a
+        u -= a
+    return y, j, assignments
 
 
 def divide_and_conquer(
@@ -395,14 +374,34 @@ def _dc(
     t2 = t_local - (what the first half reached): a backtrack on its
     relaxed arrays at t2, then a recursion on what that left.
 
-    That backtrack is taken from b2 before b2 is released.  Every value the run
-    offered is at most b2's largest value top2, so if top2 <= t2 a re-run cut
-    at t2 ends with b2's slots and its backtrack is the walk from top2,
-    admissible if top2 >= t2 - eps*T.  The first half gets within eps*T of
-    t_local - u2, so t2 <= u2 + eps*T: the admissible walk is taken only if
-    top2 <= u2 + eps*T, and used if top2 is in [t2 - eps*T, t2]; otherwise the
-    half is re-run at t2.  At most two arrays (b1 and b2 of the innermost
-    frame) are live at once; the frames hold O(m) walk entries.
+    That backtrack is taken from b2 before b2 is released, as the walk from
+    b2's largest value top2.  Every value the run offered is at most top2, so
+    if top2 <= t2 a re-run cut at t2 ends with b2's slots, and its backtrack
+    starts at top2 too.  The first half gets within eps*T of t_local - u2,
+    so t2 <= u2 + eps*T: the walk is taken only if top2 <= u2 + eps*T, and
+    the half is re-run at t2 only if top2 > t2.
+
+    Every walk starts at a value u with ceil(bound - eps*T) <= u <= bound,
+    within eps*T of its target, so it may follow a bucket minimum:
+    - First half: find_u1_u2 gives u1 >= ceil(t_local - u2 - eps*T), which is
+      positive under the guard t_local - u2 > eps*T, so u1 is stored in b1
+      and the start is at least u1.
+    - Early walk: its bound is top2 itself.
+    - Re-run at t2: the first half ends within eps*T of t_local - u2, so u2
+      lies in [t2 - eps*T, t2] and is positive, since t2 > eps*T.  A bucket
+      wholly <= floor(t2) gets the same offers in both runs, because only
+      lower values feed it, so it holds the same values after every item;
+      if u2 lies in such a bucket, the re-run stores u2.  Otherwise u2 lies
+      in the bucket K holding floor(t2).  If u2 is K's final minimum in b2,
+      its predecessor was lower and not in K (K's minimum would have been
+      below u2 from then on), so it sat in a lower bucket that the re-run
+      shares, and the re-run is offered u2 as well.  If u2 is K's final
+      maximum, every offer into K was at most u2 <= floor(t2), so the
+      re-run's K is b2's.  Either way the re-run stores a value in
+      [u2, floor(t2)], so its start is at least u2.
+
+    At most two arrays (b1 and b2 of the innermost frame) are live at once;
+    the frames hold O(m) walk entries.
     """
     if not items:
         return 0
@@ -420,14 +419,14 @@ def _dc(
         lam1_rest = lam1[:cut1]
     b1.release()
     top2 = b2.largest_le(params.target)
-    early = walk(b2, lam2, top2, True) if 0 < top2 <= u2 + eps_t else None
+    early = backtrack(b2, lam2, top2, params) if 0 < top2 <= u2 + eps_t else None
     b2.release()
     if t_local - u2 - y1b > eps_t:
         y1dc = _dc(lam1_rest, t_local - u2 - y1b, params, assignments)
     t2 = t_local - y1b - y1dc
     lam2_rest = lam2
     if t2 > eps_t:
-        if early and math.ceil(t2 - eps_t) <= top2 <= t2:
+        if early and top2 <= t2:
             y2b, cut2, asg2 = early
         else:
             b2 = relaxed_dp(lam2, t2, params)

@@ -9,16 +9,21 @@ small inputs.
 ``rebuild_dc`` is the FPTAS reconstruction as first written: every level
 re-runs ``relaxed_dp`` on the second half at its updated target, where
 ``issp.fptas`` takes the second half's backtrack from its first run when a
-re-run would end with the same arrays.  It is the reference for
+re-run would end with the same arrays.  Its backtrack, ``flagged_backtrack``,
+is the walk as first written too: it looks its start up by value and
+follows a bucket minimum only when the start lies within eps*T of the
+target, where ``issp.fptas.backtrack`` always may.  It is the reference for
 ``divide_and_conquer``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+import math
+from bisect import bisect_left, bisect_right, insort
 
 from issp.core import Instance, sort_by_length
-from issp.fptas import FptasParams, Item, Number, backtrack, find_u1_u2, relaxed_dp
+from issp.errors import EmptyArray, IsspError
+from issp.fptas import BucketArray, FptasParams, Item, Number, find_u1_u2, relaxed_dp
 
 
 def insort_dp(inst: Instance) -> dict:
@@ -86,6 +91,42 @@ def insort_dp(inst: Instance) -> dict:
     }
 
 
+def flagged_backtrack(
+    b: BucketArray, items: list[Item], local_target: Number, params: FptasParams
+) -> tuple[int, int, dict[int, int]]:
+    """Walk from the largest stored value u <= local_target, following a
+    bucket minimum only if u >= ceil(local_target - eps*T)."""
+    u = b.largest_le(math.floor(local_target))
+    if u == 0:
+        raise EmptyArray("no stored value at or below the target")
+    admissible = u >= math.ceil(local_target - params.eps_t)
+    k = params.bucket_index(u)
+    if b.pos[k] == u:
+        d1, d2 = b.pos_d1[k], b.pos_d2[k]
+    elif b.neg[k] == u:
+        d1, d2 = b.neg_d1[k], b.neg_d2[k]
+    else:
+        raise IsspError(f"value {u} is not stored in its bucket")
+    assignments: dict[int, int] = {}
+    y = 0
+    while True:
+        j = bisect_left(items, (d1,))
+        _, lo, hi = items[j]
+        a = lo if d2 == 1 else hi
+        assignments[d1] = a
+        y += a
+        u -= a
+        if u == 0:
+            return y, j, assignments
+        k = params.bucket_index(u)
+        if b.pos[k] == u and b.pos_d1[k] < d1:
+            d1, d2 = b.pos_d1[k], b.pos_d2[k]
+        elif admissible and b.neg[k] == u and b.neg_d1[k] < d1:
+            d1, d2 = b.neg_d1[k], b.neg_d2[k]
+        else:
+            return y, j, assignments
+
+
 def rebuild_dc(
     items: list[Item], local_target: Number, params: FptasParams
 ) -> tuple[int, dict[int, int]]:
@@ -112,7 +153,7 @@ def _rebuild_dc(
     y1b = y1dc = y2b = y2dc = 0
     lam1_rest = lam1
     if t_local - u2 > eps_t:
-        y1b, cut1, asg1 = backtrack(b1, lam1, t_local - u2, params)
+        y1b, cut1, asg1 = flagged_backtrack(b1, lam1, t_local - u2, params)
         assignments.update(asg1)
         lam1_rest = lam1[:cut1]
     b1.release()
@@ -122,7 +163,7 @@ def _rebuild_dc(
     lam2_rest = lam2
     if t_local - y1b - y1dc > eps_t:
         b2n = relaxed_dp(lam2, t_local - y1b - y1dc, params)
-        y2b, cut2, asg2 = backtrack(b2n, lam2, t_local - y1b - y1dc, params)
+        y2b, cut2, asg2 = flagged_backtrack(b2n, lam2, t_local - y1b - y1dc, params)
         b2n.release()
         assignments.update(asg2)
         lam2_rest = lam2[:cut2]

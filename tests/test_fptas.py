@@ -31,7 +31,6 @@ from issp.fptas import (
     find_u1_u2,
     fptas_solve,
     relaxed_dp,
-    walk,
 )
 from issp.instgen import SplitMix64, gen_b, gen_c
 
@@ -248,7 +247,9 @@ class TestBucketArray:
         p = FptasParams(Fraction(1, 5), 100)
         b = BucketArray(p, 100)
         b.insert(30, 4, 1)
-        assert b.slot_for(30) == (4, 1)
+        k = p.bucket_index(30)
+        assert (b.pos[k], b.pos_d1[k], b.pos_d2[k]) == (30, 4, 1)
+        assert (b.neg[k], b.neg_d1[k], b.neg_d2[k]) == (30, 4, 1)
         b.release()
 
     def test_meter_counts_two_slots_per_bucket(self):
@@ -367,6 +368,41 @@ def dc_outcome(dc, items, local_target, epsilon, target):
     return result, p.peak_slots
 
 
+def dc_walk_starts(items, local_target, params):
+    """Run divide_and_conquer and return the (start value, bound) of every
+    backtrack it took, up to any error, and whether it re-ran a second half
+    (passed the same item list to relaxed_dp twice)."""
+    starts, runs = [], []
+
+    def recorded_backtrack(b, walk_items, bound, p):
+        starts.append((b.largest_le(math.floor(bound)), bound))
+        return backtrack(b, walk_items, bound, p)
+
+    def recorded_relaxed_dp(run_items, bound, p):
+        runs.append(run_items)  # kept alive, so ids stay distinct
+        return relaxed_dp(run_items, bound, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fptas, "backtrack", recorded_backtrack)
+        mp.setattr(fptas, "relaxed_dp", recorded_relaxed_dp)
+        try:
+            divide_and_conquer(items, local_target, params)
+        except IsspError:
+            pass
+    return starts, len({id(r) for r in runs}) < len(runs)
+
+
+# the first half recurses, then the second half's early walk is used
+EARLY_WALK_CASE = ([(0, 63, 63), (1, 61, 617), (2, 584, 584)], 925, FptasParams(Fraction(3, 10), 925))
+# the first half recurses, then the early walk is dropped for a re-run
+# because the second half's largest value exceeds its updated target
+RE_RUN_CASE = (
+    [(0, 320517, 341073), (1, 57763, 400142), (2, 206520, 255954)],
+    960374,
+    FptasParams(Fraction(1, 10), 960374),
+)
+
+
 class TestDivideAndConquer:
     @given(item_lists())
     @example(filled_case(FILLED_TARGETS[0]))
@@ -378,17 +414,8 @@ class TestDivideAndConquer:
             FptasParams(Fraction(1, 10), 505574),
         )
     )
-    # the first half recurses, then the second half's early walk is used
-    @example(([(0, 63, 63), (1, 61, 617), (2, 584, 584)], 925, FptasParams(Fraction(3, 10), 925)))
-    # the first half recurses, then the early walk is dropped for a re-run
-    # because the second half's largest value exceeds its updated target
-    @example(
-        (
-            [(0, 320517, 341073), (1, 57763, 400142), (2, 206520, 255954)],
-            960374,
-            FptasParams(Fraction(1, 10), 960374),
-        )
-    )
+    @example(EARLY_WALK_CASE)
+    @example(RE_RUN_CASE)
     @settings(max_examples=300, deadline=None)
     def test_matches_rebuilding_reference(self, case):
         # the reference re-runs the second half at every level; taking its
@@ -400,28 +427,42 @@ class TestDivideAndConquer:
         args = (items, local_target, p.epsilon, p.target)
         assert dc_outcome(divide_and_conquer, *args) == dc_outcome(rebuild_dc, *args)
 
-    @given(item_lists(), st.fractions(min_value=0, max_value=3))
-    # the walk from top = 958 goes on to 943, a bucket minimum, only when
-    # admissible: at frac = 1, t - eps*T is exactly top, and 3/2 is above
-    @example(([(0, 943, 943), (1, 15, 204)], 1000, FptasParams(Fraction(1, 5), 1000)), Fraction(1))
-    @example(([(0, 943, 943), (1, 15, 204)], 1000, FptasParams(Fraction(1, 5), 1000)), Fraction(3, 2))
+    @given(item_lists())
+    @example(filled_case(FILLED_TARGETS[0]))
+    @example(filled_case(FILLED_TARGETS[1]))
+    @example(EARLY_WALK_CASE)
+    @example(RE_RUN_CASE)
     @settings(max_examples=300, deadline=None)
-    def test_backtrack_is_the_walk_from_the_largest_value(self, case, frac):
-        # at any t with floor(t) >= top, backtrack starts at top and reads t
-        # only for the admissibility test; frac > 1 makes top inadmissible
+    def test_every_walk_starts_within_eps_t_of_its_bound(self, case):
+        # the claim proved in _dc's docstring, which lets a walk follow a
+        # bucket minimum whatever its bound
         items, local_target, p = case
-        b = relaxed_dp(items, local_target, p)
-        top = b.largest_le(p.target)
-        assume(top)
-        t = top + frac * p.eps_t
-        assert backtrack(b, items, t, p) == walk(b, items, top, top >= math.ceil(t - p.eps_t))
+        starts, _ = dc_walk_starts(items, local_target, p)
+        for u, bound in starts:
+            assert math.ceil(bound - p.eps_t) <= u <= bound
+
+    def test_explicit_cases_take_the_early_walk_or_re_run(self):
+        starts, rerun = dc_walk_starts(*EARLY_WALK_CASE)
+        assert starts and not rerun
+        starts, rerun = dc_walk_starts(*RE_RUN_CASE)
+        assert starts and rerun
+
+    def test_walk_follows_a_bucket_minimum(self):
+        # 958 = 15 + 943 tops the bucket (800, 1000], whose minimum is 943:
+        # the walk from 958 goes on to 943 at any bound from 958 up
+        p = FptasParams(Fraction(1, 5), 1000)
+        items = [(0, 943, 943), (1, 15, 204)]
+        b = relaxed_dp(items, 1000, p)
+        assert (b.neg[5], b.pos[5]) == (943, 958)
+        for bound in (958, Fraction(1917, 2), 1000):
+            assert backtrack(b, items, bound, p) == (958, 0, {1: 15, 0: 943})
 
     @given(item_lists(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_reaches_within_eps_t_of_a_target_near_a_subset_sum(self, case, data):
         # each recursion's target lies within eps*T above an exact subset
         # sum of its items, and so does this one; that the result gets
-        # within eps*T is why the second half's early walk is admissible
+        # within eps*T is why every walk starts within eps*T of its bound
         items, _, p = case
         n = len(items)
         picks = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
@@ -520,17 +561,23 @@ class TestFptasSolve:
         # rebuilding the second half at every level takes 24 relaxed_dp
         # calls over 1,473 items here; backtracking on its first run
         # whenever a re-run would end with the same arrays takes 16 over
-        # 983; the answer is the pinned one
-        sizes = []
+        # 983, with all 14 walks through backtrack; the answer is the
+        # pinned one
+        sizes, walks = [], []
 
         def counted(items, local_target, params):
             sizes.append(len(items))
             return relaxed_dp(items, local_target, params)
 
+        def counted_backtrack(b, items, local_target, params):
+            walks.append(local_target)
+            return backtrack(b, items, local_target, params)
+
         monkeypatch.setattr(fptas, "relaxed_dp", counted)
+        monkeypatch.setattr(fptas, "backtrack", counted_backtrack)
         work = sort_by_length(preprocess(gen_b(500)))
         out = fptas_solve(work, Fraction(1, 1000))
-        assert (len(sizes), sum(sizes)) == (16, 983)
+        assert (len(sizes), sum(sizes), len(walks)) == (16, 983, 14)
         got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"])
         assert got == (62468124, "approximate", 500, 4000)
 
