@@ -181,15 +181,10 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     try:
-        inst = instgen.generate(
-            instgen.GenSpec(
-                args.family,
-                args.n,
-                c=None if args.c is None else parse_ratio(args.c),
-                cap=None if args.C is None else parse_ratio(args.C),
-                seed=args.seed,
-            )
-        )
+        c = None if args.c is None else parse_ratio(args.c)
+        cap = None if args.C is None else parse_ratio(args.C)
+        param = cap if args.family == "D" else c
+        inst = instgen.generate(instgen.GenSpec(args.family, args.n, param, seed=args.seed))
     except (IsspError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
@@ -270,9 +265,7 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
             # the instances and their references do not depend on epsilon
             cases: list[tuple[Instance, int]] = []
             for trial in range(args.trials):
-                # param is family C's ratio or family D's cap; generate
-                # reads the one the family uses
-                spec = instgen.GenSpec(family, n, c=param, cap=param, seed=args.seed + trial)
+                spec = instgen.GenSpec(family, n, param, seed=args.seed + trial)
                 try:
                     inst = instgen.generate(spec)
                 except (IsspError, ValueError) as e:

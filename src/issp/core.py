@@ -116,8 +116,8 @@ class Instance:
         return zip(self.lo, self.hi)
 
     def prefix(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """``lo``, ``hi`` and ``origin``, or sequences of the same length n
-        that agree with them on (at least) the first k positions."""
+        """``lo``, ``hi`` and ``origin``, or sequences that agree with them
+        on (at least) their first min(k, n) positions."""
         return self.lo, self.hi, self.origin
 
 
@@ -234,14 +234,14 @@ class LengthOrder(Instance):
     as far as it is read.
 
     The first ``materialized`` positions of the order are in place, in
-    three lists of n: the endpoints ``inst``'s columns give those positions,
-    and their input positions.  Reading ``stream`` past them, or asking
-    ``prefix`` for more, extends the order by a larger ``heapq.nsmallest``
-    chunk, or by the one full sort once a chunk would reach
-    n / FULL_SORT_SHARE.  ``n`` is the full count.  ``lo``, ``hi`` and
-    ``origin`` are the full sorted tuples, built (and the order sorted in
-    full) when first read; ``unsorted`` is ``inst``'s columns, which the
-    order-free detectors read instead.
+    three lists that hold just those: the endpoints ``inst``'s columns
+    give those positions, and their input positions.  Reading ``stream``
+    past them, or asking ``prefix`` for more, extends the order by a
+    larger ``heapq.nsmallest`` chunk, or by the one full sort once a chunk
+    would reach n / FULL_SORT_SHARE.  ``n`` is the full count.  ``lo``,
+    ``hi`` and ``origin`` are the full sorted tuples, built (and the order
+    sorted in full) when first read; ``unsorted`` is ``inst``'s columns,
+    which the order-free detectors read instead.
     """
 
     length_sorted = True
@@ -252,15 +252,17 @@ class LengthOrder(Instance):
         self._unsorted = (inst.lo, inst.hi)
         self._unsorted_origin = None if inst.source is None else inst.origin  # None: identity
         self._lengths: Optional[list[int]] = None  # kept while the order is partial
-        # n long from the start, so a reader holding them sees each extension
-        self._lo: list = [None] * inst.n
-        self._hi: list = [None] * inst.n
-        self._origin: list = [None] * inst.n
-        self.materialized = 0
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+        self._origin: list[int] = []
         self._extend(FIRST_CHUNK)
 
     @property
     def n(self) -> int:
+        return len(self._unsorted[0])
+
+    @property
+    def materialized(self) -> int:
         return len(self._lo)
 
     @property
@@ -290,8 +292,8 @@ class LengthOrder(Instance):
 
     def prefix(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
         """The view's own lists of lo, hi and input position in length
-        order: n long, with at least the first k positions in place.  They
-        grow in place as the order is extended."""
+        order, right on at least their first min(k, n) positions.  They grow
+        as the order is extended."""
         self._extend(k)
         return self._lo, self._hi, self._origin
 
@@ -314,7 +316,6 @@ class LengthOrder(Instance):
         self._hi[done:size] = map(hi.__getitem__, tail)
         src = self._unsorted_origin
         self._origin[done:size] = tail if src is None else map(src.__getitem__, tail)
-        self.materialized = size
 
 
 def sort_by_length(inst: Instance) -> LengthOrder:

@@ -167,15 +167,14 @@ class SparseSums:
     first: its ``d + hi`` run, then its ``d + lo`` run, each sorted, with a
     lone endpoint at the head of its run (it is smaller than every shifted
     sum).  Item k's runs are ``firsts[ends[2k]:ends[2k + 1]]`` (hi) and
-    ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).  Backtracking reads the
-    endpoints of item k as ``lo[k]`` and ``hi[k]`` of the columns it is
-    given, in scan order.
+    ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).  Backtracking is given the
+    endpoint columns after the scan; ``n`` is unused, so that both exact
+    sets are built as ``sums(n, t)``.
     """
 
     name = "sparse"
 
-    def __init__(self, lo: Sequence[int], hi: Sequence[int], t: int) -> None:
-        self.lo, self.hi = lo, hi
+    def __init__(self, n: int, t: int) -> None:
         self.t = t
         self.budget = memory_budget_entries()
         self.values: list[int] = []
@@ -231,8 +230,11 @@ class SparseSums:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.values)
 
-    def backtrack(self, d: int, m: int | None) -> dict[int, int]:
-        """Endpoint per item position of the sum d over the first m items.
+    def backtrack(
+        self, d: int, m: int | None, lo: Sequence[int], hi: Sequence[int]
+    ) -> dict[int, int]:
+        """Endpoint per item position of the sum d over the first m items,
+        whose endpoints are ``lo[k]`` and ``hi[k]``.
 
         Walking back from item m - 1, item k takes hi when d is on its hi
         run and lo when d is on its lo run, and d drops by that endpoint.
@@ -242,7 +244,7 @@ class SparseSums:
         x: dict[int, int] = {}
         if not d:  # also when no item was scanned and m is None
             return x
-        firsts, ends, lo, hi = self.firsts, self.ends, self.lo, self.hi
+        firsts, ends = self.firsts, self.ends
         stop = ends[2 * m]
         for k in range(m - 1, -1, -1):
             start, mid = ends[2 * k], ends[2 * k + 1]
@@ -283,18 +285,16 @@ class BitsetSums:
     """Reachable sums in [0, T] as the set bits of one int; bit 0 is the empty sum.
 
     The bits after every ``step`` ~ sqrt(n) items are kept; backtracking
-    replays one segment of items from its checkpoint at a time, reading
-    item k's endpoints as ``lo[k]`` and ``hi[k]`` of the columns it is
-    given, in scan order.
+    replays one segment of items from its checkpoint at a time, on the
+    endpoint columns it is given after the scan.
     """
 
     name = "bitset"
 
-    def __init__(self, lo: Sequence[int], hi: Sequence[int], t: int) -> None:
-        self.lo, self.hi = lo, hi
+    def __init__(self, n: int, t: int) -> None:
         self.t = t
         self.reach = 1
-        self.step = _checkpoint_step(len(lo))
+        self.step = _checkpoint_step(n)
         self.marks = [1]  # marks[q] = reach after the first q * step items
 
     def largest_le(self, bound: int) -> int:
@@ -313,15 +313,16 @@ class BitsetSums:
         bits = bin(self.reach)[:1:-1]  # bit 0 first
         return tuple(s for s, c in enumerate(bits) if c == "1")[1:]
 
-    def backtrack(self, d: int, m: int) -> dict[int, int]:
-        """Endpoint per item position of the sum d over the first m items.
+    def backtrack(self, d: int, m: int, los: Sequence[int], his: Sequence[int]) -> dict[int, int]:
+        """Endpoint per item position of the sum d over the first m items,
+        whose endpoints are ``los[k]`` and ``his[k]``.
 
         Walking back from item m - 1, item k is skipped when d was reachable
         before it; otherwise it takes hi if d - hi > 0 was reachable, else lo
         if d - lo > 0 was, else d itself (a lone endpoint).  This is the item
         and endpoint SparseSums records when it first reaches d.
         """
-        los, his, t, step = self.lo, self.hi, self.t, self.step
+        t, step = self.t, self.step
         x = {}
         j = m
         while d:
@@ -406,12 +407,11 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     start = time.perf_counter()
     if not inst.length_sorted:
         inst = sort_by_length(inst)
-    # the scan puts in place every position that backtracking reads
-    lo, hi, _ = inst.prefix(0)
-    reach = sums(lo, hi, inst.target)
+    reach = sums(inst.n, inst.target)
     _, m, delta, exit_at, states = scan(inst, reach, trace)
+    lo, hi, _ = inst.prefix(m or 0)
     # when m is None, delta is 0 and backtrack places no item
-    sol, value = midrange_solution(inst, m, reach.backtrack(delta, m), delta)
+    sol, value = midrange_solution(inst, m, reach.backtrack(delta, m, lo, hi), delta)
     stats: dict = {
         "elapsed": time.perf_counter() - start,
         "stored_values": reach.stored(),

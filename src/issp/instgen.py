@@ -70,10 +70,6 @@ class SplitMix64:
             if r < limit:
                 return 1 + r % n
 
-    def split(self) -> "SplitMix64":
-        """Derive an independent child stream."""
-        return SplitMix64(self.next_u64())
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -81,8 +77,7 @@ class GenSpec:
 
     family: str  # "A", "B", "C", or "D"
     n: int
-    c: Optional[Fraction] = None  # family C ratio
-    cap: Optional[Fraction] = None  # family D ratio upper bound
+    param: Optional[Fraction] = None  # family C's ratio c or family D's bound Cap
     seed: int = 0
 
 
@@ -148,13 +143,13 @@ def generate(spec: GenSpec) -> Instance:
     if spec.family == "B":
         return gen_b(spec.n)
     if spec.family == "C":
-        if spec.c is None:
+        if spec.param is None:
             raise ValueError("family C requires the ratio parameter c")
-        return gen_c(spec.n, spec.c, spec.seed)
+        return gen_c(spec.n, spec.param, spec.seed)
     if spec.family == "D":
-        if spec.cap is None:
+        if spec.param is None:
             raise ValueError("family D requires the ratio bound parameter")
-        return gen_d(spec.n, spec.cap, spec.seed)
+        return gen_d(spec.n, spec.param, spec.seed)
     raise ValueError(f"unknown family {spec.family!r}")
 
 

@@ -1,6 +1,8 @@
 """Domain types: validation, preprocessing, ordering, evaluation, errors."""
 
+import tracemalloc
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given
@@ -29,6 +31,7 @@ from issp.errors import (
     TargetExceeded,
     ValueOutsideInterval,
 )
+from issp.instgen import gen_c
 
 from conftest import eager_sort, instances
 import reference_frontend
@@ -186,12 +189,34 @@ class TestLengthOrder:
             for k in reads:
                 lo, hi, origin = view.prefix(k)
                 done = view.materialized
-                assert min(k, ref.n) <= done <= ref.n == len(lo) == len(hi) == len(origin)
+                assert min(k, ref.n) <= done == len(lo) == len(hi) == len(origin) <= ref.n
                 assert tuple(lo[:done]) == ref.lo[:done] and tuple(hi[:done]) == ref.hi[:done]
                 assert tuple(origin[:done]) == ref.origin[:done]
             assert tuple(sort_by_length(inst).stream()) == ref.intervals
             assert (view.intervals, view.origin) == (ref.intervals, ref.origin)
             assert view.unsorted[0] is inst.lo and view.unsorted[1] is inst.hi
+
+    def test_partial_view_holds_only_its_sorted_prefix_beyond_the_lengths(self):
+        # the scan of fptas_solve at 1/1000 reads 768 items of this instance
+        inst = gen_c(100_000, Fraction(3, 2), 1)
+
+        def retained(build):
+            tracemalloc.start()
+            try:
+                kept = build()
+                return kept, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        def read_prefix():
+            view = sort_by_length(inst)
+            view.prefix(768)
+            return view
+
+        _, lengths = retained(lambda: list(map(sub, inst.hi, inst.lo)))
+        view, held = retained(read_prefix)
+        assert view.materialized < view.n  # partial, so it keeps its lengths
+        assert held - lengths < 8 * inst.n
 
     def test_sorts_in_full_at_once_up_to_8192(self):
         assert sort_by_length(validate([(1, 2)] * 8192, 5)).materialized == 8192

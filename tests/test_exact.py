@@ -267,7 +267,7 @@ class TestRepresentations:
         arrays = BucketArray(FptasParams(Fraction(1, t + extra), t), t)
         got = scan(inst, arrays)
         for sums in (SparseSums, BitsetSums):
-            reach = sums(inst.lo, inst.hi, t)
+            reach = sums(inst.n, t)
             assert scan(inst, reach)[:4] == got[:4]
             assert reach.snapshot() == tuple(arrays.values())
 
@@ -321,7 +321,7 @@ class TestSparseSums:
         assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
 
     def test_lone_point_takes_the_lo_run(self):
-        reach = SparseSums((2,), (2,), 10)
+        reach = SparseSums(1, 10)
         reach.add(0, 2, 2)
         assert (reach.firsts, reach.ends) == ([2], [0, 0, 1])
 
@@ -331,11 +331,11 @@ class TestSparseSums:
         inst = validate([(1, 2)] * 2000, 10**12)
         assert run_dp(inst, SparseSums).solution == run_dp(inst, BitsetSums).solution
         work = sort_by_length(inst)
-        reach = SparseSums(work.lo, work.hi, work.target)
+        reach = SparseSums(work.n, work.target)
         _, m, delta, _, _ = scan(work, reach)
         assert (m, delta) == (1999, 3998)
         reach.ends = ReadLog(reach.ends)
-        assert reach.backtrack(delta, m) == dict.fromkeys(range(m), 2)
+        assert reach.backtrack(delta, m, work.lo, work.hi) == dict.fromkeys(range(m), 2)
         assert max(reach.ends.reads.values()) == 1
 
     def test_peak_bytes_per_sum_below_nominal_cost(self):
@@ -383,6 +383,7 @@ class TestLazyLengthOrder:
         monkeypatch.setattr(core, "FULL_SORT_SHARE", share)
         n = 40
         ends = chunk_ends(n)
+        assert len(ends) >= 3  # at least one extension before the full sort
         exits = sorted({m for e in ends[:-1] for m in (e - 1, e, e + 1)})
         for k in exits + [None]:  # None: no exit, so the full sort
             inst = exit_instance(n, k)
@@ -391,8 +392,11 @@ class TestLazyLengthOrder:
             assert got.stats["early_exit_at"] == (None if k is None else k + 1)
             assert _dp_outcome(got) == _dp_outcome(dp_exact(ref, trace=True))
             for sums in (SparseSums, BitsetSums):
-                got = run_dp(sort_by_length(inst), sums, trace=True)
+                view = sort_by_length(inst)
+                got = run_dp(view, sums, trace=True)
                 assert _dp_outcome(got) == _dp_outcome(run_dp(ref, sums, trace=True))
+                # the scan read items 0..k and backtracking sorted no further
+                assert view.materialized == min(e for e in ends if e > (n - 1 if k is None else k))
 
     @given(instances(max_n=12, max_end=40, max_t=200), st.sampled_from([(1, 2), (2, 4)]))
     @settings(max_examples=200)

@@ -73,11 +73,6 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(1).randint(0)
 
-    def test_split_streams_diverge(self):
-        rng = SplitMix64(5)
-        child = rng.split()
-        assert [rng.next_u64() for _ in range(3)] != [child.next_u64() for _ in range(3)]
-
 
 class TestFamilyA:
     def test_formula_small_n(self):
@@ -180,8 +175,8 @@ class TestGenerateDispatch:
     def test_dispatch_matches_direct_calls(self):
         assert generate(GenSpec("A", 5)) == gen_a(5)
         assert generate(GenSpec("B", 5)) == gen_b(5)
-        assert generate(GenSpec("C", 5, c=Fraction(3, 2), seed=1)) == gen_c(5, Fraction(3, 2), 1)
-        assert generate(GenSpec("D", 5, cap=Fraction(3, 2), seed=1)) == gen_d(5, Fraction(3, 2), 1)
+        assert generate(GenSpec("C", 5, Fraction(3, 2), seed=1)) == gen_c(5, Fraction(3, 2), 1)
+        assert generate(GenSpec("D", 5, Fraction(3, 2), seed=1)) == gen_d(5, Fraction(3, 2), 1)
 
     def test_missing_parameters_rejected(self):
         with pytest.raises(ValueError):
