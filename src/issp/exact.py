@@ -14,13 +14,13 @@ on an exact set and reconstructs an optimal solution by backtracking.
 The exact set has two representations, chosen from n, T and the memory
 budget alone, with bit-identical answers:
 
-- ``SparseSums``: a sorted list of the sums, a set of them, and a flat
-  list of the sums each item reached first, in item order.  Each item
-  filters the sorted runs ``{d + hi}`` and ``{d + lo}`` against the set,
-  appends what is left to its first-reach runs and merges it in with one
-  sort, so time and space grow with the number of stored sums; it serves
-  any T.  Backtracking walks the items down once and looks the sum up in
-  each item's two runs.
+- ``SparseSums``: a sorted list of the sums and a flat list of the sums
+  each item reached first, in item order.  Each item merges the sorted
+  runs ``{d + hi}`` and ``{d + lo}`` in with one sort; while no sum
+  repeats, the runs are its first-reach runs as they stand, and from the
+  first repeat on a set of the sums filters them.  Time and space grow
+  with the number of stored sums, so it serves any T.  Backtracking walks
+  the items down once and looks the sum up in each item's two runs.
 - ``BitsetSums``: one Python int whose bit s is set when s is reachable,
   updated word-parallel as ``R | (R << lo) | (R << hi)`` below T.  Time
   per item grows with the largest reachable sum (at most T) and space with
@@ -29,7 +29,8 @@ budget alone, with bit-identical answers:
 The bitset is used when T is at most ``BITSET_DENSITY`` times the bound
 min(T, 3^n) on stored sums and its checkpoints, counted in exact bytes, fit
 ``ISSP_MEMORY_BUDGET_MB``; otherwise the sparse set is used, and it is
-gated at a nominal 128 B per stored sum.
+gated at a nominal 128 B per stored sum, counted before an item's runs
+are built.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import filterfalse, islice
 from math import isqrt
-from operator import ne
+from operator import eq, ne
 from typing import Sequence
 
 from .analysis import fill_values
@@ -158,18 +159,19 @@ def use_bitset(n: int, t: int) -> bool:
 
 
 class SparseSums:
-    """Reachable sums in (0, T] as a sorted list, a set and first-reach runs.
+    """Reachable sums in (0, T] as a sorted list and first-reach runs.
 
     ``values`` is sorted for ``largest_le`` and for slicing the sums an
-    endpoint can extend; ``seen`` holds the same sums and filters the
-    shifted runs ``{d + hi}`` and ``{d + lo}`` down to the sums not yet
-    stored.  ``firsts`` keeps, in item order, the sums each item reached
-    first: its ``d + hi`` run, then its ``d + lo`` run, each sorted, with a
-    lone endpoint at the head of its run (it is smaller than every shifted
-    sum).  Item k's runs are ``firsts[ends[2k]:ends[2k + 1]]`` (hi) and
-    ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).  Backtracking is given the
-    endpoint columns after the scan; ``n`` is unused, so that both exact
-    sets are built as ``sums(n, t)``.
+    endpoint can extend.  ``firsts`` keeps, in item order, the sums each
+    item reached first: its ``d + hi`` run, then its ``d + lo`` run, each
+    sorted, with a lone endpoint at the head of its run (it is smaller than
+    every shifted sum).  Item k's runs are ``firsts[ends[2k]:ends[2k + 1]]``
+    (hi) and ``firsts[ends[2k + 1]:ends[2k + 2]]`` (lo).  ``seen`` is None
+    until an item's runs and the stored sums first share a sum; from then
+    on it is a set of the stored sums that filters each run down to the
+    sums not yet stored.  Backtracking is given the endpoint columns after
+    the scan; ``n`` is unused, so that both exact sets are built as
+    ``sums(n, t)``.
     """
 
     name = "sparse"
@@ -178,7 +180,7 @@ class SparseSums:
         self.t = t
         self.budget = memory_budget_entries()
         self.values: list[int] = []
-        self.seen: set[int] = set()
+        self.seen: set[int] | None = None  # built when a sum first repeats
         self.firsts: list[int] = []
         self.ends = [0]
 
@@ -189,40 +191,60 @@ class SparseSums:
 
     def add(self, i: int, lo: int, hi: int) -> None:
         values, seen, t = self.values, self.seen, self.t
-        # Each run is sorted and stays sorted after the stored sums are
-        # filtered out, and a lone endpoint is smaller than every sum on its
-        # run, so it goes at the head.  A sum on both runs takes the hi
-        # link, the one from the smaller predecessor; then come the lo run
-        # and the lone endpoints, lo first.  BitsetSums.backtrack picks the
-        # same links, so both representations give one solution.
-        fits = islice(values, bisect_right(values, t - hi))
-        hi_run = list(filterfalse(seen.__contains__, map(hi.__add__, fits)))
-        seen.update(hi_run)
-        fits = islice(values, bisect_right(values, t - lo))
-        lo_run = list(filterfalse(seen.__contains__, map(lo.__add__, fits)))
-        seen.update(lo_run)
-        if lo <= t and lo not in seen:
-            seen.add(lo)
-            lo_run.insert(0, lo)
-        if hi <= t and hi not in seen:
-            seen.add(hi)
-            hi_run.insert(0, hi)
-        size = len(values) + len(hi_run) + len(lo_run)
+        # The shifted runs take the stored sums up to each bisect cut, and
+        # the lone endpoints join them; with lo == hi the lo shift repeats
+        # the hi shift, so it is skipped and the lone point takes the lo run.
+        # Without a repeat, this count is the new size exactly.
+        cut_hi = bisect_right(values, t - hi)
+        cut_lo = bisect_right(values, t - lo) if lo != hi else 0
+        size = len(values) + cut_hi + cut_lo + (lo <= t) + (lo != hi and hi <= t)
         if size > self.budget:
             raise MemoryBudgetExceeded(
                 f"the reachable-sum set needs {size} entries, more than the budget of "
                 f"{self.budget} entries ({_BYTES_PER_ENTRY} B each); raise "
                 "ISSP_MEMORY_BUDGET_MB to override"
             )
+        if seen is None:
+            # Until a sum repeats, every sum on a run is new: the runs are the
+            # first-reach runs as they stand, with a lone endpoint (smaller
+            # than every shifted sum) at the head.
+            hi_run = [hi] if lo != hi and hi <= t else []
+            hi_run += map(hi.__add__, islice(values, cut_hi))
+            lo_run = [lo] if lo <= t else []
+            lo_run += map(lo.__add__, islice(values, cut_lo))
+            merged = values + hi_run
+            merged += lo_run
+            merged.sort()
+            if any(map(eq, merged, islice(merged, 1, None))):
+                del merged  # freed before the set is built
+                self.seen = seen = set(values)
+            else:
+                self.values = merged
+        if seen is not None:
+            # From the first repeat on, a set filters the runs down to the
+            # sums not yet stored.  A sum on both runs takes the hi link, the
+            # one from the smaller predecessor; then come the lo run and the
+            # lone endpoints, lo first.  BitsetSums.backtrack picks the same
+            # links, so both representations give one solution.
+            hi_run = list(filterfalse(seen.__contains__, map(hi.__add__, islice(values, cut_hi))))
+            seen.update(hi_run)
+            lo_run = list(filterfalse(seen.__contains__, map(lo.__add__, islice(values, cut_lo))))
+            seen.update(lo_run)
+            if lo <= t and lo not in seen:
+                seen.add(lo)
+                lo_run.insert(0, lo)
+            if hi <= t and hi not in seen:
+                seen.add(hi)
+                hi_run.insert(0, hi)
+            # the one sort merges three runs: the stored sums, hi_run and lo_run
+            values += hi_run
+            values += lo_run
+            values.sort()
         firsts = self.firsts
         firsts += hi_run
         self.ends.append(len(firsts))
         firsts += lo_run
         self.ends.append(len(firsts))
-        # the one sort merges three runs: the stored sums, hi_run and lo_run
-        values += hi_run
-        values += lo_run
-        values.sort()
 
     def stored(self) -> int:
         return len(self.values)

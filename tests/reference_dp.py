@@ -14,15 +14,22 @@ is the walk as first written too: it looks its start up by value and
 follows a bucket minimum only when the start lies within eps*T of the
 target, where ``issp.fptas.backtrack`` always may.  It is the reference for
 ``divide_and_conquer``.
+
+``FilteredSums`` is ``issp.exact.SparseSums`` as first written: a set of the
+stored sums filters every item's shifted runs, where ``SparseSums`` builds
+its set only when a sum first repeats.  Both must hold the same ``values``,
+``firsts`` and ``ends`` after every item.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from itertools import filterfalse, islice
 
 from issp.core import Instance, sort_by_length
 from issp.errors import EmptyArray, IsspError
+from issp.exact import SparseSums
 from issp.fptas import BucketArray, FptasParams, Item, Number, find_u1_u2, relaxed_dp
 
 
@@ -89,6 +96,38 @@ def insort_dp(inst: Instance) -> dict:
         "early_exit_at": None if early_exit_at is None else early_exit_at + 1,
         "delta_star": delta_star_m,
     }
+
+
+class FilteredSums(SparseSums):
+    """``SparseSums`` with a set that filters every item's runs; no budget."""
+
+    def __init__(self, n: int, t: int) -> None:
+        super().__init__(n, t)
+        self.seen = set()
+
+    def add(self, i: int, lo: int, hi: int) -> None:
+        values, seen, t = self.values, self.seen, self.t
+        # a sum on both runs takes the hi link; then come the lo run and
+        # the lone endpoints, lo first
+        fits = islice(values, bisect_right(values, t - hi))
+        hi_run = list(filterfalse(seen.__contains__, map(hi.__add__, fits)))
+        seen.update(hi_run)
+        fits = islice(values, bisect_right(values, t - lo))
+        lo_run = list(filterfalse(seen.__contains__, map(lo.__add__, fits)))
+        seen.update(lo_run)
+        if lo <= t and lo not in seen:
+            seen.add(lo)
+            lo_run.insert(0, lo)
+        if hi <= t and hi not in seen:
+            seen.add(hi)
+            hi_run.insert(0, hi)
+        self.firsts += hi_run
+        self.ends.append(len(self.firsts))
+        self.firsts += lo_run
+        self.ends.append(len(self.firsts))
+        values += hi_run
+        values += lo_run
+        values.sort()
 
 
 def flagged_backtrack(

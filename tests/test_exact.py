@@ -38,7 +38,7 @@ from issp.fptas import BucketArray, FptasParams, fptas_solve
 from issp.instgen import gen_c
 
 from conftest import chunk_ends, eager_sort, exit_instance, instances, reference_optimum
-from reference_dp import insort_dp
+from reference_dp import FilteredSums, insort_dp
 
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
@@ -349,6 +349,145 @@ class TestSparseSums:
             tracemalloc.stop()
         assert out.stats["stored_values"] == 177_146
         assert peak / out.stats["stored_values"] < _BYTES_PER_ENTRY
+
+
+# 100 items whose sums repeat from the fourth item on (the CLI budget test's
+# instance); the sparse set switches to its filter early
+ARITHMETIC_PAIRS = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
+ARITHMETIC_T = 10**7
+
+
+def _powers_then(last: tuple[int, int], k: int = 6) -> list[tuple[int, int]]:
+    """Items [3^j, 2 * 3^j] for j < k, whose sums never repeat (each is a
+    base-3 number with digits 0..2), then ``last``."""
+    return [(3**j, 2 * 3**j) for j in range(k)] + [last]
+
+
+class TestSparseSumsAgainstFilter:
+    """The sparse set builds its filter at the first repeated sum; before
+    and after, it holds what the always-filtered reference holds."""
+
+    @staticmethod
+    def _same_after_every_item(pairs, t):
+        got, ref = SparseSums(len(pairs), t), FilteredSums(len(pairs), t)
+        for i, (lo, hi) in enumerate(pairs):
+            got.add(i, lo, hi)
+            ref.add(i, lo, hi)
+            assert (got.values, got.firsts, got.ends) == (ref.values, ref.firsts, ref.ends)
+            if got.seen is not None:
+                assert got.seen == set(got.values)
+        return got
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(1, 12), st.integers(0, 6)),  # heavy repeats
+                st.tuples(st.integers(1, 40), st.just(0)),  # zero length
+                st.tuples(st.integers(1, 10**6), st.integers(0, 10**6)),
+            ).map(lambda p: (p[0], p[0] + p[1])),
+            min_size=1,
+            max_size=9,
+        ).flatmap(lambda ps: st.tuples(st.just(ps + ps[:2]), st.integers(1, 4 * 10**6))),
+    )
+    @settings(max_examples=300)
+    def test_random_items_match_the_filtered_reference(self, case):
+        pairs, t = case  # the first two items come again at the end
+        self._same_after_every_item(pairs, t)
+
+    @pytest.mark.parametrize(
+        "last, switches",
+        [
+            ((1, 1), True),  # a lone point that is stored already
+            ((4, 4), True),  # 4 + 1 = 5 = 2 + 3 is stored already
+            ((3**6, 3**6), False),  # a new power of 3 keeps every sum new
+            ((3**7, 2 * 3**7), False),
+        ],
+    )
+    def test_first_repeat_late_in_the_scan(self, last, switches):
+        # 3^6 - 1 = 728 sums stored without a set, then the last item
+        got = self._same_after_every_item(_powers_then(last), 10**9)
+        assert (got.seen is not None) == switches
+
+    def test_equal_intervals_switch_on_the_second(self):
+        got = self._same_after_every_item([(5, 9)] * 4, 100)
+        assert got.seen is not None
+        one = SparseSums(1, 100)
+        one.add(0, 5, 9)
+        assert one.seen is None
+
+    def test_run_dp_matches_the_filtered_reference(self):
+        for pairs, t in [
+            (ARITHMETIC_PAIRS[:20], 2 * 10**5),  # 41,048 sums, exit at item 17
+            (_powers_then((1, 1)), 3**6 + 17),
+            ([(10**6 * (1000 + 37 * k), 10**6 * (1000 + 41 * k)) for k in range(12)], 9 * 10**9),
+        ]:
+            work = sort_by_length(validate(pairs, t))
+            assert _fields(run_dp(work, SparseSums, trace=True)) == _fields(
+                run_dp(work, FilteredSums, trace=True)
+            )
+
+    def test_exact_sparse_instances_build_no_set(self, monkeypatch):
+        # the instances of the exact-sparse benchmark never repeat a sum,
+        # so that benchmark measures the path without a set
+        made = []
+
+        class Recorded(SparseSums):
+            def __init__(self, n, t):
+                super().__init__(n, t)
+                made.append(self)
+
+        monkeypatch.setattr("issp.exact.SparseSums", Recorded)
+        for seed in range(1, 6):
+            out = dp_exact(gen_c(14, Fraction(11, 10), seed))
+            assert out.stats["representation"] == "sparse"
+            assert made[-1].seen is None
+        assert len(made) == 5
+
+
+class TestSparseBudget:
+    """The sparse set checks the budget before an item's runs are built."""
+
+    @pytest.mark.parametrize("mb", [1, 2, 3, 4, 8])
+    def test_tracemalloc_peak_within_budget(self, monkeypatch, mb):
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
+        budget = mb << 20
+        cases = [sort_by_length(gen_c(14, Fraction(11, 10), seed)) for seed in (1, 3, 4)]
+        repeats = sort_by_length(validate(ARITHMETIC_PAIRS, ARITHMETIC_T))
+        outcomes = []
+        for work in cases + [repeats]:
+            tracemalloc.start()
+            try:
+                try:
+                    outcomes.append(run_dp(work, SparseSums).stats["stored_values"])
+                except MemoryBudgetExceeded:
+                    outcomes.append(None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, (mb, outcomes[-1], peak / budget)
+        # seed 3 holds 6,560 sums, seed 4 19,682 and seed 1 177,146; the
+        # instance with repeats outgrows every budget here
+        entries = budget // _BYTES_PER_ENTRY
+        expected = [n if n <= entries else None for n in (177_146, 6_560, 19_682)]
+        assert outcomes == expected + [None]
+
+    def test_no_repeat_count_is_the_new_size(self):
+        # [1, 2] then [20, 30] store 2 + 6 = 8 sums, none twice, so the count
+        # taken before the second item is its new size exactly
+        def after_first_item(budget):
+            reach = SparseSums(2, 100)
+            reach.budget = budget
+            reach.add(0, 1, 2)
+            return reach
+
+        reach = after_first_item(8)
+        reach.add(1, 20, 30)
+        assert reach.seen is None and len(reach.values) == 8
+        reach = after_first_item(7)
+        with pytest.raises(MemoryBudgetExceeded, match="needs 8 entries"):
+            reach.add(1, 20, 30)
+        # refused before anything was built
+        assert (reach.values, reach.firsts, reach.ends) == ([1, 2], [2, 1], [0, 1, 2])
 
 
 class TestMeetInTheMiddle:
