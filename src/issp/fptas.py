@@ -15,7 +15,7 @@ later items, a stored value's predecessor chain may no longer be present,
 so plain backtracking cannot reconstruct a solution; reconstruction
 instead recursively splits the item set in two, computes the relaxed
 arrays per half, picks a compatible pair (u1, u2) of half-sums, and
-backtracks greedily with provenance indices, removing every touched
+backtracks greedily through the producer codes, removing every touched
 suffix so no item is ever used twice.  Every backtrack is one walk from
 the largest stored value at or below its target.  The second half's is
 taken from its first arrays before their release and used when that value
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -104,11 +104,12 @@ class BucketArray:
     """Per-bucket min/max reachable sums with provenance.
 
     ``neg``/``pos`` hold the smallest/largest value seen in each bucket
-    (0 = empty); ``*_d1``/``*_d2`` record the position and endpoint
-    selector (1 = lo, 2 = hi) of the item that produced the value.
-    Arrays are always allocated at the full l buckets so the counted slots
-    depend only on eps; only values up to the local target (capped at T)
-    are ever stored.  ``largest_le``, ``add`` and ``snapshot`` make it a
+    (0 = empty); ``neg_src``/``pos_src`` hold the producer of that value as
+    one code, ``2 * position + endpoint`` (endpoint 0 = lo, 1 = hi).  The
+    occupied buckets lie in ``[k0, k1)``, ``count`` of them.  Arrays are
+    always allocated at the full l buckets so the counted slots depend
+    only on eps; only values up to the local target (capped at T) are ever
+    stored.  ``largest_le``, ``add`` and ``snapshot`` make it a
     reachable-sum set for ``exact.scan``.
     """
 
@@ -118,11 +119,9 @@ class BucketArray:
         l = params.l
         self.neg = [0] * (l + 1)  # 1-based
         self.pos = [0] * (l + 1)
-        self.neg_d1 = [0] * (l + 1)
-        self.neg_d2 = [0] * (l + 1)
-        self.pos_d1 = [0] * (l + 1)
-        self.pos_d2 = [0] * (l + 1)
-        self.nonempty: list[int] = []  # sorted bucket indices with values
+        self.neg_src = [0] * (l + 1)
+        self.pos_src = [0] * (l + 1)
+        self.k0, self.k1, self.count = l + 1, 0, 0  # an empty range
         self._slots = 2 * l
         params.live_slots += self._slots
         params.peak_slots = max(params.peak_slots, params.live_slots)
@@ -134,8 +133,8 @@ class BucketArray:
         if not self._released:
             self.params.live_slots -= self._slots
             self._released = True
-            self.neg = self.pos = self.neg_d1 = self.neg_d2 = self.pos_d1 = self.pos_d2 = []
-            self.nonempty = []
+            self.neg = self.pos = self.neg_src = self.pos_src = []
+            self.count = 0
 
     def values(self) -> list[int]:
         """Stored values in strictly increasing order."""
@@ -145,39 +144,38 @@ class BucketArray:
         """Every bucket's min then max over the occupied range, built at C
         level: non-decreasing, with a one-value bucket's value repeated.
         Empty buckets interleave zeros, which are filtered out; when every
-        bucket in the range is nonempty there are none, and the interleaved
+        bucket in the range is occupied there are none, and the interleaved
         list is returned as it is."""
-        nonempty = self.nonempty
-        if not nonempty:
+        if not self.count:
             return []
-        k0, k1 = nonempty[0], nonempty[-1] + 1
+        k0, k1 = self.k0, self.k1
         out = [0] * (2 * (k1 - k0))
         out[0::2] = self.neg[k0:k1]
         out[1::2] = self.pos[k0:k1]
-        return out if len(nonempty) == k1 - k0 else list(filter(None, out))
+        return out if self.count == k1 - k0 else list(filter(None, out))
 
     def snapshot(self) -> tuple[list[int], list[int]]:
         """Copies of the per-bucket minima and maxima, for traces."""
         return self.neg.copy(), self.pos.copy()
 
     def largest_le(self, bound: int) -> int:
-        """Largest stored value <= bound, or 0 if none."""
-        if bound <= 0 or not self.nonempty:
+        """Largest stored value <= bound, or 0 if none: in bound's bucket
+        (or the top occupied one, if lower), else the nearest maximum below,
+        since every value in a lower bucket is below bound."""
+        if bound <= 0 or not self.count:
             return 0
-        kb = self.params.bucket_index(min(bound, self.params.target))
-        i = bisect_right(self.nonempty, kb) - 1
-        if i < 0:
-            return 0
-        k = self.nonempty[i]
-        if k == kb:
-            if self.pos[k] <= bound:
-                return self.pos[k]
+        pos = self.pos
+        k = min(self.params.bucket_index(min(bound, self.params.target)), self.k1 - 1)
+        if pos[k] > bound:
             if self.neg[k] <= bound:
                 return self.neg[k]
-            if i == 0:
-                return 0
-            k = self.nonempty[i - 1]
-        return self.pos[k]
+        elif pos[k]:
+            return pos[k]
+        while k > self.k0:
+            k -= 1
+            if pos[k]:
+                return pos[k]
+        return 0
 
     def add(self, idx: int, lo: int, hi: int) -> None:
         """Extend the stored values by item idx.
@@ -193,43 +191,41 @@ class BucketArray:
         """
         base = self._sorted_slots()
         tf = self.tfloor
-        for d2, a in ((1, lo), (2, hi)) if lo != hi else ((1, lo),):
+        for e, a in ((0, lo), (1, hi)) if lo != hi else ((0, lo),):
             if a > tf:
                 break
-            self.insert(a, idx, d2)
+            self.insert(a, idx, 1 + e)
             cut = bisect_right(base, tf - a)
             if cut:
-                self._merge(base, cut, a, idx, d2)
+                self._merge(base, cut, a, 2 * idx + e)
 
     def insert(self, v: int, d1: int, d2: int) -> None:
-        """Record value v produced by endpoint d2 of item d1."""
-        k = self.params.bucket_index(v)
-        if self._put(k, v, v, d1, d2):
-            insort(self.nonempty, k)
+        """Record v from endpoint d2 (1 = lo, 2 = hi) of position d1's item."""
+        self._put(self.params.bucket_index(v), v, v, 2 * d1 + d2 - 1)
 
-    def _put(self, k: int, first: int, last: int, d1: int, d2: int) -> bool:
-        """Offer first and last (0 < first <= last), from endpoint d2 of
-        item d1, to bucket k's min and max slots; True if k was empty.
+    def _put(self, k: int, first: int, last: int, src: int) -> None:
+        """Offer first and last (0 < first <= last), from producer src, to
+        bucket k's min and max slots.
 
         The max is tested first: an empty bucket's max is 0, so it always
-        takes that branch, where a zero max marks it as new and both slots
-        are set.  A close that changes nothing reads two slots and makes
-        two compares."""
+        takes that branch, where a zero max marks it as new: it is counted,
+        the range grows to it, and both slots are set.  A close that
+        changes nothing reads two slots and makes two compares."""
         neg, pos = self.neg, self.pos
         if last > pos[k]:
-            was_empty = not pos[k]
-            pos[k], self.pos_d1[k], self.pos_d2[k] = last, d1, d2
-            if was_empty or first < neg[k]:
-                neg[k], self.neg_d1[k], self.neg_d2[k] = first, d1, d2
-            return was_empty
-        if first < neg[k]:
-            neg[k], self.neg_d1[k], self.neg_d2[k] = first, d1, d2
-        return False
+            if not pos[k]:
+                self.count += 1
+                self.k0, self.k1 = min(self.k0, k), max(self.k1, k + 1)
+                neg[k], self.neg_src[k] = first, src
+            elif first < neg[k]:
+                neg[k], self.neg_src[k] = first, src
+            pos[k], self.pos_src[k] = last, src
+        elif first < neg[k]:
+            neg[k], self.neg_src[k] = first, src
 
-    def _merge(self, base: list[int], cut: int, a: int, d1: int, d2: int) -> None:
+    def _merge(self, base: list[int], cut: int, a: int, src: int) -> None:
         """Merge v + a for the first ``cut`` values v of the non-decreasing
-        list ``base`` (all sums in (0, T]), produced by endpoint d2 of item
-        d1, into the slots.
+        list ``base`` (all sums in (0, T]), produced by src, into the slots.
 
         The shifted values are walked against the boundary table, so no
         value is divided: a bucket's smallest value is the first one to
@@ -237,17 +233,16 @@ class BucketArray:
         Leaving a bucket closes it as ``_put`` does, max first, since an
         empty bucket's max is 0.  Repeats in ``base`` cannot change a slot,
         because a slot changes only on a strict improvement, as single
-        inserts would do.  The last bucket is closed after the walk, and the
-        buckets the walk opens are merged into ``nonempty`` at the end.
+        inserts would do.  The walk's new buckets are counted, ``k0`` falls to
+        its first, and ``_put`` closes its last, growing ``k1`` if it is new.
         """
         bounds = self.params.bounds
-        neg, pos = self.neg, self.pos
-        neg_d1, neg_d2, pos_d1, pos_d2 = self.neg_d1, self.neg_d2, self.pos_d1, self.pos_d2
+        neg, pos, neg_src, pos_src = self.neg, self.pos, self.neg_src, self.pos_src
         run = iter(base[:cut])
         first = last = next(run) + a
-        k = bisect_left(bounds, first)
+        k = kstart = bisect_left(bounds, first)
         ub = bounds[k]
-        new: list[int] = []
+        new = 0
         for v in run:
             c = v + a
             if c <= ub:
@@ -256,24 +251,22 @@ class BucketArray:
             # close bucket k: _put, inlined because it runs once per bucket
             if last > pos[k]:
                 if not pos[k]:
-                    new.append(k)
-                    neg[k], neg_d1[k], neg_d2[k] = first, d1, d2
+                    new += 1
+                    neg[k], neg_src[k] = first, src
                 elif first < neg[k]:
-                    neg[k], neg_d1[k], neg_d2[k] = first, d1, d2
-                pos[k], pos_d1[k], pos_d2[k] = last, d1, d2
+                    neg[k], neg_src[k] = first, src
+                pos[k], pos_src[k] = last, src
             elif first < neg[k]:
-                neg[k], neg_d1[k], neg_d2[k] = first, d1, d2
+                neg[k], neg_src[k] = first, src
             k += 1
             ub = bounds[k]
             if c > ub:
                 k = bisect_left(bounds, c, k + 1)
                 ub = bounds[k]
             first = last = c
-        if self._put(k, first, last, d1, d2):
-            new.append(k)
-        if new:
-            self.nonempty += new
-            self.nonempty.sort()  # two sorted runs, so the sort is a linear merge
+        self.count += new
+        self.k0 = min(self.k0, kstart)
+        self._put(k, first, last, src)
 
 
 def relaxed_dp(items: list[Item], local_target: Number, params: FptasParams) -> BucketArray:
@@ -320,31 +313,34 @@ def backtrack(
     """Greedy provenance walk from u, the largest stored value <= local_target.
 
     Each step finds the residual u verbatim in its bucket, max slot first,
-    with a provenance index below the last one fixed (the first step's bound
-    lies above every position in ``items``), fixes that item at the recorded
-    endpoint and removes every item at or after it.  A residual not found is
-    left to the recursive re-solve, which recovers it from fresh arrays
-    instead of drifting to a nearby smaller value.  Returns the value y
+    with a producer code below twice the last position fixed, that is, an
+    earlier item (the first step's limit lies above every code of
+    ``items``), fixes that item at the recorded endpoint and removes every
+    item at or after it.  A residual not found is left to the recursive
+    re-solve, which recovers it from fresh arrays instead of drifting to a
+    nearby smaller value.  Returns the value y
     reached, the index where the removed suffix starts, and the assignments.
     """
     u = b.largest_le(math.floor(local_target))
     if u == 0:
         raise EmptyArray("no stored value at or below the target")
     assignments: dict[int, int] = {}
-    y, j, d1 = 0, len(items), items[-1][0] + 1
+    y, j, limit = 0, len(items), 2 * (items[-1][0] + 1)
     while u:
         k = b.params.bucket_index(u)
-        if b.pos[k] == u and b.pos_d1[k] < d1:
-            d1, d2 = b.pos_d1[k], b.pos_d2[k]
-        elif b.neg[k] == u and b.neg_d1[k] < d1:
-            d1, d2 = b.neg_d1[k], b.neg_d2[k]
+        if b.pos[k] == u and b.pos_src[k] < limit:
+            src = b.pos_src[k]
+        elif b.neg[k] == u and b.neg_src[k] < limit:
+            src = b.neg_src[k]
         else:
             break
-        j = bisect_left(items, (d1,))
-        a = items[j][d2]  # d2 = 1 selects lo, 2 selects hi
-        assignments[d1] = a
+        p, e = divmod(src, 2)
+        j = bisect_left(items, (p,))
+        a = items[j][1 + e]  # e = 0 selects lo, 1 selects hi
+        assignments[p] = a
         y += a
         u -= a
+        limit = 2 * p
     return y, j, assignments
 
 

@@ -15,6 +15,10 @@ follows a bucket minimum only when the start lies within eps*T of the
 target, where ``issp.fptas.backtrack`` always may.  It is the reference for
 ``divide_and_conquer``.
 
+``decoded_slots`` reads a ``BucketArray``'s producer codes back into the
+six lists the array first kept: values, positions and endpoints (1 = lo,
+2 = hi) per bucket minimum and maximum.
+
 ``FilteredSums`` is ``issp.exact.SparseSums`` as first written: a set of the
 stored sums filters every item's shifted runs, where ``SparseSums`` builds
 its set only when a sum first repeats.  Both must hold the same ``values``,
@@ -130,6 +134,23 @@ class FilteredSums(SparseSums):
         values.sort()
 
 
+def producer(src: int) -> tuple[int, int]:
+    """(position, endpoint) of a producer code, endpoint 1 = lo, 2 = hi."""
+    return src >> 1, 1 + (src & 1)
+
+
+def decoded_slots(b: BucketArray) -> dict[str, list[int]]:
+    """``neg``, ``pos`` and the producers of their values as the lists
+    ``neg_d1``, ``neg_d2``, ``pos_d1`` and ``pos_d2``; an empty slot's
+    producer reads (0, 0)."""
+    slots = {"neg": b.neg, "pos": b.pos}
+    for side, vals, codes in (("neg", b.neg, b.neg_src), ("pos", b.pos, b.pos_src)):
+        pairs = [producer(src) if v else (0, 0) for v, src in zip(vals, codes)]
+        slots[f"{side}_d1"] = [d1 for d1, _ in pairs]
+        slots[f"{side}_d2"] = [d2 for _, d2 in pairs]
+    return slots
+
+
 def flagged_backtrack(
     b: BucketArray, items: list[Item], local_target: Number, params: FptasParams
 ) -> tuple[int, int, dict[int, int]]:
@@ -141,9 +162,9 @@ def flagged_backtrack(
     admissible = u >= math.ceil(local_target - params.eps_t)
     k = params.bucket_index(u)
     if b.pos[k] == u:
-        d1, d2 = b.pos_d1[k], b.pos_d2[k]
+        d1, d2 = producer(b.pos_src[k])
     elif b.neg[k] == u:
-        d1, d2 = b.neg_d1[k], b.neg_d2[k]
+        d1, d2 = producer(b.neg_src[k])
     else:
         raise IsspError(f"value {u} is not stored in its bucket")
     assignments: dict[int, int] = {}
@@ -158,10 +179,10 @@ def flagged_backtrack(
         if u == 0:
             return y, j, assignments
         k = params.bucket_index(u)
-        if b.pos[k] == u and b.pos_d1[k] < d1:
-            d1, d2 = b.pos_d1[k], b.pos_d2[k]
-        elif admissible and b.neg[k] == u and b.neg_d1[k] < d1:
-            d1, d2 = b.neg_d1[k], b.neg_d2[k]
+        if b.pos[k] == u and producer(b.pos_src[k])[0] < d1:
+            d1, d2 = producer(b.pos_src[k])
+        elif admissible and b.neg[k] == u and producer(b.neg_src[k])[0] < d1:
+            d1, d2 = producer(b.neg_src[k])
         else:
             return y, j, assignments
 

@@ -35,42 +35,74 @@ from issp.fptas import (
 from issp.instgen import SplitMix64, gen_b, gen_c
 
 from conftest import chunk_ends, eager_sort, exit_instance, instances
-from reference_dp import rebuild_dc
+from reference_dp import decoded_slots, producer, rebuild_dc
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
 GOLDEN_T = 100
 
-SLOT_ARRAYS = ("neg", "pos", "neg_d1", "neg_d2", "pos_d1", "pos_d2", "nonempty")
+SLOT_LISTS = ("neg", "pos", "neg_d1", "neg_d2", "pos_d1", "pos_d2")
+# the whole state of a BucketArray, compared between two arrays
+ARRAY_STATE = ("neg", "pos", "neg_src", "pos_src", "k0", "k1", "count")
 
 
-def reference_insert(b, v, d1, d2):
+class ReferenceSlots:
+    """The bucket array as first written: six slot lists (values, producer
+    positions and endpoints 1 = lo, 2 = hi, per bucket minimum and
+    maximum) and a sorted index of the occupied buckets."""
+
+    def __init__(self, params, local_target):
+        self.params = params
+        self.tfloor = min(math.floor(local_target), params.target)
+        for name in SLOT_LISTS:
+            setattr(self, name, [0] * (params.l + 1))
+        self.nonempty = []
+
+    def state(self):
+        ne = self.nonempty
+        occupied = (ne[0], ne[-1] + 1, len(ne)) if ne else None
+        return {**{name: getattr(self, name) for name in SLOT_LISTS}, "occupied": occupied}
+
+
+def array_state(b):
+    """A BucketArray's slots decoded to the reference's six lists, with its
+    occupied range and count."""
+    return {**decoded_slots(b), "occupied": (b.k0, b.k1, b.count) if b.count else None}
+
+
+def assert_same_state(b, ref):
+    got, want = array_state(b), ref.state()
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def reference_insert(ref, v, d1, d2):
     """One value into its bucket by ceil division, as the solver once did."""
-    k = -(-v * b.params.l // b.params.target)
-    if b.neg[k] == 0:
-        insort(b.nonempty, k)
-        b.neg[k] = b.pos[k] = v
-        b.neg_d1[k] = b.pos_d1[k] = d1
-        b.neg_d2[k] = b.pos_d2[k] = d2
+    k = -(-v * ref.params.l // ref.params.target)
+    if ref.neg[k] == 0:
+        insort(ref.nonempty, k)
+        ref.neg[k] = ref.pos[k] = v
+        ref.neg_d1[k] = ref.pos_d1[k] = d1
+        ref.neg_d2[k] = ref.pos_d2[k] = d2
         return
-    if v < b.neg[k]:
-        b.neg[k], b.neg_d1[k], b.neg_d2[k] = v, d1, d2
-    if v > b.pos[k]:
-        b.pos[k], b.pos_d1[k], b.pos_d2[k] = v, d1, d2
+    if v < ref.neg[k]:
+        ref.neg[k], ref.neg_d1[k], ref.neg_d2[k] = v, d1, d2
+    if v > ref.pos[k]:
+        ref.pos[k], ref.pos_d1[k], ref.pos_d2[k] = v, d1, d2
 
 
 CLOSES = ("new bucket", "max only", "max and min", "min only", "no change")
 
 
-def close_outcome(b, k, first, last):
+def close_outcome(ref, k, first, last):
     """What a bucket close offering first..last changes in bucket k."""
-    if b.neg[k] == 0:
+    if ref.neg[k] == 0:
         return "new bucket"
-    grew = (last > b.pos[k], first < b.neg[k])
+    grew = (last > ref.pos[k], first < ref.neg[k])
     return {(True, False): "max only", (True, True): "max and min",
             (False, True): "min only", (False, False): "no change"}[grew]
 
 
-def reference_add(b, idx, lo, hi, seen):
+def reference_add(ref, idx, lo, hi, seen):
     """BucketArray.add as a per-value insert loop: lo alone, lo plus each
     value stored before the item, then the same for hi (skipped when equal
     to lo, since it repeats lo's values and no slot changes on a tie).
@@ -78,8 +110,8 @@ def reference_add(b, idx, lo, hi, seen):
     Each run is grouped by bucket as the kernel closes it (the lone
     endpoint is a close of its own), and ``seen`` counts each close's
     outcome, read from the slots before the group's values go in."""
-    tf, l, t = b.tfloor, b.params.l, b.params.target
-    base = [x for k in b.nonempty for x in sorted({b.neg[k], b.pos[k]})]
+    tf, l, t = ref.tfloor, ref.params.l, ref.params.target
+    base = [x for k in ref.nonempty for x in sorted({ref.neg[k], ref.pos[k]})]
     for j, a in ((1, lo), (2, hi)) if lo != hi else ((1, lo),):
         for run in ([a], [v + a for v in base]):
             groups: dict[int, list[int]] = {}
@@ -87,25 +119,24 @@ def reference_add(b, idx, lo, hi, seen):
                 if c <= tf:
                     groups.setdefault(-(-c * l // t), []).append(c)
             for k, cs in groups.items():
-                seen[close_outcome(b, k, cs[0], cs[-1])] += 1
+                seen[close_outcome(ref, k, cs[0], cs[-1])] += 1
                 for c in cs:
-                    reference_insert(b, c, idx, j)
+                    reference_insert(ref, c, idx, j)
 
 
 def steps_match_reference(items, local_target, params):
     """Add the items one at a time to a BucketArray and to the reference,
-    compare every slot array after each item, and return the array and
-    the counts of snapshot forms and close outcomes seen on the way."""
-    b, ref = BucketArray(params, local_target), BucketArray(params, local_target)
+    compare the decoded slots, the occupied range and its count after each
+    item, and return the array and the counts of snapshot forms and close
+    outcomes seen on the way."""
+    b, ref = BucketArray(params, local_target), ReferenceSlots(params, local_target)
     seen: Counter = Counter()
     for idx, lo, hi in items:
-        if b.nonempty:
-            dense = len(b.nonempty) == b.nonempty[-1] - b.nonempty[0] + 1
-            seen["dense snapshot" if dense else "gapped snapshot"] += 1
+        if b.count:
+            seen["dense snapshot" if b.count == b.k1 - b.k0 else "gapped snapshot"] += 1
         b.add(idx, lo, hi)
         reference_add(ref, idx, lo, hi, seen)
-        for name in SLOT_ARRAYS:
-            assert getattr(b, name) == getattr(ref, name), (idx, name)
+        assert_same_state(b, ref)
     return b, seen
 
 
@@ -243,13 +274,48 @@ class TestBucketArray:
         assert b.largest_le(0) == 0
         b.release()
 
+    @pytest.mark.parametrize("m, divisor", [(40, 1), (82, 3)])
+    def test_largest_le_matches_max_over_values(self, m, divisor):
+        # the first m items of C n=1000 at eps = 1/10**4, cut at T/divisor:
+        # 14 and 10 empty buckets inside the occupied range
+        work = sort_by_length(preprocess(gen_c(1000, Fraction(3, 2), seed=1)))
+        lo, hi, _ = work.prefix(m)
+        t = work.target
+        p = FptasParams(Fraction(1, 10**4), t)
+        b = relaxed_dp(list(zip(range(m), lo, hi)), t // divisor, p)
+        occupied = [k for k in range(b.k0, b.k1) if b.pos[k]]
+        gaps = [k for k in range(b.k0, b.k1) if not b.pos[k]]
+        assert gaps and b.count == len(occupied)
+        bounds = {-1, 0, 1, b.neg[b.k0] - 1, p.bounds[b.k1], t, t + 1, 10 * t}  # below, above
+        for k in occupied[::25]:  # inside a bucket
+            bounds |= {b.neg[k] - 1, b.neg[k], (b.neg[k] + b.pos[k]) // 2, b.pos[k], b.pos[k] + 1}
+        for k in gaps:  # between occupied buckets
+            bounds |= {p.bounds[k - 1] + 1, p.bounds[k]}
+        vals = b.values()
+        for bound in sorted(bounds):
+            assert b.largest_le(bound) == max((v for v in vals if v <= bound), default=0), bound
+        b.release()
+        assert b.largest_le(t) == 0 and b.values() == []
+
+    def test_fresh_array_allocates_at_most_34_bytes_per_bucket(self):
+        # four (l+1)-entry lists of 8-byte references and three ints
+        p = FptasParams(Fraction(1, 1000), 10**9)
+        tracemalloc.start()
+        try:
+            b = BucketArray(p, p.target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * p.l
+        b.release()
+
     def test_slot_records_latest_producer(self):
         p = FptasParams(Fraction(1, 5), 100)
         b = BucketArray(p, 100)
         b.insert(30, 4, 1)
         k = p.bucket_index(30)
-        assert (b.pos[k], b.pos_d1[k], b.pos_d2[k]) == (30, 4, 1)
-        assert (b.neg[k], b.neg_d1[k], b.neg_d2[k]) == (30, 4, 1)
+        assert (b.pos[k], producer(b.pos_src[k])) == (30, (4, 1))
+        assert (b.neg[k], producer(b.neg_src[k])) == (30, (4, 1))
         b.release()
 
     def test_meter_counts_two_slots_per_bucket(self):
@@ -308,7 +374,7 @@ class TestRelaxedDp:
     def test_matches_per_value_insert_loop_with_buckets_filled(self, local_target):
         items, _, p = filled_case(local_target)
         b, seen = steps_match_reference(items, local_target, p)
-        assert len(b.nonempty) >= 0.9 * p.l * local_target / p.target
+        assert b.count >= 0.9 * p.l * local_target / p.target
         # both snapshot forms (with and without empty buckets in the
         # occupied range) and every branch of the bucket close are run
         assert set(seen) == {"dense snapshot", "gapped snapshot", *CLOSES}, seen
@@ -321,12 +387,13 @@ class TestRelaxedDp:
         ],
     )
     def test_scan_slots_pinned_at_one_per_mille(self, make, pinned):
-        # a digest of the scan's final slots and provenance: a kernel change
-        # that moves any slot fails here even if the answer stays the same
+        # a digest of the scan's final slots and provenance, decoded to the
+        # six lists the array first kept: a kernel change that moves any
+        # slot fails here even if the answer stays the same
         work = sort_by_length(preprocess(make()))
         b = BucketArray(FptasParams(Fraction(1, 1000), work.target), work.target)
         scan(work, b)
-        slots = [b.neg, b.pos, b.neg_d1, b.neg_d2, b.pos_d1, b.pos_d2]
+        slots = [decoded_slots(b)[name] for name in SLOT_LISTS]
         assert hashlib.sha256(repr(slots).encode()).hexdigest()[:32] == pinned
 
     @given(item_lists(), st.fractions(min_value=0, max_value=1))
@@ -341,7 +408,7 @@ class TestRelaxedDp:
         b = relaxed_dp(items, local_target, p)
         top = b.largest_le(p.target)
         cut = relaxed_dp(items, top + frac * (local_target - top), p)
-        for name in SLOT_ARRAYS:
+        for name in ARRAY_STATE:
             assert getattr(cut, name) == getattr(b, name), name
 
     @given(item_lists(), st.lists(st.integers(min_value=1, max_value=2**70), max_size=20))
@@ -349,13 +416,12 @@ class TestRelaxedDp:
     def test_insert_matches_reference_insert(self, case, values):
         _, _, p = case
         b = BucketArray(p, p.target)
-        ref = BucketArray(p, p.target)
+        ref = ReferenceSlots(p, p.target)
         for d1, v in enumerate(values):
             v = v % p.target + 1
             b.insert(v, d1, 1 + d1 % 2)
             reference_insert(ref, v, d1, 1 + d1 % 2)
-        for name in SLOT_ARRAYS:
-            assert getattr(b, name) == getattr(ref, name), name
+        assert_same_state(b, ref)
 
 
 def dc_outcome(dc, items, local_target, epsilon, target):
