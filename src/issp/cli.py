@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
-from typing import Optional, TextIO
+from itertools import islice
+from typing import Iterator, Optional, TextIO
 
 from . import analysis, exact, fptas, instgen
 from .core import (
@@ -52,18 +54,55 @@ BENCH_HEADER = [
 ]
 
 
+# Instance text is handled in pieces of about this many characters: parse
+# cuts the text there, and serialize formats _CHUNK // 16 lines at a time.
+_CHUNK = 1 << 16
+# re's \s for str patterns is exactly str.isspace, the separators of
+# str.split(); the class below is exactly str.splitlines' line breaks.
+_SPACE = re.compile(r"\s")
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _pieces(text: str, boundary: re.Pattern) -> Iterator[str]:
+    """``text`` in pieces of at least _CHUNK characters (the last may be
+    shorter), each cut just after a match of ``boundary``."""
+    start = 0
+    while start < len(text):
+        cut = boundary.search(text, start + _CHUNK)
+        end = cut.end() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _token_pieces(text: str) -> Iterator[list[str]]:
+    """The tokens of ``text`` outside comment lines, one piece at a time.
+
+    A cut after whitespace splits no token; with comments present the cuts
+    fall after line breaks, so every comment line lies within one piece.
+    """
+    comments = "#" in text
+    for piece in _pieces(text, _LINE_BREAK if comments else _SPACE):
+        if comments:
+            lines = piece.splitlines()
+            piece = "\n".join(line for line in lines if not line.lstrip().startswith("#"))
+        yield piece.split()
+
+
 def parse_instance_text(text: str) -> Instance:
-    if "#" in text:
-        text = "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
-    # every line break is whitespace, so one split tokenizes all the lines
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise IsspError("instance file needs at least 'n T' on the first line")
+    numbers: list[int] = []
+    seen = 0  # tokens read so far
+    pieces = _token_pieces(text)
     try:
-        numbers = list(map(int, tokens))
+        for tokens in pieces:
+            seen += len(tokens)
+            numbers += map(int, tokens)
     except ValueError as e:
-        raise IsspError(f"non-integer token in instance file: {e}") from e
-    del tokens  # the ints are all the rest reads
+        # too few tokens is reported before a bad token, so count them all
+        seen += sum(map(len, pieces))
+        if seen >= 2:
+            raise IsspError(f"non-integer token in instance file: {e}") from e
+    if seen < 2:
+        raise IsspError("instance file needs at least 'n T' on the first line")
     n, target = numbers[0], numbers[1]
     if n < 0 or len(numbers) - 2 != 2 * n:
         raise IsspError(
@@ -72,10 +111,17 @@ def parse_instance_text(text: str) -> Instance:
     return validate_columns(numbers[2::2], numbers[3::2], target)
 
 
+def _serialized_pieces(inst: Instance) -> Iterator[str]:
+    """The text of ``serialize_instance``, a bounded number of lines at a time."""
+    yield f"{inst.n} {inst.target}\n"
+    step = max(1, _CHUNK // 16)
+    pairs = zip(inst.lo, inst.hi)
+    for _ in range(0, inst.n, step):
+        yield "".join([f"{lo} {hi}\n" for lo, hi in islice(pairs, step)])
+
+
 def serialize_instance(inst: Instance) -> str:
-    lines = [f"{inst.n} {inst.target}"]
-    lines += [f"{lo} {hi}" for lo, hi in zip(inst.lo, inst.hi)]
-    return "\n".join(lines) + "\n"
+    return "".join(_serialized_pieces(inst))
 
 
 def _read_instance(path: str) -> Instance:
@@ -188,7 +234,7 @@ def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     except (IsspError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAGS
-    out.write(serialize_instance(inst))
+    out.writelines(_serialized_pieces(inst))
     return 0
 
 

@@ -5,7 +5,7 @@ These are the line-by-line parser with its per-pair validation loop, the
 detectors that make one pass over the intervals per aggregate and test
 c* >= 2 on a ``Fraction`` per interval, the routes' greedy fill with its
 input-order placement, and the check that visits every entry of a
-solution.  They are kept as the references for the one-split parser, the
+solution.  They are kept as the references for the chunked parser, the
 C-level validation, the one-pass detectors, ``analysis.fill_values`` with
 ``core.place`` and the nonzero-only check in ``issp``, on small inputs.
 """

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issp
-from issp import analysis, cli, core, fptas
+from issp import analysis, cli, core, fptas, instgen
 from issp.cli import (
     BENCH_HEADER,
     EXIT_BUDGET,
@@ -53,6 +55,18 @@ def run_entry_point(*argv, stdin=b"", **env_vars):
     )
 
 
+class WriteLog(io.StringIO):
+    """A text stream that also keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
 def strip_times(csv_text):
     """Bench CSV rows without the two wall-clock columns, joined back with commas."""
     drop = {BENCH_HEADER.index("avg_time_s"), BENCH_HEADER.index("worst_time_s")}
@@ -79,6 +93,16 @@ class TestInstanceFile:
         assert again.target == inst.target
         assert serialize_instance(again) == serialize_instance(inst)
 
+    @given(instances(), st.integers(min_value=1, max_value=80))
+    @settings(max_examples=100)
+    def test_serialize_in_small_pieces(self, inst, chunk):
+        canonical = f"{inst.n} {inst.target}\n" + "".join(
+            f"{iv.lo} {iv.hi}\n" for iv in inst.intervals
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK", chunk)
+            assert serialize_instance(inst) == canonical
+
     def test_rejects_token_count_mismatch(self):
         with pytest.raises(IsspError):
             parse_instance_text("3 100\n10 20\n")
@@ -92,7 +116,7 @@ class TestInstanceFile:
             parse_instance_text("# nothing here\n")
 
 
-# Separators the one-split tokenizer must treat as the line-by-line parser
+# Separators the chunked tokenizer must treat as the line-by-line parser
 # did: every line break str.splitlines knows is also whitespace to split().
 SPACES = [" ", "\t", "\x0b", "\x0c", "\u2028", "\xa0", "\x1f", "  \t"]
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
@@ -164,7 +188,7 @@ def reducible_texts(draw):
 
 
 class TestParserAgainstReference:
-    """The one-split parser and C-level validation against the line-by-line
+    """The chunked parser and C-level validation against the line-by-line
     parser with its per-pair validation loop (tests/reference_frontend.py)."""
 
     @given(reducible_texts())
@@ -223,6 +247,155 @@ class TestParserAgainstReference:
         ref = parse_result(reference_frontend.parse_instance_text, text)
         assert isinstance(ref, tuple)
         assert parse_result(parse_instance_text, text) == ref
+
+
+# Every character str.split separates tokens at (none lies above U+3000),
+# and those of them at which str.splitlines also breaks lines.
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+LINE_BREAK_CHARS = [c for c in WHITESPACE if len(f"a{c}b".splitlines()) == 2]
+
+
+def check_cut(monkeypatch, marked):
+    """Parse ``marked`` less its '|' with the piece size set so that the
+    first cut is sought at the '|' (and each later one as far on): the
+    pieces keep tokens and lines whole, and the result is the reference
+    parser's.  Returns the pieces the text was cut into."""
+    text = marked.replace("|", "", 1)
+    monkeypatch.setattr(cli, "_CHUNK", marked.index("|"))
+    boundary = cli._LINE_BREAK if "#" in text else cli._SPACE
+    pieces = list(cli._pieces(text, boundary))
+    assert "".join(pieces) == text
+    for piece in pieces[:-1]:
+        assert len(piece) >= cli._CHUNK and boundary.fullmatch(piece[-1])
+    kept = [line for line in text.splitlines() if not line.strip().startswith("#")]
+    tokens = [tok for piece in cli._token_pieces(text) for tok in piece]
+    assert tokens == [tok for line in kept for tok in line.split()]
+    got = parse_result(parse_instance_text, text)
+    assert got == parse_result(reference_frontend.parse_instance_text, text)
+    return pieces
+
+
+NON_INTEGER_X = "non-integer token in instance file: invalid literal for int() with base 10: 'x'"
+TOO_FEW = "instance file needs at least 'n T' on the first line"
+
+
+class TestParserInSmallChunks:
+    """The parser with its piece size cut to a few characters, so that
+    cuts land everywhere, against the reference parser."""
+
+    def test_cut_classes_are_the_str_methods(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert cli._SPACE.findall(every) == WHITESPACE
+        assert cli._LINE_BREAK.findall(every) == LINE_BREAK_CHARS
+
+    @staticmethod
+    def check_every_small_chunk(text):
+        expected = parse_result(reference_frontend.parse_instance_text, text)
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in range(1, 9):
+                mp.setattr(cli, "_CHUNK", chunk)
+                assert parse_result(parse_instance_text, text) == expected
+
+    @given(instance_texts())
+    @settings(max_examples=300)
+    def test_same_instance_or_same_error(self, text):
+        self.check_every_small_chunk(text)
+
+    @given(st.text(alphabet="0123456789-#a" + "".join(WHITESPACE), max_size=40))
+    @settings(max_examples=300)
+    def test_same_result_on_arbitrary_text(self, text):
+        self.check_every_small_chunk(text)
+
+    @pytest.mark.parametrize(
+        "marked, first_ends",
+        [
+            ("2 100\n12|3456 234567\n345678 456789\n", "\n123456 "),
+            ("# c\n2 100\n12|3456 234567\n345678 456789\n", "\n123456 234567\n"),
+        ],
+    )
+    def test_cut_inside_a_token(self, monkeypatch, marked, first_ends):
+        assert check_cut(monkeypatch, marked)[0].endswith(first_ends)
+
+    @pytest.mark.parametrize("ws", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    @pytest.mark.parametrize("comment", ["", "# c\n"])
+    def test_cut_on_whitespace(self, monkeypatch, comment, ws):
+        pieces = check_cut(monkeypatch, f"{comment}2 10\n1|{ws}2\n3 4\n")
+        if not comment or ws in LINE_BREAK_CHARS:
+            assert pieces[0].endswith(f"1{ws}")
+        else:
+            assert pieces[0].endswith(f"1{ws}2\n")
+
+    def test_cut_inside_crlf(self, monkeypatch):
+        pieces = check_cut(monkeypatch, "# c\r\n2 10|\r\n1 2\r\n3 4\r\n")
+        assert pieces[0].endswith("10\r") and pieces[1].startswith("\n")
+
+    @pytest.mark.parametrize(
+        "marked, first_ends",
+        [
+            ("2 10\n# no|te 5\n1 2\n3 4\n", "# note 5\n"),
+            ("2 10\n \t# no|te 5\n1 2\n3 4\n", " \t# note 5\n"),
+            ("2 10\n\u3000|\xa0# note 5\n1 2\n3 4\n", "\u3000\xa0# note 5\n"),
+            ("2 10\n|  # note 5\n1 2\n3 4\n", "  # note 5\n"),
+            ("2 10\n#|\r\n1 2\n3 4\n", "\n#\r"),
+        ],
+    )
+    def test_cut_inside_a_comment_line(self, monkeypatch, marked, first_ends):
+        assert check_cut(monkeypatch, marked)[0].endswith(first_ends)
+
+    @pytest.mark.parametrize(
+        "marked, message",
+        [
+            ("2 10\n1 2|\n3 x\n", NON_INTEGER_X),
+            ("# c\n2 10\n1 2|\n3 x\n", NON_INTEGER_X),
+            ("x|  5\n", NON_INTEGER_X),
+            ("x|\n\n", TOO_FEW),
+            ("# c\n x|\n\n", TOO_FEW),
+        ],
+    )
+    def test_error_from_a_later_piece(self, monkeypatch, capsys, tmp_path, marked, message):
+        pieces = check_cut(monkeypatch, marked)
+        assert len(pieces) > 1
+        path = tmp_path / "bad.txt"
+        path.write_bytes("".join(pieces).encode())
+        assert run_cli(capsys, "solve", str(path), "--algorithm", "dp") == (
+            EXIT_PARSE, "", f"error: {message}\n"
+        )
+
+
+class TestTextMemory:
+    """Parse and serialize hold a bounded piece of the text at a time, on
+    the instance of the fptas-c100k workload (C n = 100,000, seed 1)."""
+
+    @pytest.fixture(scope="class")
+    def c100k(self):
+        inst = instgen.gen_c(100_000, Fraction(3, 2), 1)
+        return inst, serialize_instance(inst)
+
+    @staticmethod
+    def traced(fn, arg):
+        """fn(arg), the bytes it allocated and kept, and their peak."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = fn(arg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept, peak
+
+    def test_parse_peak_near_the_columns_it_returns(self, c100k):
+        inst, text = c100k
+        got, columns, peak = self.traced(parse_instance_text, text)
+        assert got == inst
+        # the token list of one split of the whole text took 2.8x
+        assert peak <= 1.6 * columns
+
+    def test_serialize_peak_beyond_its_text(self, c100k):
+        inst, text = c100k
+        got, _, peak = self.traced(serialize_instance, inst)
+        assert got == text
+        # the list of every line and their join took 11 MiB beyond the text
+        assert peak - sys.getsizeof(got) < 4 * 2**20
 
 
 class TestColumnarFrontEnd:
@@ -547,6 +720,26 @@ class TestGenerateCommand:
         assert err.count("\n") == 1 and err.startswith("error:")
         if "1/0" in flags:
             assert "'1/0'" in err
+
+    @pytest.mark.parametrize(
+        "family, n, param",
+        [("A", 12, None), ("B", 300, None), ("C", 300, "3/2"), ("D", 300, "13/10")],
+    )
+    @pytest.mark.parametrize("lines", [None, 64])
+    def test_writes_serialize_instance_piece_by_piece(self, monkeypatch, family, n, param, lines):
+        if lines:
+            monkeypatch.setattr(cli, "_CHUNK", 16 * lines)
+        lines = cli._CHUNK // 16
+        monkeypatch.setattr(sys, "stdout", WriteLog())
+        flags = ["--family", family, "--n", str(n), "--seed", "3"]
+        if param:
+            flags += ["--C" if family == "D" else "--c", param]
+        assert main(["generate", *flags]) == 0
+        inst = instgen.generate(
+            instgen.GenSpec(family, n, param and Fraction(param), seed=3)
+        )
+        assert sys.stdout.getvalue() == serialize_instance(inst)
+        assert len(sys.stdout.writes) == 1 + -(-n // lines)
 
     def test_generated_file_solves_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(
