@@ -20,7 +20,9 @@ budget alone, with bit-identical answers:
   repeats, the runs are its first-reach runs as they stand, and from the
   first repeat on a set of the sums filters them.  Time and space grow
   with the number of stored sums, so it serves any T.  Backtracking walks
-  the items down once and looks the sum up in each item's two runs.
+  the items down once and looks the sum up in each item's two runs.  The
+  item added last stays pending, unbuilt, until another item comes or the
+  set is read in full, so a scan that stops at T never builds it.
 - ``BitsetSums``: one Python int whose bit s is set when s is reachable,
   updated word-parallel as ``R | (R << lo) | (R << hi)`` below T.  Time
   per item grows with the largest reachable sum (at most T) and space with
@@ -172,6 +174,11 @@ class SparseSums:
     sums not yet stored.  Backtracking is given the endpoint columns after
     the scan; ``n`` is unused, so that both exact sets are built as
     ``sums(n, t)``.
+
+    The item last given to ``add`` stays pending: its runs are built,
+    budget check included, when the next item comes or ``snapshot`` reads
+    the set in full.  Until then ``largest_le`` and ``backtrack`` find its
+    sums by ``bisect`` on the stored ones, and ``stored`` leaves them out.
     """
 
     name = "sparse"
@@ -183,13 +190,28 @@ class SparseSums:
         self.seen: set[int] | None = None  # built when a sum first repeats
         self.firsts: list[int] = []
         self.ends = [0]
+        self.pending: tuple[int, ...] = ()  # (lo, hi) of the item not yet built
 
     def largest_le(self, bound: int) -> int:
-        """Largest stored sum <= bound, or 0."""
-        pos = bisect_right(self.values, bound)
-        return self.values[pos - 1] if pos else 0
+        """Largest sum <= bound, or 0, among the stored sums and the pending
+        item's: each endpoint e <= bound adds e to the largest stored sum
+        <= bound - e (or to 0, the lone endpoint)."""
+        values, best = self.values, 0
+        for e in (0, *self.pending):
+            if e <= bound:
+                pos = bisect_right(values, bound - e)
+                best = max(best, values[pos - 1] + e if pos else e)
+        return best
 
     def add(self, i: int, lo: int, hi: int) -> None:
+        """Build the pending item, then keep item i pending."""
+        self._build()
+        self.pending = lo, hi
+
+    def _build(self) -> None:
+        if not self.pending:
+            return
+        (lo, hi), self.pending = self.pending, ()
         values, seen, t = self.values, self.seen, self.t
         # The shifted runs take the stored sums up to each bisect cut, and
         # the lone endpoints join them; with lo == hi the lo shift repeats
@@ -247,10 +269,17 @@ class SparseSums:
         self.ends.append(len(firsts))
 
     def stored(self) -> int:
+        """Sums built so far; a pending item's are not counted."""
         return len(self.values)
 
     def snapshot(self) -> tuple[int, ...]:
+        self._build()
         return tuple(self.values)
+
+    def _has(self, s: int) -> bool:
+        values = self.values
+        pos = bisect_left(values, s)
+        return pos < len(values) and values[pos] == s
 
     def backtrack(
         self, d: int, m: int | None, lo: Sequence[int], hi: Sequence[int]
@@ -261,12 +290,21 @@ class SparseSums:
         Walking back from item m - 1, item k takes hi when d is on its hi
         run and lo when d is on its lo run, and d drops by that endpoint.
         The sum left over was stored before item k, so an earlier item
-        reached it first, and each item is looked at once.
+        reached it first, and each item is looked at once.  When item
+        m - 1 is pending it has no runs, and its step is the one
+        ``BitsetSums.backtrack`` takes, on the stored sums.
         """
         x: dict[int, int] = {}
+        firsts, ends = self.firsts, self.ends
+        if d and 2 * m > len(ends):  # item m - 1 is pending
+            m -= 1
+            has = self._has
+            if not has(d):
+                a, b = lo[m], hi[m]
+                e = x[m] = b if has(d - b) else a if has(d - a) else d
+                d -= e
         if not d:  # also when no item was scanned and m is None
             return x
-        firsts, ends = self.firsts, self.ends
         stop = ends[2 * m]
         for k in range(m - 1, -1, -1):
             start, mid = ends[2 * k], ends[2 * k + 1]
@@ -425,7 +463,12 @@ def midrange_solution(
 
 
 def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
-    """``dp_exact`` with the reachable sums held by ``sums``, a class above."""
+    """``dp_exact`` with the reachable sums held by ``sums``, a class above.
+
+    ``stats["stored_values"]`` counts the sums built.  Untraced, the sparse
+    set never builds the item the scan added last; traced, every snapshot
+    builds it, so the count is the size of the last set in ``sets``.
+    """
     start = time.perf_counter()
     if not inst.length_sorted:
         inst = sort_by_length(inst)

@@ -323,6 +323,7 @@ class TestSparseSums:
     def test_lone_point_takes_the_lo_run(self):
         reach = SparseSums(1, 10)
         reach.add(0, 2, 2)
+        assert reach.snapshot() == (2,)
         assert (reach.firsts, reach.ends) == ([2], [0, 0, 1])
 
     def test_long_chain_reads_each_item_once(self):
@@ -338,8 +339,46 @@ class TestSparseSums:
         assert reach.backtrack(delta, m, work.lo, work.hi) == dict.fromkeys(range(m), 2)
         assert max(reach.ends.reads.values()) == 1
 
+    @given(st.one_of(dp_instances(), dp_instances(scale=2**64 + 1)))
+    @settings(max_examples=300)
+    def test_untraced_run_matches_traced_run_and_bitset(self, work):
+        # untraced, the scan's last item stays pending; traced, every
+        # snapshot builds it.  The bitset is run only where T is small.
+        def answer(out):
+            return out.value, out.solution, out.midrange_index
+
+        got = answer(run_dp(work, SparseSums))
+        assert got == answer(run_dp(work, SparseSums, trace=True))
+        if work.target < 2**64:
+            assert got == answer(run_dp(work, BitsetSums))
+
+    @pytest.mark.parametrize(
+        "pairs, t, x",
+        [
+            # the scan stops at the last item, so the item before it is
+            # pending when d is backtracked; item 0 stores {5}
+            ([(5, 5), (1, 2), (20, 40)], 25, (5, 0, 20)),  # d = 5 stored before it
+            ([(5, 5), (1, 2), (20, 40)], 27, (5, 2, 20)),  # d = 7 = 5 + hi
+            ([(5, 5), (1, 2), (20, 40)], 26, (5, 1, 20)),  # d = 6 = 5 + lo
+            ([(3, 3), (5, 5), (2, 4), (20, 40)], 27, (3, 0, 4, 20)),  # d = 7 = 3 + hi = 5 + lo
+            ([(5, 5), (1, 2), (20, 40)], 21, (0, 1, 20)),  # d = 1, the lone lo
+            ([(1, 1), (2, 3), (20, 40)], 23, (1, 2, 20)),  # d = 3, a lone hi and 1 + lo
+        ],
+    )
+    def test_pending_item_backtracks_like_the_bitset(self, pairs, t, x):
+        work = sort_by_length(validate(pairs, t))
+        reach = SparseSums(work.n, t)
+        _, m, _, exit_at, _ = scan(work, reach)
+        assert exit_at == m == work.n - 1
+        assert reach.pending == pairs[m - 1]
+        for sums in (SparseSums, BitsetSums):
+            assert run_dp(work, sums).solution.values == x
+        assert _reference_fields(work)["x"] == x
+
     def test_peak_bytes_per_sum_below_nominal_cost(self):
-        # 177,146 sums; _BYTES_PER_ENTRY is what the memory gate charges
+        # 59,048 = 3^10 - 1 sums; _BYTES_PER_ENTRY is what the memory gate
+        # charges.  The scan stops at item 11, so item 10, which would take
+        # the set to 177,146 sums, stays pending and is never built.
         inst = gen_c(14, Fraction(11, 10), 1)
         tracemalloc.start()
         try:
@@ -347,8 +386,9 @@ class TestSparseSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.stats["stored_values"] == 177_146
+        assert out.stats["stored_values"] == 59_048
         assert peak / out.stats["stored_values"] < _BYTES_PER_ENTRY
+        assert peak < 4 << 20
 
 
 # 100 items whose sums repeat from the fourth item on (the CLI budget test's
@@ -373,6 +413,7 @@ class TestSparseSumsAgainstFilter:
         for i, (lo, hi) in enumerate(pairs):
             got.add(i, lo, hi)
             ref.add(i, lo, hi)
+            assert got.snapshot() == ref.snapshot()
             assert (got.values, got.firsts, got.ends) == (ref.values, ref.firsts, ref.ends)
             if got.seen is not None:
                 assert got.seen == set(got.values)
@@ -465,10 +506,11 @@ class TestSparseBudget:
             finally:
                 tracemalloc.stop()
             assert peak <= budget, (mb, outcomes[-1], peak / budget)
-        # seed 3 holds 6,560 sums, seed 4 19,682 and seed 1 177,146; the
-        # instance with repeats outgrows every budget here
+        # seed 1 builds 59,048 sums, seed 3 2,186 and seed 4 6,560 (each
+        # scan's last item stays pending); the instance with repeats
+        # outgrows every budget here
         entries = budget // _BYTES_PER_ENTRY
-        expected = [n if n <= entries else None for n in (177_146, 6_560, 19_682)]
+        expected = [n if n <= entries else None for n in (59_048, 2_186, 6_560)]
         assert outcomes == expected + [None]
 
     def test_no_repeat_count_is_the_new_size(self):
@@ -482,10 +524,12 @@ class TestSparseBudget:
 
         reach = after_first_item(8)
         reach.add(1, 20, 30)
+        reach.snapshot()
         assert reach.seen is None and len(reach.values) == 8
         reach = after_first_item(7)
+        reach.add(1, 20, 30)  # pending: the budget is checked when it is built
         with pytest.raises(MemoryBudgetExceeded, match="needs 8 entries"):
-            reach.add(1, 20, 30)
+            reach.snapshot()
         # refused before anything was built
         assert (reach.values, reach.firsts, reach.ends) == ([1, 2], [2, 1], [0, 1, 2])
 
