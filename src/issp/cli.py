@@ -6,9 +6,11 @@ Instance file format (UTF-8, LF):
 Lines starting with '#' are ignored.  Serialization is canonical (single
 spaces, trailing newline), and parse(serialize(x)) is the identity.
 
-Exit codes: 0 success, 2 parse/validation error (also for input that is
-not UTF-8), 3 invalid flags or settings, 4 resource budget exceeded, 5 solver
-bug (a solver's answer failed its self-check, or an internal invariant broke).
+Exit codes: 0 success, 2 input or output error (an instance that cannot be
+read, is not UTF-8 or fails to parse or validate, or a failed write to stdout),
+3 usage error (any invalid flag or setting), 4 resource budget exceeded, 5
+solver bug (a solver's answer failed its self-check, or an internal invariant
+broke).  Commands raise; ``main`` prints the one ``error:`` line and picks the code.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, TextIO
+from typing import Any, Callable, Iterator, NoReturn, Optional, TextIO
 
 from . import analysis, exact, fptas, instgen
 from .core import (
@@ -34,7 +37,7 @@ from .core import (
     sort_by_length,
     validate_columns,
 )
-from .errors import InstanceTooLarge, InvalidSetting, IsspError, MemoryBudgetExceeded
+from .errors import InputError, InstanceTooLarge, InvalidSetting, IsspError, MemoryBudgetExceeded
 
 EXIT_PARSE = 2
 EXIT_FLAGS = 3
@@ -125,16 +128,20 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def _read_instance(path: str) -> Instance:
+    """The instance at ``path`` ('-' for stdin); any failure to read,
+    decode, parse or validate it raises InputError."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
+        return parse_instance_text(text)
     except UnicodeDecodeError as e:
         source = "standard input" if path == "-" else path
-        raise IsspError(f"{source} is not UTF-8 text: {e}") from e
-    return parse_instance_text(text)
+        raise InputError(f"{source} is not UTF-8 text: {e}") from e
+    except (OSError, IsspError) as e:
+        raise InputError(e) from e
 
 
 def parse_ratio(text: str) -> Fraction:
@@ -154,6 +161,14 @@ def parse_epsilon(text: str) -> Fraction:
     if eps is None or not 0 < eps < 1:
         raise ValueError(f"epsilon must be a rational in (0, 1), got {text!r}")
     return eps
+
+
+def _setting(convert: Callable[..., Any], *args: Any) -> Any:
+    """``convert(*args)`` on a flag value; a value it refuses raises InvalidSetting."""
+    try:
+        return convert(*args)
+    except (ValueError, IsspError) as e:
+        raise InvalidSetting(e) from e
 
 
 def _solve_instance(
@@ -181,30 +196,17 @@ def _solve_instance(
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
-    try:
-        inst = _read_instance(args.path)
-    except (OSError, IsspError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
+    inst = _read_instance(args.path)
     if args.algorithm in ("fptas", "auto") and args.epsilon is None:
-        print("error: --epsilon is required for fptas/auto", file=sys.stderr)
-        return EXIT_FLAGS
-    try:
-        eps = parse_epsilon(args.epsilon) if args.epsilon is not None else None
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FLAGS
+        raise InvalidSetting("--epsilon is required for fptas/auto")
+    eps = None if args.epsilon is None else _setting(parse_epsilon, args.epsilon)
     outcome = _solve_instance(inst, args.algorithm, eps)
-    # self-check before printing; an infeasible solution raises an
-    # IsspError, which main maps to EXIT_BUG
+    # self-check before printing; an infeasible solution or a wrong value
+    # raises an IsspError, which main maps to EXIT_BUG
     total = evaluate(inst, outcome.solution)
     if total != outcome.value:
-        print(
-            f"error: solver bug: reported value {outcome.value} but the solution sums to {total}",
-            file=sys.stderr,
-        )
-        return EXIT_BUG
+        raise IsspError(f"reported value {outcome.value} but the solution sums to {total}")
     if args.json:
         payload = {
             "value": outcome.value,
@@ -222,33 +224,23 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         if outcome.midrange_index is not None:
             print(f"midrange_index {outcome.midrange_index}", file=out)
         print(f"elapsed_s {outcome.stats.get('elapsed', 0.0):.6f}", file=out)
-    return 0
 
 
-def cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
-    try:
-        c = None if args.c is None else parse_ratio(args.c)
-        cap = None if args.C is None else parse_ratio(args.C)
-        param = cap if args.family == "D" else c
-        inst = instgen.generate(instgen.GenSpec(args.family, args.n, param, seed=args.seed))
-    except (IsspError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FLAGS
-    out.writelines(_serialized_pieces(inst))
-    return 0
+def cmd_generate(args: argparse.Namespace, out: TextIO) -> None:
+    c = None if args.c is None else _setting(parse_ratio, args.c)
+    cap = None if args.C is None else _setting(parse_ratio, args.C)
+    param = cap if args.family == "D" else c
+    spec = instgen.GenSpec(args.family, args.n, param, seed=args.seed)
+    out.writelines(_serialized_pieces(_setting(instgen.generate, spec)))
 
 
-def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
-    try:
-        inst = _read_instance(args.path)
-    except (OSError, IsspError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
+    inst = _read_instance(args.path)
     reduced = preprocess(inst)
     if isinstance(reduced, Solution) and reduced.total:
         print("preprocessing: immediate solution (an interval contains T)", file=out)
         print(f"value {reduced.total}", file=out)
-        return 0
+        return
     dropped = [i for i, lo in enumerate(inst.lo) if lo > inst.target]
     if dropped:
         print(f"preprocessing: dropped intervals {' '.join(map(str, dropped))}", file=out)
@@ -256,7 +248,7 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
         print("preprocessing: instance already normalized (T > max hi)", file=out)
     if isinstance(reduced, Solution):
         print("empty after preprocessing; optimum 0", file=out)
-        return 0
+        return
     agg = analysis.aggregates(reduced)
     t2 = agg.large_target(reduced.target)
     degenerate = agg.min_length == 0
@@ -270,7 +262,6 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     else:
         print(f"polynomial route: ({poly.stats['route']})", file=out)
         print(f"value {poly.value}", file=out)
-    return 0
 
 
 def _exact_reference(family: str, inst: Instance, n: int) -> Optional[int]:
@@ -284,17 +275,12 @@ def _exact_reference(family: str, inst: Instance, n: int) -> Optional[int]:
     return None
 
 
-def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
-    try:
-        epsilons = [parse_epsilon(e) for e in args.epsilons.split(",")]
-        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
-        fixed_param = parse_ratio(args.c) if args.c is not None else None
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FLAGS
+def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
+    epsilons = [_setting(parse_epsilon, e) for e in args.epsilons.split(",")]
+    sizes = [_setting(int, s) for s in args.sizes.split(",")] if args.sizes else None
+    fixed_param = _setting(parse_ratio, args.c) if args.c is not None else None
     if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_FLAGS
+        raise InvalidSetting(f"--trials must be at least 1, got {args.trials}")
     family = args.suite
     writer = csv.writer(out)
     writer.writerow(BENCH_HEADER)
@@ -312,20 +298,13 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
             cases: list[tuple[Instance, int]] = []
             for trial in range(args.trials):
                 spec = instgen.GenSpec(family, n, param, seed=args.seed + trial)
-                try:
-                    inst = instgen.generate(spec)
-                except (IsspError, ValueError) as e:
-                    print(f"error: {e}", file=sys.stderr)
-                    return EXIT_FLAGS
+                inst = _setting(instgen.generate, spec)
                 if family in ("A", "B"):
                     reference = _exact_reference(family, inst, n)
                     if reference is None:
-                        print(
-                            f"refusing cell family={family} n={n}: exact "
-                            "reference out of budget",
-                            file=sys.stderr,
+                        raise InstanceTooLarge(
+                            f"refusing cell family={family} n={n}: exact reference out of budget"
                         )
-                        return EXIT_BUDGET
                 else:
                     reference = inst.target
                 cases.append((inst, reference))
@@ -352,11 +331,18 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
                         f"{max(times):.6f}",
                     ]
                 )
-    return 0
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise InvalidSetting, like every other
+    invalid flag; ``add_subparsers`` makes its subparsers of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidSetting(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="issp",
         description="Interval subset sum solvers and benchmark harness",
     )
@@ -393,19 +379,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
-    except (MemoryBudgetExceeded, InstanceTooLarge) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        args = build_parser().parse_args(argv)
+        args.func(args, sys.stdout)
+        sys.stdout.flush()  # a buffered write that fails must fail here
+        return 0
+    except OSError as e:
+        # _read_instance raises no OSError, so a write to stdout failed (a closed
+        # pipe, a full disk); what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message, code = str(e), EXIT_PARSE
+    except InputError as e:
+        message, code = str(e), EXIT_PARSE
     except InvalidSetting as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FLAGS
+        message, code = str(e), EXIT_FLAGS
+    except (MemoryBudgetExceeded, InstanceTooLarge) as e:
+        message, code = str(e), EXIT_BUDGET
     except IsspError as e:
-        # each command handles its own input errors, so this is a solver bug
-        print(f"error: solver bug: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_BUG
+        message, code = f"solver bug: {type(e).__name__}: {e}", EXIT_BUG
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

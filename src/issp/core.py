@@ -241,7 +241,9 @@ class LengthOrder(Instance):
     would reach n / FULL_SORT_SHARE.  ``n`` is the full count.  ``lo``,
     ``hi`` and ``origin`` are the full sorted tuples, built (and the order
     sorted in full) when first read; ``unsorted`` is ``inst``'s columns,
-    which the order-free detectors read instead.
+    which the order-free detectors read instead.  Each extension computes
+    the n lengths hi - lo afresh and keeps none, so a partial view holds
+    only its three lists beyond the columns.
     """
 
     length_sorted = True
@@ -251,7 +253,6 @@ class LengthOrder(Instance):
         object.__setattr__(self, "source", inst.input)
         self._unsorted = (inst.lo, inst.hi)
         self._unsorted_origin = None if inst.source is None else inst.origin  # None: identity
-        self._lengths: Optional[list[int]] = None  # kept while the order is partial
         self._lo: list[int] = []
         self._hi: list[int] = []
         self._origin: list[int] = []
@@ -303,14 +304,13 @@ class LengthOrder(Instance):
         if k <= done or done == n:
             return
         lo, hi = self._unsorted
-        lengths = self._lengths or list(map(sub, hi, lo))
+        lengths = list(map(sub, hi, lo))
         size = max(k, 4 * done, FIRST_CHUNK)
         if size * FULL_SORT_SHARE >= n:
             size = n
             order = sorted(range(n), key=lengths.__getitem__)
         else:
             order = heapq.nsmallest(size, range(n), key=lengths.__getitem__)
-        self._lengths = lengths if size < n else None
         tail = order[done:]
         self._lo[done:size] = map(lo.__getitem__, tail)
         self._hi[done:size] = map(hi.__getitem__, tail)

@@ -5,6 +5,10 @@ class IsspError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(IsspError):
+    """An instance could not be read or parsed."""
+
+
 class NonPositiveEndpoint(IsspError):
     """An interval endpoint is smaller than 1."""
 
@@ -30,7 +34,7 @@ class NegativeGap(IsspError):
 
 
 class InstanceTooLarge(IsspError):
-    """Exhaustive enumeration refused: n exceeds the enumeration cap."""
+    """Exhaustive enumeration, or an exact reference, refused: n exceeds its cap."""
 
 
 class MemoryBudgetExceeded(IsspError):
@@ -38,7 +42,7 @@ class MemoryBudgetExceeded(IsspError):
 
 
 class InvalidSetting(IsspError):
-    """An environment setting, such as ISSP_MEMORY_BUDGET_MB, is malformed or out of range."""
+    """A flag or a setting such as ISSP_MEMORY_BUDGET_MB is malformed or out of range."""
 
 
 class EpsilonOutOfRange(IsspError):

@@ -45,14 +45,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_entry_point(*argv, stdin=b"", **env_vars):
-    """``python -m issp.cli`` in a subprocess, with its own stderr and warnings."""
+def entry_point(*argv, python_flags=()):
+    """The command line and environment that run ``python -m issp.cli``, with
+    stdout block-buffered as it is for a pipe or a file even where the
+    environment sets PYTHONUNBUFFERED."""
     src = str(Path(issp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, *python_flags, "-m", "issp.cli", *argv], env
+
+
+def run_entry_point(*argv, stdin=b"", **env_vars):
+    """``python -m issp.cli`` in a subprocess, with its own stderr and warnings."""
+    command, env = entry_point(*argv)
     env.update(env_vars)
-    return subprocess.run(
-        [sys.executable, "-m", "issp.cli", *argv], input=stdin, capture_output=True, env=env
-    )
+    return subprocess.run(command, input=stdin, capture_output=True, env=env)
 
 
 class WriteLog(io.StringIO):
@@ -903,6 +910,62 @@ class TestBenchCommand:
         assert err.count("\n") == 1 and err.startswith("error:")
         if flags[1] == "1/0":
             assert "'1/0'" in err
+
+
+class TestErrorsReachMain:
+    """Usage errors and failed writes end like every other error: one
+    ``error:`` line on stderr and a defined exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "x", "--algorithm", "foo"],
+            ["bench", "--suite", "C", "--trials", "abc"],
+            ["generate", "--family", "C"],
+            [],
+        ],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_FLAGS
+        assert out == ""
+        assert err.startswith("error: issp") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]])
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: issp") and err == ""
+
+    @pytest.mark.parametrize("python_flags", [(), ("-O",)])
+    def test_closed_stdout_pipe(self, python_flags):
+        command, env = entry_point(
+            "generate", "--family", "C", "--n", "200000", "--c", "3/2", python_flags=python_flags
+        )
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(1) == b"2"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_PARSE
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("python_flags", [(), ("-O",)])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "C", "--n", "200000", "--c", "3/2"),  # fails while writing
+            ("--family", "B", "--n", "10"),  # fits the buffer, so fails at main's flush
+        ],
+    )
+    def test_full_disk(self, python_flags, flags):
+        command, env = entry_point("generate", *flags, python_flags=python_flags)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
 class TestPinnedOutput:

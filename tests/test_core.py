@@ -215,8 +215,10 @@ class TestLengthOrder:
 
         _, lengths = retained(lambda: list(map(sub, inst.hi, inst.lo)))
         view, held = retained(read_prefix)
-        assert view.materialized < view.n  # partial, so it keeps its lengths
+        assert view.materialized < view.n  # partial
         assert held - lengths < 8 * inst.n
+        # and it keeps no lengths between extensions (1.2 B per interval held)
+        assert held < 2 * inst.n
 
     def test_sorts_in_full_at_once_up_to_8192(self):
         assert sort_by_length(validate([(1, 2)] * 8192, 5)).materialized == 8192
