@@ -264,15 +264,20 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
         print(f"value {poly.value}", file=out)
 
 
-def _exact_reference(family: str, inst: Instance, n: int) -> Optional[int]:
-    """Exact optimum for families A/B, or None if out of budget."""
+# the largest family A size whose meet-in-the-middle reference is in budget
+_MITM_MAX_N = 42
+
+
+def _exact_reference(family: str, inst: Instance, n: int) -> int:
+    """Exact optimum for families A/B, the target for C/D; family A's n must
+    be at most ``_MITM_MAX_N``."""
     if family == "A":
         # the search keeps only sums <= T: items above T never enter it and
         # an item equal to T yields T, so it needs no preprocessing
-        return exact.ssp_optimum_mitm(inst) if n <= 42 else None
+        return exact.ssp_optimum_mitm(inst)
     if family == "B":
         return instgen.instance_b_optimum(n)
-    return None
+    return inst.target
 
 
 def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
@@ -282,8 +287,6 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     if args.trials < 1:
         raise InvalidSetting(f"--trials must be at least 1, got {args.trials}")
     family = args.suite
-    writer = csv.writer(out)
-    writer.writerow(BENCH_HEADER)
     if family in ("A", "B"):
         default_sizes = [10, 15, 20, 25, 30, 35] if family == "A" else [10, 50, 100, 500]
         params: list[Optional[Fraction]] = [None]
@@ -292,22 +295,23 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
         params = [Fraction(3, 2), Fraction(13, 10), Fraction(11, 10)]
         if fixed_param is not None:
             params = [fixed_param]
-    for n in sizes or default_sizes:
+    sizes = sizes or default_sizes
+    # refuse before any row is written, so a refusal leaves stdout empty
+    for n in sizes:
+        if family == "A" and n > _MITM_MAX_N:
+            raise InstanceTooLarge(
+                f"refusing cell family={family} n={n}: exact reference out of budget"
+            )
+    writer = csv.writer(out)
+    writer.writerow(BENCH_HEADER)
+    for n in sizes:
         for param in params:
             # the instances and their references do not depend on epsilon
             cases: list[tuple[Instance, int]] = []
             for trial in range(args.trials):
                 spec = instgen.GenSpec(family, n, param, seed=args.seed + trial)
                 inst = _setting(instgen.generate, spec)
-                if family in ("A", "B"):
-                    reference = _exact_reference(family, inst, n)
-                    if reference is None:
-                        raise InstanceTooLarge(
-                            f"refusing cell family={family} n={n}: exact reference out of budget"
-                        )
-                else:
-                    reference = inst.target
-                cases.append((inst, reference))
+                cases.append((inst, _exact_reference(family, inst, n)))
             for eps in epsilons:
                 errors: list[Fraction] = []
                 times: list[float] = []

@@ -16,11 +16,14 @@ so plain backtracking cannot reconstruct a solution; reconstruction
 instead recursively splits the item set in two, computes the relaxed
 arrays per half, picks a compatible pair (u1, u2) of half-sums, and
 backtracks greedily through the producer codes, removing every touched
-suffix so no item is ever used twice.  Every backtrack is one walk from
-the largest stored value at or below its target.  The second half's is
-taken from its first arrays before their release and used when that value
-is at or below the half's updated target, where a re-run would end with the
-same arrays; otherwise the half is re-run.
+suffix so no item is ever used twice.  The second half's arrays are
+computed first, and the first half's stay empty when the second half's
+largest value already lies within eps*T of the frame's target.  Every
+backtrack is one walk from the largest stored value at or below its
+target.  The second half's is taken from its first arrays before their
+release and used when that value is at or below the half's updated
+target, where a re-run would end with the same arrays; otherwise the half
+is re-run.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
@@ -364,11 +367,12 @@ def _dc(
     """Fill ``assignments`` from ``items`` toward t_local; return their sum.
 
     The items are split into halves lam1 and lam2, each run through
-    ``relaxed_dp`` at t_local (b1, b2), and a pair (u1, u2) is picked.  The
-    first half is done first: a backtrack on b1 toward t_local - u2, then a
-    recursion on what it left.  The second half follows toward
-    t2 = t_local - (what the first half reached): a backtrack on its
-    relaxed arrays at t2, then a recursion on what that left.
+    ``relaxed_dp`` at t_local (b2 first, then b1), and a pair (u1, u2) is
+    picked.  The first half is done first: a backtrack on b1 toward
+    t_local - u2, then a recursion on what it left.  The second half
+    follows toward t2 = t_local - (what the first half reached): a
+    backtrack on its relaxed arrays at t2, then a recursion on what that
+    left.
 
     That backtrack is taken from b2 before b2 is released, as the walk from
     b2's largest value top2.  Every value the run offered is at most top2, so
@@ -376,6 +380,17 @@ def _dc(
     starts at top2 too.  The first half gets within eps*T of t_local - u2,
     so t2 <= u2 + eps*T: the walk is taken only if top2 <= u2 + eps*T, and
     the half is re-run at t2 only if top2 > t2.
+
+    b1 is left empty when b2's largest value top2 settles the pair, that
+    is, when top2 >= lob = ceil(t_local - eps*T).  Every stored value is at
+    most upb = floor(t_local), and ``find_u1_u2`` first tests u1 = 0 with
+    u2 = top2, so it returns (0, top2) whatever b1 holds.  Then
+    t_local - u2 <= eps*T: the first half takes no walk and no recursion,
+    and b1 is never read, so the pair, the walks and the assignments are
+    those of a full b1.  The empty b1 is still allocated while b2 is live,
+    so every frame reaches two live arrays as before and ``peak_slots`` is
+    unchanged; dropping it would halve the peak on instances where every
+    frame settles.
 
     Every walk starts at a value u with ceil(bound - eps*T) <= u <= bound,
     within eps*T of its target, so it may follow a bucket minimum:
@@ -404,8 +419,10 @@ def _dc(
     eps_t = params.eps_t
     half = -(-len(items) // 2)
     lam1, lam2 = items[:half], items[half:]
-    b1 = relaxed_dp(lam1, t_local, params)
     b2 = relaxed_dp(lam2, t_local, params)
+    top2 = b2.largest_le(params.target)
+    settled = top2 >= math.ceil(t_local - eps_t)
+    b1 = relaxed_dp([] if settled else lam1, t_local, params)
     u1, u2 = find_u1_u2(b1, b2, t_local, params)
     y1b = y1dc = y2b = y2dc = 0
     lam1_rest = lam1
@@ -414,7 +431,6 @@ def _dc(
         assignments.update(asg1)
         lam1_rest = lam1[:cut1]
     b1.release()
-    top2 = b2.largest_le(params.target)
     early = backtrack(b2, lam2, top2, params) if 0 < top2 <= u2 + eps_t else None
     b2.release()
     if t_local - u2 - y1b > eps_t:

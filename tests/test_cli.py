@@ -881,6 +881,15 @@ class TestBenchCommand:
         assert code == EXIT_BUDGET
         assert "refusing" in err
 
+    def test_refuses_a_later_size_before_writing(self, capsys):
+        # n = 10 is in budget and n = 50 is not: no header and no n = 10 row
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", "A", "--sizes", "10,50", "--epsilons", "0.1"
+        )
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: refusing cell family=A n=50: exact reference out of budget\n"
+
     def test_zero_trials_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "bench", "--suite", "B", "--sizes", "10", "--epsilons", "0.1", "--trials", "0"

@@ -467,6 +467,15 @@ RE_RUN_CASE = (
     960374,
     FptasParams(Fraction(1, 10), 960374),
 )
+# the items before the midrange one of sort_by_length(preprocess(gen_b(6)))
+# at eps = 1/5, toward its dc_target: the second half's largest value, 47,
+# lies within eps*T of 51, so the pair is (0, 47) and the first half is
+# left empty
+SETTLE_CASE = (
+    [(0, 43, 43), (1, 44, 44), (2, 45, 45), (3, 46, 46), (4, 47, 47)],
+    51,
+    FptasParams(Fraction(1, 5), 99),
+)
 
 
 class TestDivideAndConquer:
@@ -482,13 +491,16 @@ class TestDivideAndConquer:
     )
     @example(EARLY_WALK_CASE)
     @example(RE_RUN_CASE)
+    @example(SETTLE_CASE)
     @settings(max_examples=300, deadline=None)
     def test_matches_rebuilding_reference(self, case):
-        # the reference re-runs the second half at every level; taking its
-        # backtrack from the first run must change neither the answer nor
-        # the peak slots.  In the explicit 4-item case the first half does
-        # not recurse but the second half stores a value above its updated
-        # target, so its first run must not be used.
+        # the reference runs both halves in full and re-runs the second half
+        # at every level; taking its backtrack from the first run, and
+        # leaving the first half empty when the second half's top settles
+        # the pair, must change neither the answer nor the peak slots.  In
+        # the explicit 4-item case the first half does not recurse but the
+        # second half stores a value above its updated target, so its first
+        # run must not be used.
         items, local_target, p = case
         args = (items, local_target, p.epsilon, p.target)
         assert dc_outcome(divide_and_conquer, *args) == dc_outcome(rebuild_dc, *args)
@@ -498,6 +510,7 @@ class TestDivideAndConquer:
     @example(filled_case(FILLED_TARGETS[1]))
     @example(EARLY_WALK_CASE)
     @example(RE_RUN_CASE)
+    @example(SETTLE_CASE)
     @settings(max_examples=300, deadline=None)
     def test_every_walk_starts_within_eps_t_of_its_bound(self, case):
         # the claim proved in _dc's docstring, which lets a walk follow a
@@ -512,6 +525,33 @@ class TestDivideAndConquer:
         assert starts and not rerun
         starts, rerun = dc_walk_starts(*RE_RUN_CASE)
         assert starts and rerun
+
+    def test_second_half_top_settles_the_pair(self, monkeypatch):
+        # the lemma in _dc's docstring: when the second half's largest value
+        # top2 is at least ceil(t_local - eps*T), the pair is (0, top2)
+        # whatever the first half stores, so its array is left empty
+        items, local_target, p = SETTLE_CASE
+        lam1, lam2 = items[:3], items[3:]
+        b1 = relaxed_dp(lam1, local_target, p)
+        b2 = relaxed_dp(lam2, local_target, p)
+        top2 = b2.largest_le(p.target)
+        assert top2 == 47 >= math.ceil(local_target - p.eps_t)
+        assert b1.values()
+        assert find_u1_u2(b1, b2, local_target, p) == (0, top2)
+        b1.release()
+        b2.release()
+
+        runs = []
+
+        def recorded_relaxed_dp(run_items, bound, params):
+            runs.append(list(run_items))
+            return relaxed_dp(run_items, bound, params)
+
+        monkeypatch.setattr(fptas, "relaxed_dp", recorded_relaxed_dp)
+        p = FptasParams(p.epsilon, p.target)
+        assert divide_and_conquer(items, local_target, p) == (47, {4: 47})
+        assert runs == [lam2, []]
+        assert p.peak_slots == 20  # the empty first-half array is still counted
 
     def test_walk_follows_a_bucket_minimum(self):
         # 958 = 15 + 943 tops the bucket (800, 1000], whose minimum is 943:
@@ -627,8 +667,9 @@ class TestFptasSolve:
         # rebuilding the second half at every level takes 24 relaxed_dp
         # calls over 1,473 items here; backtracking on its first run
         # whenever a re-run would end with the same arrays takes 16 over
-        # 983, with all 14 walks through backtrack; the answer is the
-        # pinned one
+        # 983, with all 14 walks through backtrack; leaving the first half
+        # empty in frames whose second half settles the pair cuts the items
+        # to 732 with the same calls and walks; the answer is the pinned one
         sizes, walks = [], []
 
         def counted(items, local_target, params):
@@ -643,7 +684,7 @@ class TestFptasSolve:
         monkeypatch.setattr(fptas, "backtrack", counted_backtrack)
         work = sort_by_length(preprocess(gen_b(500)))
         out = fptas_solve(work, Fraction(1, 1000))
-        assert (len(sizes), sum(sizes), len(walks)) == (16, 983, 14)
+        assert (len(sizes), sum(sizes), len(walks)) == (16, 732, 14)
         got = (out.value, out.kind, out.midrange_index, out.stats["peak_slots"])
         assert got == (62468124, "approximate", 500, 4000)
 
