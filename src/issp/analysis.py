@@ -161,9 +161,11 @@ def polynomial_rate_monte_carlo(
     reports the fraction of trials on which a polynomial route applies.
     For c >= 2 the rate should be essentially 1; for smaller ratios the
     theoretical comparison bound is min(1, 2*(1 - 1/c)), though conditioning
-    on targets above max hi can push the empirical rate below it.
+    on targets above max hi can push the empirical rate below it.  Raises
+    family C's errors for a bad n or c, and ValueError for trials < 1.
     """
-    c = Fraction(c)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = SplitMix64(seed)
     hits = 0
     for _ in range(trials):

@@ -227,11 +227,9 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, out: TextIO) -> None:
-    c = None if args.c is None else _setting(parse_ratio, args.c)
-    cap = None if args.C is None else _setting(parse_ratio, args.C)
-    param = cap if args.family == "D" else c
-    spec = instgen.GenSpec(args.family, args.n, param, seed=args.seed)
-    out.writelines(_serialized_pieces(_setting(instgen.generate, spec)))
+    param = None if args.c is None else _setting(parse_ratio, args.c)
+    spec = _setting(instgen.GenSpec, args.family, args.n, param, args.seed)
+    out.writelines(_serialized_pieces(instgen.generate(spec)))
 
 
 def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
@@ -296,45 +294,44 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
         if fixed_param is not None:
             params = [fixed_param]
     sizes = sizes or default_sizes
-    # refuse before any row is written, so a refusal leaves stdout empty
+    # each cell's specs, one per trial, built before any row so a refusal leaves stdout empty
+    cells: list[list[instgen.GenSpec]] = []
+    seeds = range(args.seed, args.seed + args.trials)
     for n in sizes:
         if family == "A" and n > _MITM_MAX_N:
             raise InstanceTooLarge(
                 f"refusing cell family={family} n={n}: exact reference out of budget"
             )
+        cells += [[_setting(instgen.GenSpec, family, n, p, s) for s in seeds] for p in params]
     writer = csv.writer(out)
     writer.writerow(BENCH_HEADER)
-    for n in sizes:
-        for param in params:
-            # the instances and their references do not depend on epsilon
-            cases: list[tuple[Instance, int]] = []
-            for trial in range(args.trials):
-                spec = instgen.GenSpec(family, n, param, seed=args.seed + trial)
-                inst = _setting(instgen.generate, spec)
-                cases.append((inst, _exact_reference(family, inst, n)))
-            for eps in epsilons:
-                errors: list[Fraction] = []
-                times: list[float] = []
-                for inst, reference in cases:
-                    outcome = _solve_instance(inst, "fptas", eps)
-                    errors.append(
-                        relative_error(outcome.value, reference) if reference else Fraction(0)
-                    )
-                    times.append(outcome.stats["elapsed"])
-                k = len(errors)
-                writer.writerow(
-                    [
-                        family,
-                        n,
-                        "" if param is None else str(param),
-                        str(eps),
-                        format_percent(sum(errors, Fraction(0)) / k)[:-1],
-                        f"{sum(times) / k:.6f}",
-                        k,
-                        format_percent(max(errors))[:-1],
-                        f"{max(times):.6f}",
-                    ]
+    for specs in cells:
+        n, param = specs[0].n, specs[0].param
+        # the instances and their references do not depend on epsilon
+        cases = [(inst, _exact_reference(family, inst, n)) for inst in map(instgen.generate, specs)]
+        for eps in epsilons:
+            errors: list[Fraction] = []
+            times: list[float] = []
+            for inst, reference in cases:
+                outcome = _solve_instance(inst, "fptas", eps)
+                errors.append(
+                    relative_error(outcome.value, reference) if reference else Fraction(0)
                 )
+                times.append(outcome.stats["elapsed"])
+            k = len(errors)
+            writer.writerow(
+                [
+                    family,
+                    n,
+                    "" if param is None else str(param),
+                    str(eps),
+                    format_percent(sum(errors, Fraction(0)) / k)[:-1],
+                    f"{sum(times) / k:.6f}",
+                    k,
+                    format_percent(max(errors))[:-1],
+                    f"{max(times):.6f}",
+                ]
+            )
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -362,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write an instance file to stdout")
     p_gen.add_argument("--family", choices=["A", "B", "C", "D"], required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--c", help="family C ratio, e.g. 3/2")
-    p_gen.add_argument("--C", help="family D ratio upper bound, e.g. 3/2")
+    p_gen.add_argument("--c", "--C", metavar="RATIO", help="family C's ratio c or D's bound Cap")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", choices=["A", "B", "C", "D"], required=True)
     p_bench.add_argument("--epsilons", default="0.1,0.01,0.001")
     p_bench.add_argument("--sizes", help="comma-separated n values")
-    p_bench.add_argument("--c", help="fix the family C/D parameter")
+    p_bench.add_argument("--c", "--C", metavar="RATIO", help="fix family C's c or D's Cap")
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)

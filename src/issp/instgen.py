@@ -10,6 +10,9 @@ Families:
   D: hi as in C; each item gets its own ratio c_i drawn uniformly from the
      rationals with denominator 10**6 in [1, Cap]; lo = max(1, floor(hi/c_i)).
 
+Each family's rules (its n range and parameter) live in ``_check`` alone;
+``GenSpec`` runs it at construction and each generator on its arguments.
+
 Randomness comes from SplitMix64 (Steele, Lea & Flood's published
 generator: additive constant 0x9E3779B97F4A7C15 with two xor-shift-multiply
 finalizer rounds), so streams are reproducible bit-for-bit across platforms
@@ -71,19 +74,42 @@ class SplitMix64:
                 return 1 + r % n
 
 
+def _check(family: str, n: int, param: object = None) -> Optional[Fraction]:
+    """Refuse an instance outside its family's rules; return the parameter
+    as a Fraction, or None for families A and B, which ignore it."""
+    if family not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown family {family!r}")
+    if param is None and family in ("C", "D"):
+        what = "ratio parameter c" if family == "C" else "ratio bound parameter"
+        raise ValueError(f"family {family} requires the {what}")
+    if family == "A" and not 1 <= n <= 62:
+        raise NOutOfRange(f"family A supports 1 <= n <= 62, got {n}")
+    if n < 1:
+        raise NOutOfRange(f"family {family} requires n >= 1, got {n}")
+    if family in ("A", "B"):
+        return None
+    param = Fraction(param)
+    if param <= 1:
+        what = "ratio c" if family == "C" else "Cap"
+        raise ValueError(f"family {family} requires {what} > 1, got {param}")
+    return param
+
+
 @dataclass(frozen=True)
 class GenSpec:
-    """Description of one generated instance."""
+    """A valid instance description: construction runs ``_check`` and keeps its parameter."""
 
     family: str  # "A", "B", "C", or "D"
     n: int
     param: Optional[Fraction] = None  # family C's ratio c or family D's bound Cap
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "param", _check(self.family, self.n, self.param))
+
 
 def gen_a(n: int) -> Instance:
-    if not (1 <= n <= 62):
-        raise NOutOfRange(f"family A supports 1 <= n <= 62, got {n}")
+    _check("A", n)
     k = n.bit_length() - 1  # floor(log2 n)
     items = [2 ** (k + n + 1) + 2 ** (k + i) + 1 for i in range(1, n + 1)]
     target = sum(items) // 2
@@ -91,8 +117,7 @@ def gen_a(n: int) -> Instance:
 
 
 def gen_b(n: int) -> Instance:
-    if n < 1:
-        raise NOutOfRange(f"family B requires n >= 1, got {n}")
+    _check("B", n)
     items = [n * (n + 1) + i for i in range(1, n + 1)]
     target = ((n - 1) // 2) * n * (n + 1) + n * (n - 1) // 2
     if target < 1:
@@ -103,28 +128,20 @@ def gen_b(n: int) -> Instance:
 
 
 def gen_c(n: int, c: Fraction, seed: int) -> Instance:
-    if n < 1:
-        raise NOutOfRange(f"family C requires n >= 1, got {n}")
-    c = Fraction(c)
-    if c <= 1:
-        raise ValueError(f"family C requires ratio c > 1, got {c}")
     return validate_columns(*ratio_columns(SplitMix64(seed), n, c), TARGET_CD)
 
 
 def ratio_columns(rng: SplitMix64, n: int, c: Fraction) -> tuple[list[int], list[int]]:
     """The lo and hi columns of n draws of family C: hi uniform in
-    [1, HI_RANGE] and lo = max(1, floor(hi / c))."""
+    [1, HI_RANGE] and lo = max(1, floor(hi / c)); n and c obey family C's rules."""
+    c = _check("C", n, c)
     hi = [rng.randint(HI_RANGE) for _ in range(n)]
     p, q = c.denominator, c.numerator
     return [max(1, b * p // q) for b in hi], hi
 
 
 def gen_d(n: int, cap: Fraction, seed: int) -> Instance:
-    if n < 1:
-        raise NOutOfRange(f"family D requires n >= 1, got {n}")
-    cap = Fraction(cap)
-    if cap <= 1:
-        raise ValueError(f"family D requires Cap > 1, got {cap}")
+    cap = _check("D", n, cap)
     cap_scaled = int(cap * RATIO_DENOM)  # floor; c_i numerators live in [10**6, this]
     rng = SplitMix64(seed)
     lo, hi = [], []
@@ -138,19 +155,9 @@ def gen_d(n: int, cap: Fraction, seed: int) -> Instance:
 
 
 def generate(spec: GenSpec) -> Instance:
-    if spec.family == "A":
-        return gen_a(spec.n)
-    if spec.family == "B":
-        return gen_b(spec.n)
-    if spec.family == "C":
-        if spec.param is None:
-            raise ValueError("family C requires the ratio parameter c")
-        return gen_c(spec.n, spec.param, spec.seed)
-    if spec.family == "D":
-        if spec.param is None:
-            raise ValueError("family D requires the ratio bound parameter")
-        return gen_d(spec.n, spec.param, spec.seed)
-    raise ValueError(f"unknown family {spec.family!r}")
+    if spec.family in ("A", "B"):
+        return (gen_a if spec.family == "A" else gen_b)(spec.n)
+    return (gen_c if spec.family == "C" else gen_d)(spec.n, spec.param, spec.seed)
 
 
 def instance_b_optimum(n: int) -> int:

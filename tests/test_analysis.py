@@ -20,7 +20,7 @@ from issp.analysis import (
     to_knapsack,
 )
 from issp.core import Solution, evaluate, preprocess, sort_by_length, validate, validate_columns
-from issp.errors import DegenerateLength, SubsetInfeasible
+from issp.errors import DegenerateLength, NOutOfRange, SubsetInfeasible
 from issp.exact import brute_force_optimum
 
 from conftest import eager_sort, instances
@@ -184,6 +184,21 @@ class TestMonteCarloRate:
         assert 0 <= a <= 1
         assert a == Fraction(21, 50)
         assert polynomial_rate_monte_carlo(12, Fraction(13, 10), trials=200, seed=5) == Fraction(27, 100)
+        assert polynomial_rate_monte_carlo(200, Fraction(3, 2), trials=20, seed=1) == Fraction(7, 20)
+
+    @pytest.mark.parametrize(
+        "n, c, trials, error, text",
+        [
+            (6, Fraction(1, 2), 5, ValueError, "family C requires ratio c > 1, got 1/2"),
+            (6, Fraction(1), 5, ValueError, "family C requires ratio c > 1, got 1"),
+            (0, Fraction(3, 2), 5, NOutOfRange, "family C requires n >= 1, got 0"),
+            (6, Fraction(3, 2), 0, ValueError, "trials must be at least 1, got 0"),
+        ],
+    )
+    def test_refuses_what_family_c_refuses(self, n, c, trials, error, text):
+        with pytest.raises(error) as refused:
+            polynomial_rate_monte_carlo(n, c, trials=trials, seed=1)
+        assert (type(refused.value), str(refused.value)) == (error, text)
 
 
 ROUTE_MODES = ("a", "b", "c", "none")

@@ -748,6 +748,16 @@ class TestGenerateCommand:
         assert sys.stdout.getvalue() == serialize_instance(inst)
         assert len(sys.stdout.writes) == 1 + -(-n // lines)
 
+    def test_one_option_for_the_family_parameter(self, capsys):
+        flags = ["generate", "--family", "D", "--n", "40", "--seed", "2"]
+        code, out, err = run_cli(capsys, *flags, "--c", "13/10")
+        assert (code, err) == (0, "") and out.startswith("40 ")
+        assert run_cli(capsys, *flags, "--C", "13/10") == (code, out, err)
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        usage = capsys.readouterr().out
+        assert "[--c RATIO] [--seed SEED]" in usage and usage.count("--C") == 1
+
     def test_generated_file_solves_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "generate", "--family", "C", "--n", "8", "--c", "3/2", "--seed", "2"
@@ -889,6 +899,23 @@ class TestBenchCommand:
         assert code == EXIT_BUDGET
         assert out == ""
         assert err == "error: refusing cell family=A n=50: exact reference out of budget\n"
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (("--suite", "B", "--sizes", "10,0"), EXIT_FLAGS),
+            (("--suite", "D", "--sizes", "10,-3", "--c", "13/10"), EXIT_FLAGS),
+            (("--suite", "C", "--c", "1/2", "--sizes", "10"), EXIT_FLAGS),
+            (("--suite", "A", "--sizes", "10,50"), EXIT_BUDGET),
+            (("--suite", "A", "--sizes", "63"), EXIT_BUDGET),
+        ],
+    )
+    def test_refuses_every_bad_cell_before_writing(self, capsys, flags, code):
+        # every cell is checked before the header: n, the parameter, and
+        # family A's exact reference budget
+        got, out, err = run_cli(capsys, "bench", *flags, "--epsilons", "0.1")
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_zero_trials_exit_code(self, capsys):
         code, out, err = run_cli(

@@ -185,3 +185,47 @@ class TestGenerateDispatch:
             generate(GenSpec("D", 5))
         with pytest.raises(ValueError):
             generate(GenSpec("E", 5))
+
+
+GENERATORS = {
+    "A": lambda n, param: gen_a(n),
+    "B": lambda n, param: gen_b(n),
+    "C": lambda n, param: gen_c(n, param, 0),
+    "D": lambda n, param: gen_d(n, param, 0),
+}
+
+
+class TestGenSpec:
+    """A GenSpec that exists is valid: each family's rules are checked once,
+    at construction, and its generator refuses the same arguments alike."""
+
+    @pytest.mark.parametrize(
+        "args, error, text",
+        [
+            (("E", 5), ValueError, "unknown family 'E'"),
+            (("A", 0), NOutOfRange, "family A supports 1 <= n <= 62, got 0"),
+            (("A", 63), NOutOfRange, "family A supports 1 <= n <= 62, got 63"),
+            (("B", 0), NOutOfRange, "family B requires n >= 1, got 0"),
+            (("C", 0, Fraction(3, 2)), NOutOfRange, "family C requires n >= 1, got 0"),
+            (("C", 5), ValueError, "family C requires the ratio parameter c"),
+            (("C", 5, Fraction(1)), ValueError, "family C requires ratio c > 1, got 1"),
+            (("D", 5, Fraction(1, 2)), ValueError, "family D requires Cap > 1, got 1/2"),
+            (("D", 5), ValueError, "family D requires the ratio bound parameter"),
+        ],
+    )
+    def test_refuses_at_construction(self, args, error, text):
+        with pytest.raises(error) as refused:
+            GenSpec(*args)
+        assert (type(refused.value), str(refused.value)) == (error, text)
+        if args[0] in GENERATORS:
+            family, n, param = (*args, None)[:3]
+            with pytest.raises(error) as refused:
+                GENERATORS[family](n, param)
+            assert (type(refused.value), str(refused.value)) == (error, text)
+
+    def test_keeps_the_parameter_as_checked(self):
+        assert GenSpec("C", 5, "3/2").param == Fraction(3, 2)
+        assert type(GenSpec("D", 5, 2).param) is Fraction
+        # families A and B take no parameter and ignore one that is given
+        assert GenSpec("A", 5, Fraction(3, 2)) == GenSpec("A", 5)
+        assert GenSpec("B", 5, "x").param is None
