@@ -278,6 +278,23 @@ def _exact_reference(family: str, inst: Instance, n: int) -> int:
     return inst.target
 
 
+def _bench_trial(spec: instgen.GenSpec, epsilons: list[Fraction]) -> list[tuple[Fraction, float]]:
+    """(relative error, FPTAS time) at each epsilon on the instance of ``spec``.
+
+    The instance and its reference do not depend on epsilon, so they are
+    built once; they are freed on return, so ``cmd_bench`` holds one
+    instance at a time.
+    """
+    inst = instgen.generate(spec)
+    reference = _exact_reference(spec.family, inst, spec.n)
+    results = []
+    for eps in epsilons:
+        outcome = _solve_instance(inst, "fptas", eps)
+        error = relative_error(outcome.value, reference) if reference else Fraction(0)
+        results.append((error, outcome.stats["elapsed"]))
+    return results
+
+
 def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     epsilons = [_setting(parse_epsilon, e) for e in args.epsilons.split(",")]
     sizes = [_setting(int, s) for s in args.sizes.split(",")] if args.sizes else None
@@ -307,17 +324,10 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     writer.writerow(BENCH_HEADER)
     for specs in cells:
         n, param = specs[0].n, specs[0].param
-        # the instances and their references do not depend on epsilon
-        cases = [(inst, _exact_reference(family, inst, n)) for inst in map(instgen.generate, specs)]
-        for eps in epsilons:
-            errors: list[Fraction] = []
-            times: list[float] = []
-            for inst, reference in cases:
-                outcome = _solve_instance(inst, "fptas", eps)
-                errors.append(
-                    relative_error(outcome.value, reference) if reference else Fraction(0)
-                )
-                times.append(outcome.stats["elapsed"])
+        trials = [_bench_trial(spec, epsilons) for spec in specs]
+        # per epsilon, every trial's (relative error, time)
+        for eps, results in zip(epsilons, zip(*trials)):
+            errors, times = zip(*results)
             k = len(errors)
             writer.writerow(
                 [

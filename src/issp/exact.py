@@ -20,9 +20,11 @@ budget alone, with bit-identical answers:
   repeats, the runs are its first-reach runs as they stand, and from the
   first repeat on a set of the sums filters them.  Time and space grow
   with the number of stored sums, so it serves any T.  Backtracking walks
-  the items down once and looks the sum up in each item's two runs.  The
-  item added last stays pending, unbuilt, until another item comes or the
-  set is read in full, so a scan that stops at T never builds it.
+  the items down once and looks the sum up in each item's two runs.  A
+  block of the newest items stays pending, unbuilt, with a sorted list of
+  its own sums; a lookup meets them with the stored sums in the middle, so
+  a scan that stops at T never builds them.  The block is kept to about
+  1/``BLOCK_WEIGHT`` of the stored sums.
 - ``BitsetSums``: one Python int whose bit s is set when s is reachable,
   updated word-parallel as ``R | (R << lo) | (R << hi)`` below T.  Time
   per item grows with the largest reachable sum (at most T) and space with
@@ -32,7 +34,7 @@ The bitset is used when T is at most ``BITSET_DENSITY`` times the bound
 min(T, 3^n) on stored sums and its checkpoints, counted in exact bytes, fit
 ``ISSP_MEMORY_BUDGET_MB``; otherwise the sparse set is used, and it is
 gated at a nominal 128 B per stored sum, counted before an item's runs
-are built.
+are built; the pending block's sums are charged with them before it grows.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ import os
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from itertools import filterfalse, islice
+from itertools import filterfalse, islice, repeat
 from math import isqrt
-from operator import eq, ne
+from operator import add, eq, ne
 from typing import Sequence
 
 from .analysis import fill_values
@@ -160,6 +162,29 @@ def use_bitset(n: int, t: int) -> bool:
     return dense and bitset_bytes(n, t) <= memory_budget_bytes()
 
 
+# SparseSums keeps its newest items pending while their block of sums,
+# times BLOCK_WEIGHT, is at most the stored sums: a block sum costs a
+# C-level bisect per lookup and a few set steps per item added, about what
+# a stored sum costs per build, and a pending item the scan never reaches
+# is never built.  Weights 8 / 16 / 32 / 64 / 128 took 0.03 / 0.03 / 0.04 /
+# 0.04 / 0.05 s over the exact-sparse workload's 100 instances (family C,
+# n = 14, c = 11/10; run_dp with SparseSums, best of 5; Python 3.11, 2-vCPU
+# x86 VM), against 0.16 s with only the last item pending.  Where sums
+# repeat, the block saves less: on 60 or 100 items [10^4 + 397k,
+# 10^4 + 410k] (T = 6 x 10^6 or 10^7), refused by the default budget after
+# the same builds, its lookups and sums came to 15 / 8 / 4 / 2 % of the
+# sums those builds touch at weights 16 / 32 / 64 / 128.
+BLOCK_WEIGHT = 64
+
+
+def _sumset(block: list[int], lo: int, hi: int, t: int) -> list[int]:
+    """Sorted distinct sums <= t of p, p + lo and p + hi over p in block."""
+    out = set(block)
+    out.update(map(lo.__add__, islice(block, bisect_right(block, t - lo))))
+    out.update(map(hi.__add__, islice(block, bisect_right(block, t - hi))))
+    return sorted(out)
+
+
 class SparseSums:
     """Reachable sums in (0, T] as a sorted list and first-reach runs.
 
@@ -175,10 +200,16 @@ class SparseSums:
     the scan; ``n`` is unused, so that both exact sets are built as
     ``sums(n, t)``.
 
-    The item last given to ``add`` stays pending: its runs are built,
-    budget check included, when the next item comes or ``snapshot`` reads
-    the set in full.  Until then ``largest_le`` and ``backtrack`` find its
-    sums by ``bisect`` on the stored ones, and ``stored`` leaves them out.
+    Items ``[0, h)`` are built into those lists; the newest items ``[h, k)``
+    are ``pending``, unbuilt, and ``block`` holds their sums <= T, 0
+    included, sorted.  A reachable sum is p + v with p in the block and v
+    stored or 0, so ``largest_le`` bisects the stored sums once per block
+    sum: the two halves meet in the middle (Horowitz and Sahni, 1974).
+    Once the block's sums times ``BLOCK_WEIGHT`` exceed the stored sums,
+    ``add`` builds the oldest pending items, one at a time with the budget
+    check, until they are at most half the stored sums; it always keeps the
+    newest item pending.  ``snapshot`` builds them all, and ``stored``
+    leaves their sums out.
     """
 
     name = "sparse"
@@ -190,28 +221,55 @@ class SparseSums:
         self.seen: set[int] | None = None  # built when a sum first repeats
         self.firsts: list[int] = []
         self.ends = [0]
-        self.pending: tuple[int, ...] = ()  # (lo, hi) of the item not yet built
+        self.pending: list[tuple[int, int]] = []  # (lo, hi) of items h .. k - 1
+        self.block = [0]
 
     def largest_le(self, bound: int) -> int:
-        """Largest sum <= bound, or 0, among the stored sums and the pending
-        item's: each endpoint e <= bound adds e to the largest stored sum
-        <= bound - e (or to 0, the lone endpoint)."""
-        values, best = self.values, 0
-        for e in (0, *self.pending):
-            if e <= bound:
-                pos = bisect_right(values, bound - e)
-                best = max(best, values[pos - 1] + e if pos else e)
+        """Largest sum <= bound, or 0: the best p + (largest stored sum <=
+        bound - p, or 0) over the block's sums p <= bound."""
+        values, block = self.values, self.block
+        best = block[bisect_right(block, bound) - 1]  # a block sum alone
+        if values:
+            # the p with a stored sum <= bound - p; a C-level bisect each
+            ps = block[: bisect_right(block, bound - values[0])]
+            cuts = map(bisect_right, repeat(values), map(bound.__sub__, ps))
+            tops = map(values.__getitem__, map((-1).__add__, cuts))
+            best = max(best, max(map(add, ps, tops), default=0))
         return best
 
     def add(self, i: int, lo: int, hi: int) -> None:
-        """Build the pending item, then keep item i pending."""
-        self._build()
-        self.pending = lo, hi
+        """Keep item i pending, and build the oldest pending items once the
+        block costs more than building them."""
+        values, block, t = self.values, self.block, self.t
+        # the block's sums are charged with the stored ones before it grows
+        cuts = bisect_right(block, t - hi) + (bisect_right(block, t - lo) if lo != hi else 0)
+        self._check(len(values) + len(block) - 1 + cuts)
+        pending = self.pending
+        pending.append((lo, hi))
+        self.block = _sumset(block, lo, hi, t)
+        if len(pending) > 1 and len(self.block) * BLOCK_WEIGHT > len(values):
+            # one fold from the newest item gives the block after each build;
+            # building until it costs half as much spreads the fold's cost
+            after = [[0]]
+            for a, b in pending[:0:-1]:
+                after.append(_sumset(after[-1], a, b, t))
+            while True:
+                self._build()
+                self.block = after.pop()
+                if len(pending) == 1 or 2 * len(self.block) * BLOCK_WEIGHT <= len(self.values):
+                    break
+
+    def _check(self, size: int) -> None:
+        if size > self.budget:
+            raise MemoryBudgetExceeded(
+                f"the reachable-sum set needs {size} entries, more than the budget of "
+                f"{self.budget} entries ({_BYTES_PER_ENTRY} B each); raise "
+                "ISSP_MEMORY_BUDGET_MB to override"
+            )
 
     def _build(self) -> None:
-        if not self.pending:
-            return
-        (lo, hi), self.pending = self.pending, ()
+        """Build the oldest pending item; the caller resets the block."""
+        lo, hi = self.pending[0]
         values, seen, t = self.values, self.seen, self.t
         # The shifted runs take the stored sums up to each bisect cut, and
         # the lone endpoints join them; with lo == hi the lo shift repeats
@@ -219,13 +277,7 @@ class SparseSums:
         # Without a repeat, this count is the new size exactly.
         cut_hi = bisect_right(values, t - hi)
         cut_lo = bisect_right(values, t - lo) if lo != hi else 0
-        size = len(values) + cut_hi + cut_lo + (lo <= t) + (lo != hi and hi <= t)
-        if size > self.budget:
-            raise MemoryBudgetExceeded(
-                f"the reachable-sum set needs {size} entries, more than the budget of "
-                f"{self.budget} entries ({_BYTES_PER_ENTRY} B each); raise "
-                "ISSP_MEMORY_BUDGET_MB to override"
-            )
+        self._check(len(values) + cut_hi + cut_lo + (lo <= t) + (lo != hi and hi <= t))
         if seen is None:
             # Until a sum repeats, every sum on a run is new: the runs are the
             # first-reach runs as they stand, with a lone endpoint (smaller
@@ -267,13 +319,16 @@ class SparseSums:
         self.ends.append(len(firsts))
         firsts += lo_run
         self.ends.append(len(firsts))
+        del self.pending[0]
 
     def stored(self) -> int:
-        """Sums built so far; a pending item's are not counted."""
+        """Sums built so far; the pending items' are not counted."""
         return len(self.values)
 
     def snapshot(self) -> tuple[int, ...]:
-        self._build()
+        while self.pending:
+            self._build()
+        self.block = [0]
         return tuple(self.values)
 
     def _has(self, s: int) -> bool:
@@ -287,22 +342,36 @@ class SparseSums:
         """Endpoint per item position of the sum d over the first m items,
         whose endpoints are ``lo[k]`` and ``hi[k]``.
 
-        Walking back from item m - 1, item k takes hi when d is on its hi
-        run and lo when d is on its lo run, and d drops by that endpoint.
-        The sum left over was stored before item k, so an earlier item
-        reached it first, and each item is looked at once.  When item
-        m - 1 is pending it has no runs, and its step is the one
-        ``BitsetSums.backtrack`` takes, on the stored sums.
+        Walking back from item m - 1, a pending item j takes the step
+        ``BitsetSums.backtrack`` takes, where d was reachable before item j
+        when it is p + v, p a sum of the pending items before j or 0 and v
+        stored or 0.  A built item k takes hi when d is on its hi run and
+        lo when d is on its lo run, and d drops by that endpoint.  The sum
+        left over was stored before item k, so an earlier item reached it
+        first, and each item is looked at once.
         """
         x: dict[int, int] = {}
         firsts, ends = self.firsts, self.ends
-        if d and 2 * m > len(ends):  # item m - 1 is pending
-            m -= 1
+        h = len(ends) // 2  # items built
+        if d and m > h:  # items h .. m - 1 are pending
             has = self._has
-            if not has(d):
-                a, b = lo[m], hi[m]
-                e = x[m] = b if has(d - b) else a if has(d - a) else d
-                d -= e
+
+            def reached(s: int, ps: list[int]) -> bool:
+                """s > 0 is p + v, p in ps and v stored or 0."""
+                return s > 0 and any(p == s or has(s - p) for p in ps if p <= s)
+
+            before = [[0]]  # before[j - h]: sums <= d of pending items h .. j - 1
+            for a, b in self.pending[: m - 1 - h]:
+                before.append(_sumset(before[-1], a, b, d))
+            for j in range(m - 1, h - 1, -1):
+                ps = before.pop()
+                if not reached(d, ps):
+                    a, b = lo[j], hi[j]
+                    e = x[j] = b if reached(d - b, ps) else a if reached(d - a, ps) else d
+                    d -= e
+                    if not d:
+                        break
+            m = h
         if not d:  # also when no item was scanned and m is None
             return x
         stop = ends[2 * m]
@@ -466,8 +535,8 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     """``dp_exact`` with the reachable sums held by ``sums``, a class above.
 
     ``stats["stored_values"]`` counts the sums built.  Untraced, the sparse
-    set never builds the item the scan added last; traced, every snapshot
-    builds it, so the count is the size of the last set in ``sets``.
+    set never builds the pending block the scan leaves; traced, every
+    snapshot builds it, so the count is the size of the last set in ``sets``.
     """
     start = time.perf_counter()
     if not inst.length_sorted:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -875,6 +876,29 @@ class TestBenchCommand:
         _, out2, _ = run_cli(capsys, *args)
         # everything except wall-clock timings is a pure function of the seed
         assert strip_times(out1) == strip_times(out2)
+
+    def test_holds_one_instance_at_a_time(self, capsys, monkeypatch):
+        # each trial's instance is generated once, solved at every epsilon
+        # and freed before the next trial's is generated
+        alive = weakref.WeakSet()
+        held = []
+        real = instgen.generate
+
+        def generate(spec):
+            held.append(len(alive))
+            inst = real(spec)
+            alive.add(inst)
+            return inst
+
+        monkeypatch.setattr(instgen, "generate", generate)
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", "C", "--sizes", "50,60", "--c", "3/2",
+            "--epsilons", "1/10,1/100", "--trials", "3",
+        )
+        assert (code, err) == (0, "")
+        assert len(strip_times(out)) == 1 + 2 * 2
+        assert held == [0] * 6
+        assert len(alive) == 0
 
     def test_exact_reference_for_family_a(self, capsys):
         code, out, _ = run_cli(

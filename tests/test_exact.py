@@ -1,5 +1,6 @@
 """Exact solvers: subset enumeration, reachable-sum DP, meet-in-the-middle."""
 
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from issp import core
+from issp import core, exact
 from issp.core import (
     Solution,
     evaluate,
@@ -23,6 +24,7 @@ from issp.errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 from issp.exact import (
     _BYTES_PER_ENTRY,
     BITSET_DENSITY,
+    BLOCK_WEIGHT,
     BitsetSums,
     SparseSums,
     bitset_bytes,
@@ -234,6 +236,19 @@ def _reference_fields(work):
     return ref
 
 
+def _answer(out):
+    return out.value, out.midrange_index, out.solution
+
+
+def _three_ways(work):
+    """Untraced and traced SparseSums, and BitsetSums below 2^64, give one
+    value, midrange index and solution."""
+    got = _answer(run_dp(work, SparseSums))
+    assert got == _answer(run_dp(work, SparseSums, trace=True))
+    if work.target < 2**64:
+        assert got == _answer(run_dp(work, BitsetSums))
+
+
 class TestRepresentations:
     """Both reachable-sum representations against the insort reference."""
 
@@ -339,18 +354,18 @@ class TestSparseSums:
         assert reach.backtrack(delta, m, work.lo, work.hi) == dict.fromkeys(range(m), 2)
         assert max(reach.ends.reads.values()) == 1
 
-    @given(st.one_of(dp_instances(), dp_instances(scale=2**64 + 1)))
+    @given(
+        st.one_of(dp_instances(), dp_instances(scale=2**64 + 1)),
+        st.sampled_from([1, 4, BLOCK_WEIGHT]),
+    )
     @settings(max_examples=300)
-    def test_untraced_run_matches_traced_run_and_bitset(self, work):
-        # untraced, the scan's last item stays pending; traced, every
-        # snapshot builds it.  The bitset is run only where T is small.
-        def answer(out):
-            return out.value, out.solution, out.midrange_index
-
-        got = answer(run_dp(work, SparseSums))
-        assert got == answer(run_dp(work, SparseSums, trace=True))
-        if work.target < 2**64:
-            assert got == answer(run_dp(work, BitsetSums))
+    def test_untraced_run_matches_traced_run_and_bitset(self, work, weight):
+        # untraced, the scan's newest items stay pending; traced, every
+        # snapshot builds them.  A small weight keeps many items pending on
+        # small instances.  The bitset is run only where T is small.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "BLOCK_WEIGHT", weight)
+            _three_ways(work)
 
     @pytest.mark.parametrize(
         "pairs, t, x",
@@ -370,15 +385,16 @@ class TestSparseSums:
         reach = SparseSums(work.n, t)
         _, m, _, exit_at, _ = scan(work, reach)
         assert exit_at == m == work.n - 1
-        assert reach.pending == pairs[m - 1]
+        assert reach.pending == [pairs[m - 1]]
         for sums in (SparseSums, BitsetSums):
             assert run_dp(work, sums).solution.values == x
         assert _reference_fields(work)["x"] == x
 
     def test_peak_bytes_per_sum_below_nominal_cost(self):
-        # 59,048 = 3^10 - 1 sums; _BYTES_PER_ENTRY is what the memory gate
-        # charges.  The scan stops at item 11, so item 10, which would take
-        # the set to 177,146 sums, stays pending and is never built.
+        # 6,560 = 3^8 - 1 sums; _BYTES_PER_ENTRY is what the memory gate
+        # charges.  The scan stops at item 11, so items 8-10, which would
+        # take the set to 177,146 sums, stay pending and are never built;
+        # the peak includes their block of 27 sums.
         inst = gen_c(14, Fraction(11, 10), 1)
         tracemalloc.start()
         try:
@@ -386,9 +402,103 @@ class TestSparseSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.stats["stored_values"] == 59_048
+        assert out.stats["stored_values"] == 6_560
         assert peak / out.stats["stored_values"] < _BYTES_PER_ENTRY
         assert peak < 4 << 20
+
+
+@st.composite
+def narrow_instances(draw):
+    """Family-C-like instances: 11 or 12 items with lo uniform in
+    [1, 2 T / n] and hi uniform in [lo, 1.1 lo], T up to 10^7 so that the
+    bitset fits.  With ``grid`` > 1 every endpoint is a multiple of it, so
+    sums repeat; with ``grid`` = 1 they mostly do not."""
+    n = draw(st.integers(min_value=11, max_value=12))
+    t = draw(st.integers(min_value=10**6, max_value=10**7))
+    grid = draw(st.sampled_from([1, t // 10**5]))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pairs = []
+    for _ in range(n):
+        lo = grid * rnd.randint(1, 2 * t // (n * grid))
+        pairs.append((lo, lo + grid * rnd.randint(0, lo // (10 * grid))))
+    pre = preprocess(validate(pairs, t))
+    assume(not isinstance(pre, Solution))
+    return sort_by_length(pre)
+
+
+# Items [2 * 4^j, 3 * 4^j]: their sums never repeat (base-4 digits 0, 2
+# and 3), and item j's length 4^j sorts it at position j.
+BASE4_T = 10**6
+BASE4 = [(2 * 4**j, 3 * 4**j) for j in range(9)]
+
+
+def _base4_then(q: int) -> list[tuple[int, int]]:
+    """BASE4, then [T - a, T - b] of length 4^(q-1) + 1, sorted at position
+    q: the midrange item.  It gets d = 4^q - 1 < b, so the scan never
+    reaches T, and no later item has lo <= a to join it."""
+    b = 4**q + 1
+    return BASE4 + [(BASE4_T - b - 4 ** (q - 1) - 1, BASE4_T - b)]
+
+
+class TestPendingBlock:
+    """The newest items stay pending as a block; its sums meet the stored
+    sums in ``largest_le`` and its items are walked like the bitset's."""
+
+    @given(narrow_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_narrow_instances_agree_with_three_items_pending(self, work):
+        reach = SparseSums(work.n, work.target)
+        scan(work, reach)
+        assume(len(reach.pending) >= 3)
+        _three_ways(work)
+
+    @pytest.mark.parametrize(
+        "pairs, m, h, k",
+        [
+            (_base4_then(8), 8, 7, 10),  # m inside the block: items 7-9 pending
+            (_base4_then(7), 7, 7, 10),  # m at the block's first item
+            (_base4_then(5), 5, 8, 10),  # m built, before h: the block is ignored
+            # the scan stops at the last item with d = 2 * 4^8, which only
+            # pending item 8's lone lo reaches: x = (0, ..., 0, 2 * 4^8, T - d)
+            (BASE4 + [(BASE4_T - 2 * 4**8, BASE4_T - 4**8 + 1)], 9, 7, 9),
+        ],
+    )
+    def test_midrange_around_the_block_backtracks_like_the_bitset(self, pairs, m, h, k):
+        work = sort_by_length(validate(pairs, BASE4_T))
+        reach = SparseSums(work.n, BASE4_T)
+        _, got_m, _, _, _ = scan(work, reach)
+        built = len(reach.ends) // 2
+        assert (got_m, built, built + len(reach.pending)) == (m, h, k)
+        ref = _reference_fields(work)
+        assert _fields(run_dp(work, SparseSums, trace=True)) == ref
+        assert _fields(run_dp(work, BitsetSums, trace=True)) == ref
+        assert run_dp(work, SparseSums).solution.values == ref["x"]
+
+    def test_largest_le_meets_block_and_stored_sums(self, monkeypatch):
+        monkeypatch.setattr(exact, "BLOCK_WEIGHT", 0)  # build only in snapshot
+        reach = SparseSums(3, 100)
+        reach.add(0, 1, 2)
+        reach.snapshot()
+        reach.add(1, 10, 20)
+        reach.add(2, 40, 40)
+        assert (reach.values, reach.pending) == ([1, 2], [(10, 20), (40, 40)])
+        assert reach.block == [0, 10, 20, 40, 50, 60]
+        # each bound's answer is p + v, p a block sum, v stored or 0
+        for bound, best in [(0, 0), (1, 1), (9, 2), (13, 12), (39, 22), (59, 52), (100, 62)]:
+            assert reach.largest_le(bound) == best
+
+    def test_n24_family_c_solves_under_the_default_budget(self, monkeypatch):
+        # the set with one pending item needs 4,782,968 entries here, more
+        # than the default budget's 2,097,152; the block leaves items
+        # 11-15 unbuilt and builds 59,048 sums
+        monkeypatch.delenv("ISSP_MEMORY_BUDGET_MB", raising=False)
+        inst = gen_c(24, Fraction(11, 10), 10)
+        out = dp_exact(inst)
+        assert out.stats["representation"] == "sparse"
+        assert out.stats["stored_values"] == 59_048
+        assert out.value == brute_force_optimum(inst).value == inst.target
+        assert evaluate(inst, out.solution) == out.value
+        assert midrange_count(inst, out.solution) <= 1
 
 
 # 100 items whose sums repeat from the fourth item on (the CLI budget test's
@@ -493,6 +603,7 @@ class TestSparseBudget:
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
         budget = mb << 20
         cases = [sort_by_length(gen_c(14, Fraction(11, 10), seed)) for seed in (1, 3, 4)]
+        cases.append(sort_by_length(gen_c(24, Fraction(11, 10), 10)))
         repeats = sort_by_length(validate(ARITHMETIC_PAIRS, ARITHMETIC_T))
         outcomes = []
         for work in cases + [repeats]:
@@ -506,11 +617,11 @@ class TestSparseBudget:
             finally:
                 tracemalloc.stop()
             assert peak <= budget, (mb, outcomes[-1], peak / budget)
-        # seed 1 builds 59,048 sums, seed 3 2,186 and seed 4 6,560 (each
-        # scan's last item stays pending); the instance with repeats
-        # outgrows every budget here
+        # seed 1 builds 6,560 sums, seed 3 728, seed 4 2,186 and n = 24
+        # 59,048 (the newest items of each scan stay pending); the instance
+        # with repeats outgrows every budget here
         entries = budget // _BYTES_PER_ENTRY
-        expected = [n if n <= entries else None for n in (59_048, 2_186, 6_560)]
+        expected = [n if n <= entries else None for n in (6_560, 728, 2_186, 59_048)]
         assert outcomes == expected + [None]
 
     def test_no_repeat_count_is_the_new_size(self):
@@ -520,6 +631,7 @@ class TestSparseBudget:
             reach = SparseSums(2, 100)
             reach.budget = budget
             reach.add(0, 1, 2)
+            reach.snapshot()
             return reach
 
         reach = after_first_item(8)
@@ -532,6 +644,17 @@ class TestSparseBudget:
             reach.snapshot()
         # refused before anything was built
         assert (reach.values, reach.firsts, reach.ends) == ([1, 2], [2, 1], [0, 1, 2])
+
+    def test_block_count_is_its_new_size(self):
+        # unbuilt, the two items' sums {1, 2, 20, 21, 22, 30, 31, 32} are
+        # the block's; they are charged with the stored sums before it grows
+        reach = SparseSums(2, 100)
+        reach.budget = 7
+        reach.add(0, 1, 2)
+        with pytest.raises(MemoryBudgetExceeded, match="needs 8 entries"):
+            reach.add(1, 20, 30)
+        # refused before the block grew
+        assert (reach.pending, reach.block, reach.values) == ([(1, 2)], [0, 1, 2], [])
 
 
 class TestMeetInTheMiddle:
