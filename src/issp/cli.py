@@ -297,7 +297,7 @@ def _bench_trial(spec: instgen.GenSpec, epsilons: list[Fraction]) -> list[tuple[
 
 def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     epsilons = [_setting(parse_epsilon, e) for e in args.epsilons.split(",")]
-    sizes = [_setting(int, s) for s in args.sizes.split(",")] if args.sizes else None
+    sizes = [_setting(int, s) for s in args.sizes.split(",")] if args.sizes is not None else None
     fixed_param = _setting(parse_ratio, args.c) if args.c is not None else None
     if args.trials < 1:
         raise InvalidSetting(f"--trials must be at least 1, got {args.trials}")

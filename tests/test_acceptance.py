@@ -4,11 +4,21 @@ Each test covers one release criterion: golden traces of the two solvers on
 the worked four-interval example, bulk oracle equivalence, the approximation
 guarantee with its exactness side-condition, reference error rates for the
 benchmark families, a 100,000-interval scale run with the space meter,
-the polynomial subclasses, and the knapsack-equivalence value map.
+the polynomial subclasses, and the knapsack-equivalence value map.  Two
+more checks cover the package as released: README's library example prints
+the answer it shows, and no self-check rests on an ``assert`` that
+``python -O`` would strip.
 """
 
+import ast
+import contextlib
+import io
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import issp
 
 from issp.analysis import (
     polynomial_rate_monte_carlo,
@@ -214,3 +224,27 @@ def test_criterion_10_knapsack_value_map_equivalence():
                 best = max(best, min(p, kp.capacity))
         assert best == brute_force_optimum(inst).value
     assert time.perf_counter() - start < 30
+
+
+def test_readme_library_example():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n+```python\n(.*?)```", text, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "100 (0, 25, 75, 0)\n"
+
+
+def test_no_assert_or_debug_in_package():
+    # python -O drops assert statements and `if __debug__:` blocks, so a
+    # self-check written with either would vanish under it
+    paths = sorted(Path(issp.__file__).parent.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert found == []

@@ -1,8 +1,11 @@
 """Command-line interface: parsing, subcommands, exit codes, CSV schema."""
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import gc
+import hashlib
 import io
 import json
 import os
@@ -12,6 +15,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -499,10 +503,6 @@ class TestSolveCommand:
         assert code == EXIT_PARSE
         assert "error" in err
 
-    def test_missing_file_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.txt")
-        assert code == EXIT_PARSE
-
     @pytest.mark.parametrize("command", ["solve", "classify"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_non_utf8_input_exit_code(self, tmp_path, capsys, monkeypatch, command, source):
@@ -538,13 +538,6 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", str(path), "--algorithm", "fptas")
         assert code == EXIT_FLAGS
         assert "epsilon" in err
-
-    def test_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
-        path = tmp_path / "inst.txt"
-        path.write_text("2 100\n10 20\n10 25\n")
-        code, _, err = run_cli(capsys, "solve", str(path), "--algorithm", "dp")
-        assert code == EXIT_BUDGET
 
     def test_brute_force_over_cap_exit_code(self, tmp_path, capsys):
         path = tmp_path / "inst.txt"
@@ -976,20 +969,50 @@ class TestErrorsReachMain:
     """Usage errors and failed writes end like every other error: one
     ``error:`` line on stderr and a defined exit code."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["solve", "x", "--algorithm", "foo"],
-            ["bench", "--suite", "C", "--trials", "abc"],
-            ["generate", "--family", "C"],
-            [],
-        ],
-    )
-    def test_usage_error_exit_code(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_FLAGS
-        assert out == ""
-        assert err.startswith("error: issp") and err.count("\n") == 1
+    # row id: (exit code, environment, argv, how stderr starts), each run
+    # with a two-interval instance on stdin.  Each bench row refuses a cell
+    # before it writes the CSV header, so a partial CSV on stdout fails it;
+    # an empty --sizes is refused like an empty --epsilons, not read as the
+    # default sizes.
+    BAD_INVOCATIONS = {
+        "solve-unknown-algorithm": (
+            EXIT_FLAGS, {}, ["solve", "x", "--algorithm", "foo"], "error: issp"
+        ),
+        "bench-trials-not-int": (
+            EXIT_FLAGS, {}, ["bench", "--suite", "C", "--trials", "abc"], "error: issp"
+        ),
+        "generate-without-n": (EXIT_FLAGS, {}, ["generate", "--family", "C"], "error: issp"),
+        "no-command": (EXIT_FLAGS, {}, [], "error: issp"),
+        "solve-missing-file": (EXIT_PARSE, {}, ["solve", "/nonexistent/instance.txt"], "error: "),
+        "solve-epsilon-2": (EXIT_FLAGS, {}, ["solve", "-", "--epsilon", "2"], "error: "),
+        "dp-budget-0": (
+            EXIT_BUDGET, {"ISSP_MEMORY_BUDGET_MB": "0"}, ["solve", "-", "--algorithm", "dp"], "error: "
+        ),
+        "bench-size-0-after-10": (
+            EXIT_FLAGS, {}, ["bench", "--suite", "B", "--sizes", "10,0", "--epsilons", "0.1"], "error: "
+        ),
+        "bench-empty-sizes": (
+            EXIT_FLAGS, {}, ["bench", "--suite", "B", "--sizes", "", "--epsilons", "0.1"], "error: "
+        ),
+        "bench-c-below-1": (
+            EXIT_FLAGS, {}, ["bench", "--suite", "C", "--c", "1/2", "--sizes", "10", "--epsilons", "0.1"],
+            "error: ",
+        ),
+        "bench-reference-out-of-budget": (
+            EXIT_BUDGET, {}, ["bench", "--suite", "A", "--sizes", "10,50", "--epsilons", "0.1"],
+            "error: refusing cell family=A n=50",
+        ),
+    }
+
+    @pytest.mark.parametrize("row", list(BAD_INVOCATIONS))
+    def test_bad_invocation(self, capsys, monkeypatch, row):
+        code, env, argv, err_start = self.BAD_INVOCATIONS[row]
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 100\n10 20\n10 25\n"))
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(err_start) and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]])
     def test_help_exits_zero_with_usage_on_stdout(self, capsys, argv):
@@ -1028,9 +1051,53 @@ class TestErrorsReachMain:
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
+def instance_text(target, pairs):
+    """An instance file: the count and target line, then one line per interval."""
+    return f"{len(pairs)} {target}\n" + "".join(f"{lo} {hi}\n" for lo, hi in pairs)
+
+
+@functools.cache
+def generated_text(flags):
+    """What `issp generate` writes for the space-separated ``flags``, made
+    once per test session."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["generate", *flags.split()]) == 0
+    return out.getvalue()
+
+
+class Gen(NamedTuple):
+    """A stdin recipe: `issp generate` with ``flags``, T times ``scale``. A
+    ``header`` line goes first and switches every line end to CRLF."""
+
+    flags: str
+    scale: int = 1
+    header: str = ""
+
+    def text(self):
+        head, body = generated_text(self.flags).split("\n", 1)
+        n, t = head.split()
+        text = f"{n} {int(t) * self.scale}\n{body}"
+        return f"{self.header}\n{text}".replace("\n", "\r\n") if self.header else text
+
+
+def solve_line(capsys, monkeypatch, text, *args):
+    """`issp solve - ARGS --json` on ``text``, in process, as "value kind
+    midrange_index" and the first 16 hex digits of the SHA-256 of the
+    space-separated solution.  A StringIO, like real stdin and unlike a
+    default TextIOWrapper, hands the text over with its line ends as they are."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "solve", "-", *args, "--json")
+    assert (code, err) == (0, "")
+    r = json.loads(out)
+    digest = hashlib.sha256(" ".join(map(str, r["solution"])).encode()).hexdigest()[:16]
+    return f"{r['value']} {r['kind']} {r['midrange_index']} {digest}"
+
+
 class TestPinnedOutput:
-    """Exact `bench` rows (less their timings) and `generate` files: both are
-    pure functions of their flags, so any difference is a behaviour change."""
+    """Exact `bench` rows (less their timings), `generate` files and `solve`
+    answers: each is a pure function of its input and flags, so any
+    difference is a behaviour change."""
 
     PINNED_BENCH = {
         ("--suite", "A", "--sizes", "10,15"): [
@@ -1080,6 +1147,111 @@ class TestPinnedOutput:
         ),
     }
 
+    # row id: (stdin, `solve` arguments, expected line, why the row is here).
+    # The solution hash pins every value that the divide-and-conquer
+    # reconstruction or the exact DP's backtrack chose.  C n = 100,000 at
+    # 1/1000 and 1/100, with T x 10 and under CRLF walk every second half
+    # of the divide-and-conquer on its first relaxed arrays; D n = 100,000
+    # and C n = 1000 at 1/10,000 each re-run one, so the hashes pin both
+    # second-half paths.
+    PINNED_SOLVE = {
+        "fptas-C100k": (
+            Gen("--family C --n 100000 --c 3/2 --seed 1"), ("--epsilon", "1/1000"),
+            "299956906375110 approximate 768 44265dd1424138a4",
+            "the fptas-c100k workload's instance: the scan exits at item 768",
+        ),
+        "fptas-C100k-eps100": (
+            Gen("--family C --n 100000 --c 3/2 --seed 1"), ("--epsilon", "1/100"),
+            "299212499396923 approximate 2953 810d653d64ea5e18",
+            "the walk on the second half's first relaxed arrays covers the most items",
+        ),
+        "fptas-C100k-Tx10": (
+            Gen("--family C --n 100000 --c 3/2 --seed 1", scale=10), ("--epsilon", "1/1000"),
+            "2997851522902498 approximate 2470 ab2dafe747a0dbf7",
+            "the scan needs an extension of the lazily sorted length order (item 2,470)",
+        ),
+        "fptas-D100k": (
+            Gen("--family D --n 100000 --C 13/10 --seed 1"), ("--epsilon", "1/1000"),
+            "299722822258643 approximate 95 b3d96671cb9cf202",
+            "the scan exits inside the length order's first chunk (item 95)",
+        ),
+        "fptas-D100k-lower-c": (
+            Gen("--family D --n 100000 --c 13/10 --seed 1"), ("--epsilon", "1/1000"),
+            "299722822258643 approximate 95 b3d96671cb9cf202",
+            "--c and --C spell one option, so both give one line",
+        ),
+        "fptas-C1000-eps10000": (
+            Gen("--family C --n 1000 --c 3/2 --seed 1"), ("--epsilon", "1/10000"),
+            "300000000000000 exact 82 2e9d41a06c92650c",
+            "428 of 438 snapshots have an empty bucket inside the occupied range",
+        ),
+        "fptas-B2000": (
+            Gen("--family B --n 2000"), ("--epsilon", "1/1000"),
+            "3999497499 approximate 2000 1556c18e5b3b90b5",
+            "the scan never exits early; the top frame settles without its first half",
+        ),
+        "fptas-C100k-crlf": (
+            Gen("--family C --n 100000 --c 3/2 --seed 1", header="# comment"),
+            ("--epsilon", "1/1000"),
+            "299956906375110 approximate 768 44265dd1424138a4",
+            "a comment line makes the parser cut the CRLF text only at line breaks",
+        ),
+        "dp-C14-seed1": (
+            Gen("--family C --n 14 --c 11/10 --seed 1"), ("--algorithm", "dp"),
+            "300000000000000 exact 12 b9af4067af07f608",
+            "an exact-sparse instance: the sparse set never repeats a sum",
+        ),
+        "dp-C14-seed2": (
+            Gen("--family C --n 14 --c 11/10 --seed 2"), ("--algorithm", "dp"),
+            "300000000000000 exact 8 8b010b1dc3095622",
+            "an exact-sparse instance: the sparse set never repeats a sum",
+        ),
+        "dp-C14-seed3": (
+            Gen("--family C --n 14 --c 11/10 --seed 3"), ("--algorithm", "dp"),
+            "300000000000000 exact 9 01bef966866ef0b8",
+            "an exact-sparse instance: the sparse set never repeats a sum",
+        ),
+        "dp-C24-seed10": (
+            Gen("--family C --n 24 --c 11/10 --seed 10"), ("--algorithm", "dp"),
+            "300000000000000 exact 16 da5e2dc03aa43a33",
+            "the unbuilt pending block keeps it under the default budget",
+        ),
+        "dp-B100": (
+            Gen("--family B --n 100"), ("--algorithm", "dp"),
+            "498624 exact 100 6efbb8cab21c7c45",
+            "the exact-dense instance: the bitset's backtrack replays from checkpoints",
+        ),
+        "dp-repeated-sums": (
+            instance_text(
+                9 * 10**9, [(10**6 * (1000 + 37 * k), 10**6 * (1000 + 41 * k)) for k in range(12)]
+            ),
+            ("--algorithm", "dp"),
+            "9000000000 exact 11 3626abb941e8a99d",
+            "sums repeat from the fourth item on, so the set's filter picks the first-reach runs",
+        ),
+        "dp-no-exit": (
+            instance_text(
+                10**12,
+                [(3**j, 2 * 3**j) if j != 8 else (10**12 - 10**4, 10**12 - 7000) for j in range(12)],
+            ),
+            ("--algorithm", "dp"),
+            "999999999560 exact 9 38c8ab731e857cf9",
+            "the scan never reaches T; the backtrack ignores the pending items past item 9",
+        ),
+        "route-c": (
+            Gen("--family C --n 100000 --c 3 --seed 1"),
+            ("--algorithm", "auto", "--epsilon", "1/1000"),
+            "300000000000000 exact None f0cfee8ba8bc9db2",
+            "c = 3 makes every interval wide: route (c)",
+        ),
+        "route-b": (
+            instance_text(301, [(1 + i % 100, 101 + i % 100 + i % 101) for i in range(20000)]),
+            ("--algorithm", "auto", "--epsilon", "1/1000"),
+            "301 exact None 716c584da91a7954",
+            "route (b) fills the 24 shortest intervals",
+        ),
+    }
+
     @pytest.mark.parametrize("flags", list(PINNED_BENCH))
     def test_bench_rows(self, capsys, flags):
         code, out, err = run_cli(capsys, "bench", *flags)
@@ -1091,3 +1263,13 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("flags", list(PINNED_GENERATE))
     def test_generate_file(self, capsys, flags):
         assert run_cli(capsys, "generate", *flags) == (0, self.PINNED_GENERATE[flags], "")
+
+    @pytest.mark.parametrize("row", list(PINNED_SOLVE))
+    def test_solve_line(self, capsys, monkeypatch, row):
+        stdin, args, line, _ = self.PINNED_SOLVE[row]
+        if isinstance(stdin, Gen):
+            text = stdin.text()
+            assert ("\r\n" in text) == bool(stdin.header)
+        else:
+            text = stdin
+        assert solve_line(capsys, monkeypatch, text, *args) == line
