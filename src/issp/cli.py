@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -31,6 +32,7 @@ from .core import (
     Solution,
     SolveOutcome,
     evaluate,
+    exact_ratio,
     format_percent,
     preprocess,
     relative_error,
@@ -145,9 +147,10 @@ def _read_instance(path: str) -> Instance:
 
 
 def parse_ratio(text: str) -> Fraction:
-    """Accept 'p/q' or a decimal literal as an exact rational, else ValueError."""
+    """Accept 'p/q' or a decimal literal as an exact rational, else ValueError
+    (InvalidSetting for an exponent ``exact_ratio`` refuses)."""
     try:
-        return Fraction(text)
+        return exact_ratio(text)
     except ZeroDivisionError:
         raise ValueError(f"ratio {text!r} has a zero denominator") from None
 
@@ -262,13 +265,9 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
         print(f"value {poly.value}", file=out)
 
 
-# the largest family A size whose meet-in-the-middle reference is in budget
-_MITM_MAX_N = 42
-
-
 def _exact_reference(family: str, inst: Instance, n: int) -> int:
     """Exact optimum for families A/B, the target for C/D; family A's n must
-    be at most ``_MITM_MAX_N``."""
+    pass ``exact.mitm_in_budget``."""
     if family == "A":
         # the search keeps only sums <= T: items above T never enter it and
         # an item equal to T yields T, so it needs no preprocessing
@@ -278,13 +277,17 @@ def _exact_reference(family: str, inst: Instance, n: int) -> int:
     return inst.target
 
 
-def _bench_trial(spec: instgen.GenSpec, epsilons: list[Fraction]) -> list[tuple[Fraction, float]]:
-    """(relative error, FPTAS time) at each epsilon on the instance of ``spec``.
+def _bench_trial(
+    cell: instgen.GenSpec, seed: int, epsilons: list[Fraction]
+) -> list[tuple[Fraction, float]]:
+    """(relative error, FPTAS time) at each epsilon on the instance of
+    ``cell`` with ``seed``; its spec is made, and checked again, here.
 
     The instance and its reference do not depend on epsilon, so they are
     built once; they are freed on return, so ``cmd_bench`` holds one
     instance at a time.
     """
+    spec = dataclasses.replace(cell, seed=seed)
     inst = instgen.generate(spec)
     reference = _exact_reference(spec.family, inst, spec.n)
     results = []
@@ -311,20 +314,20 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
         if fixed_param is not None:
             params = [fixed_param]
     sizes = sizes or default_sizes
-    # each cell's specs, one per trial, built before any row so a refusal leaves stdout empty
-    cells: list[list[instgen.GenSpec]] = []
-    seeds = range(args.seed, args.seed + args.trials)
+    # one checked spec per cell, built before any row so a refusal leaves stdout empty
+    cells: list[instgen.GenSpec] = []
     for n in sizes:
-        if family == "A" and n > _MITM_MAX_N:
+        if family == "A" and not exact.mitm_in_budget(n):
             raise InstanceTooLarge(
                 f"refusing cell family={family} n={n}: exact reference out of budget"
             )
-        cells += [[_setting(instgen.GenSpec, family, n, p, s) for s in seeds] for p in params]
+        cells += [_setting(instgen.GenSpec, family, n, p, args.seed) for p in params]
     writer = csv.writer(out)
     writer.writerow(BENCH_HEADER)
-    for specs in cells:
-        n, param = specs[0].n, specs[0].param
-        trials = [_bench_trial(spec, epsilons) for spec in specs]
+    seeds = range(args.seed, args.seed + args.trials)
+    for cell in cells:
+        n, param = cell.n, cell.param
+        trials = [_bench_trial(cell, seed, epsilons) for seed in seeds]
         # per epsilon, every trial's (relative error, time)
         for eps, results in zip(epsilons, zip(*trials)):
             errors, times = zip(*results)

@@ -13,6 +13,7 @@ sums far beyond 64-bit range are exact.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +22,7 @@ from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    InvalidSetting,
     InvertedInterval,
     NegativeGap,
     NonPositiveEndpoint,
@@ -371,6 +373,25 @@ def relative_error(approx_value: int, reference_value: int) -> Fraction:
     if approx_value < 0:
         raise NegativeGap(f"approx must be nonnegative, got {approx_value}")
     return Fraction(reference_value - approx_value, reference_value)
+
+
+# Fraction("1e-N") computes 10**N before anything can check the value, so a
+# decimal exponent above this magnitude is refused first; it is the default
+# limit on the digits of an int read from a string, which a long p/q hits
+# (sys.int_info.default_max_str_digits)
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def exact_ratio(value: Union[Fraction, int, float, str]) -> Fraction:
+    """``Fraction(value)``; a string whose decimal exponent is above
+    ``MAX_EXPONENT`` in magnitude raises InvalidSetting before it is expanded."""
+    if isinstance(value, str):
+        found = _EXPONENT.search(value)
+        digits = found[1].replace("_", "").lstrip("0") if found else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise InvalidSetting(f"the exponent of {value!r} is above {MAX_EXPONENT} in magnitude")
+    return Fraction(value)
 
 
 PERCENT_DECIMALS = 3

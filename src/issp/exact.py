@@ -14,21 +14,17 @@ on an exact set and reconstructs an optimal solution by backtracking.
 The exact set has two representations, chosen from n, T and the memory
 budget alone, with bit-identical answers:
 
-- ``SparseSums``: a sorted list of the sums and a flat list of the sums
-  each item reached first, in item order.  Each item merges the sorted
-  runs ``{d + hi}`` and ``{d + lo}`` in with one sort; while no sum
-  repeats, the runs are its first-reach runs as they stand, and from the
-  first repeat on a set of the sums filters them.  Time and space grow
-  with the number of stored sums, so it serves any T.  Backtracking walks
-  the items down once and looks the sum up in each item's two runs.  A
-  block of the newest items stays pending, unbuilt, with a sorted list of
-  its own sums; a lookup meets them with the stored sums in the middle, so
-  a scan that stops at T never builds them.  The block is kept to about
-  1/``BLOCK_WEIGHT`` of the stored sums.
-- ``BitsetSums``: one Python int whose bit s is set when s is reachable,
-  updated word-parallel as ``R | (R << lo) | (R << hi)`` below T.  Time
-  per item grows with the largest reachable sum (at most T) and space with
-  T; backtracking replays items from checkpoints kept every ~sqrt(n) items.
+- ``SparseSums``: a sorted list of the sums and the runs of sums each
+  item reached first.  Time and space grow with the number of stored
+  sums, so it serves any T.  A block of the newest items stays pending,
+  unbuilt, so a scan that stops at T never builds them.
+- ``BitsetSums``: one Python int whose bit s is set when s is reachable.
+  Time per item grows with the largest reachable sum (at most T) and space
+  with T.
+
+Where no first-reach run records the item that reached a sum (every item
+of the bitset, the pending items of the sparse set), backtracking takes
+``backtrack_items``'s step; the sparse set tests a sum with ``largest_sum_le``.
 
 The bitset is used when T is at most ``BITSET_DENSITY`` times the bound
 min(T, 3^n) on stored sums and its checkpoints, counted in exact bytes, fit
@@ -46,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from itertools import filterfalse, islice, repeat
 from math import isqrt
 from operator import add, eq, ne
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import fill_values
 from .core import Instance, Solution, SolveOutcome, place, sort_by_length
@@ -185,6 +181,42 @@ def _sumset(block: list[int], lo: int, hi: int, t: int) -> list[int]:
     return sorted(out)
 
 
+def largest_sum_le(block: list[int], values: list[int], bound: int) -> int:
+    """Largest p + v <= bound over p in ``block`` (sorted, 0 included) and v
+    in ``values`` (sorted) or 0: the two halves meet in the middle (Horowitz
+    and Sahni, 1974), with one C-level bisect of ``values`` per p."""
+    best = block[bisect_right(block, bound) - 1]  # a block sum alone
+    if values:
+        # the p that some v <= bound - p completes
+        ps = block[: bisect_right(block, bound - values[0])]
+        cuts = map(bisect_right, repeat(values), map(bound.__sub__, ps))
+        tops = map(values.__getitem__, map((-1).__add__, cuts))
+        best = max(best, max(map(add, ps, tops), default=0))
+    return best
+
+
+def backtrack_items(
+    d: int, first: int, before: list, lo: Sequence, hi: Sequence, reached: Callable, x: dict
+) -> int:
+    """Walk items first + len(before) - 1 down to first from the sum d, and
+    return the sum left; ``before`` is emptied from its end.
+
+    ``reached(before[k - first], s)`` tells whether s > 0 was reachable
+    before item k.  Item k is skipped when d was; otherwise it takes hi if
+    d - hi > 0 was, else lo if d - lo > 0 was, else d itself (a lone
+    endpoint), and d drops by ``x[k]``, the endpoint taken.  These are the
+    item and endpoint ``SparseSums._build`` records when it first reaches d.
+    """
+    for k in range(first + len(before) - 1, first - 1, -1):
+        r = before.pop()
+        if not reached(r, d):
+            e = x[k] = hi[k] if reached(r, d - hi[k]) else lo[k] if reached(r, d - lo[k]) else d
+            d -= e
+            if not d:
+                break
+    return d
+
+
 class SparseSums:
     """Reachable sums in (0, T] as a sorted list and first-reach runs.
 
@@ -203,13 +235,11 @@ class SparseSums:
     Items ``[0, h)`` are built into those lists; the newest items ``[h, k)``
     are ``pending``, unbuilt, and ``block`` holds their sums <= T, 0
     included, sorted.  A reachable sum is p + v with p in the block and v
-    stored or 0, so ``largest_le`` bisects the stored sums once per block
-    sum: the two halves meet in the middle (Horowitz and Sahni, 1974).
-    Once the block's sums times ``BLOCK_WEIGHT`` exceed the stored sums,
-    ``add`` builds the oldest pending items, one at a time with the budget
-    check, until they are at most half the stored sums; it always keeps the
-    newest item pending.  ``snapshot`` builds them all, and ``stored``
-    leaves their sums out.
+    stored or 0 (``largest_sum_le``).  Once the block's sums times
+    ``BLOCK_WEIGHT`` exceed the stored sums, ``add`` builds the oldest
+    pending items, one at a time with the budget check, until they are at
+    most half the stored sums; it always keeps the newest item pending.
+    ``snapshot`` builds them all, and ``stored`` leaves their sums out.
     """
 
     name = "sparse"
@@ -225,17 +255,8 @@ class SparseSums:
         self.block = [0]
 
     def largest_le(self, bound: int) -> int:
-        """Largest sum <= bound, or 0: the best p + (largest stored sum <=
-        bound - p, or 0) over the block's sums p <= bound."""
-        values, block = self.values, self.block
-        best = block[bisect_right(block, bound) - 1]  # a block sum alone
-        if values:
-            # the p with a stored sum <= bound - p; a C-level bisect each
-            ps = block[: bisect_right(block, bound - values[0])]
-            cuts = map(bisect_right, repeat(values), map(bound.__sub__, ps))
-            tops = map(values.__getitem__, map((-1).__add__, cuts))
-            best = max(best, max(map(add, ps, tops), default=0))
-        return best
+        """Largest sum <= bound, or 0; see ``largest_sum_le``."""
+        return largest_sum_le(self.block, self.values, bound)
 
     def add(self, i: int, lo: int, hi: int) -> None:
         """Keep item i pending, and build the oldest pending items once the
@@ -298,8 +319,8 @@ class SparseSums:
             # From the first repeat on, a set filters the runs down to the
             # sums not yet stored.  A sum on both runs takes the hi link, the
             # one from the smaller predecessor; then come the lo run and the
-            # lone endpoints, lo first.  BitsetSums.backtrack picks the same
-            # links, so both representations give one solution.
+            # lone endpoints, lo first: the links backtrack_items picks, so
+            # both representations give one solution.
             hi_run = list(filterfalse(seen.__contains__, map(hi.__add__, islice(values, cut_hi))))
             seen.update(hi_run)
             lo_run = list(filterfalse(seen.__contains__, map(lo.__add__, islice(values, cut_lo))))
@@ -331,46 +352,28 @@ class SparseSums:
         self.block = [0]
         return tuple(self.values)
 
-    def _has(self, s: int) -> bool:
-        values = self.values
-        pos = bisect_left(values, s)
-        return pos < len(values) and values[pos] == s
-
     def backtrack(
         self, d: int, m: int | None, lo: Sequence[int], hi: Sequence[int]
     ) -> dict[int, int]:
         """Endpoint per item position of the sum d over the first m items,
         whose endpoints are ``lo[k]`` and ``hi[k]``.
 
-        Walking back from item m - 1, a pending item j takes the step
-        ``BitsetSums.backtrack`` takes, where d was reachable before item j
-        when it is p + v, p a sum of the pending items before j or 0 and v
-        stored or 0.  A built item k takes hi when d is on its hi run and
-        lo when d is on its lo run, and d drops by that endpoint.  The sum
-        left over was stored before item k, so an earlier item reached it
-        first, and each item is looked at once.
+        The pending items, newest first, take ``backtrack_items``'s steps.
+        Then a built item k takes hi when d is on its hi run and lo when d
+        is on its lo run, and d drops by that endpoint.  The sum left over
+        was stored before item k, so an earlier item reached it first, and
+        each item is looked at once.
         """
         x: dict[int, int] = {}
-        firsts, ends = self.firsts, self.ends
+        firsts, ends, values = self.firsts, self.ends, self.values
         h = len(ends) // 2  # items built
         if d and m > h:  # items h .. m - 1 are pending
-            has = self._has
-
-            def reached(s: int, ps: list[int]) -> bool:
-                """s > 0 is p + v, p in ps and v stored or 0."""
-                return s > 0 and any(p == s or has(s - p) for p in ps if p <= s)
-
             before = [[0]]  # before[j - h]: sums <= d of pending items h .. j - 1
             for a, b in self.pending[: m - 1 - h]:
                 before.append(_sumset(before[-1], a, b, d))
-            for j in range(m - 1, h - 1, -1):
-                ps = before.pop()
-                if not reached(d, ps):
-                    a, b = lo[j], hi[j]
-                    e = x[j] = b if reached(d - b, ps) else a if reached(d - a, ps) else d
-                    d -= e
-                    if not d:
-                        break
+            d = backtrack_items(
+                d, h, before, lo, hi, lambda ps, s: s > 0 and largest_sum_le(ps, values, s) == s, x
+            )
             m = h
         if not d:  # also when no item was scanned and m is None
             return x
@@ -444,36 +447,16 @@ class BitsetSums:
 
     def backtrack(self, d: int, m: int, los: Sequence[int], his: Sequence[int]) -> dict[int, int]:
         """Endpoint per item position of the sum d over the first m items,
-        whose endpoints are ``los[k]`` and ``his[k]``.
-
-        Walking back from item m - 1, item k is skipped when d was reachable
-        before it; otherwise it takes hi if d - hi > 0 was reachable, else lo
-        if d - lo > 0 was, else d itself (a lone endpoint).  This is the item
-        and endpoint SparseSums records when it first reaches d.
-        """
+        whose endpoints are ``los[k]`` and ``his[k]``; see ``backtrack_items``."""
         t, step = self.t, self.step
-        x = {}
+        x: dict[int, int] = {}
         j = m
         while d:
             base = (j - 1) // step * step
             before = [self.marks[base // step]]  # before[k - base]: bits before item k
             for k in range(base, j - 1):
                 before.append(_extend(before[-1], los[k], his[k], t))
-            for k in range(j - 1, base - 1, -1):
-                r = before[k - base]
-                if r >> d & 1:
-                    continue
-                lo, hi = los[k], his[k]
-                if d > hi and r >> (d - hi) & 1:
-                    e = hi
-                elif d > lo and r >> (d - lo) & 1:
-                    e = lo
-                else:
-                    e = d
-                x[k] = e
-                d -= e
-                if not d:
-                    break
+            d = backtrack_items(d, base, before, los, his, lambda r, s: s > 0 and r >> s & 1, x)
             j = base
         return x
 
@@ -584,14 +567,30 @@ def dp_exact(inst: Instance, trace: bool = False) -> SolveOutcome:
     return run_dp(inst, sums, trace)
 
 
+def mitm_in_budget(n: int) -> bool:
+    """True when ``ssp_optimum_mitm``'s halves, at most 2^floor(n/2) +
+    2^ceil(n/2) sums at the nominal 128 B each, fit the memory budget (on
+    family A, n = 9..38, its tracemalloc peak was 43-48 B per such sum)."""
+    n, budget = max(n, 0), memory_budget_bytes()
+    # n is bounded first, so that a huge n builds no huge int
+    fits = n < 2 * budget.bit_length()
+    return fits and _BYTES_PER_ENTRY * ((1 << n // 2) + (1 << n - n // 2)) <= budget
+
+
 def ssp_optimum_mitm(inst: Instance) -> int:
     """Exact optimum for pure subset-sum instances (lo == hi everywhere).
 
-    Meet-in-the-middle: enumerate subset sums of each half, sort one half,
-    and binary-search the best partner.  Handles n around 40 comfortably.
+    Meet-in-the-middle: enumerate and sort the subset sums of each half, and
+    pair them by ``largest_sum_le``.  Refused before it enumerates unless
+    ``mitm_in_budget(n)``.
     """
     if any(map(ne, inst.lo, inst.hi)):
         raise ValueError("meet-in-the-middle path requires lo == hi everywhere")
+    if not mitm_in_budget(inst.n):
+        raise MemoryBudgetExceeded(
+            f"meet-in-the-middle over {inst.n} items may outgrow the budget of "
+            f"{memory_budget_bytes()} B; raise ISSP_MEMORY_BUDGET_MB to override"
+        )
     t = inst.target
     items = list(inst.hi)
     half = len(items) // 2
@@ -602,13 +601,7 @@ def ssp_optimum_mitm(inst: Instance) -> int:
             acc += [s + a for s in acc if s + a <= t]
         return acc
 
-    left = sums(items[:half])
-    right = sorted(set(sums(items[half:])))
-    best = 0
-    for s in left:
-        pos = bisect_right(right, t - s)
-        if pos:
-            best = max(best, s + right[pos - 1])
-            if best == t:
-                break
-    return best
+    left, right = sums(items[:half]), sums(items[half:])
+    left.sort()
+    right.sort()
+    return largest_sum_le(left, right, t)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .core import Instance, SolveOutcome, sort_by_length
+from .core import Instance, SolveOutcome, exact_ratio, sort_by_length
 from .errors import (
     EmptyArray,
     EpsilonOutOfRange,
@@ -468,7 +468,7 @@ def fptas_solve(
     the reconstruction target, for verification.
     """
     start = time.perf_counter()
-    eps = Fraction(epsilon)
+    eps = exact_ratio(epsilon)
     if not inst.length_sorted:
         inst = sort_by_length(inst)
     t = inst.target

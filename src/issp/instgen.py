@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Instance, validate_columns
+from .core import Instance, exact_ratio, validate_columns
 from .errors import NOutOfRange
 
 HI_RANGE = 10**14
@@ -88,7 +88,7 @@ def _check(family: str, n: int, param: object = None) -> Optional[Fraction]:
         raise NOutOfRange(f"family {family} requires n >= 1, got {n}")
     if family in ("A", "B"):
         return None
-    param = Fraction(param)
+    param = exact_ratio(param)
     if param <= 1:
         what = "ratio c" if family == "C" else "Cap"
         raise ValueError(f"family {family} requires {what} > 1, got {param}")

@@ -893,6 +893,29 @@ class TestBenchCommand:
         assert held == [0] * 6
         assert len(alive) == 0
 
+    def test_one_spec_per_cell_before_the_first_trial(self, capsys, monkeypatch):
+        # three cells of 1,000 trials: each cell's spec is checked before the
+        # header, and each trial makes its own spec when it runs
+        made = []
+        real = instgen.GenSpec.__post_init__
+
+        def post_init(spec):
+            made.append(spec)
+            real(spec)
+
+        class FirstTrial(Exception):
+            pass
+
+        def first_trial(*args):
+            raise FirstTrial(len(made))
+
+        monkeypatch.setattr(instgen.GenSpec, "__post_init__", post_init)
+        monkeypatch.setattr(cli, "_bench_trial", first_trial)
+        with pytest.raises(FirstTrial) as info:
+            main(["bench", "--suite", "C", "--sizes", "10", "--trials", "1000"])
+        assert info.value.args == (3,)
+        assert capsys.readouterr().out == ",".join(BENCH_HEADER) + "\r\n"
+
     def test_exact_reference_for_family_a(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--suite", "A", "--sizes", "10", "--epsilons", "0.1"
@@ -1002,6 +1025,12 @@ class TestErrorsReachMain:
             EXIT_BUDGET, {}, ["bench", "--suite", "A", "--sizes", "10,50", "--epsilons", "0.1"],
             "error: refusing cell family=A n=50",
         ),
+        "bench-reference-over-16-mib": (
+            EXIT_BUDGET,
+            {"ISSP_MEMORY_BUDGET_MB": "16"},
+            ["bench", "--suite", "A", "--sizes", "36", "--epsilons", "0.1"],
+            "error: refusing cell family=A n=36",
+        ),
     }
 
     @pytest.mark.parametrize("row", list(BAD_INVOCATIONS))
@@ -1013,6 +1042,31 @@ class TestErrorsReachMain:
         got, out, err = run_cli(capsys, *argv)
         assert (got, out) == (code, "")
         assert err.startswith(err_start) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "-", "--epsilon", "1e-1000000000"],
+            ["generate", "--family", "C", "--n", "1", "--c", "1e1000000000"],
+            ["bench", "--suite", "B", "--sizes", "10", "--epsilons", "1e-1000000000"],
+        ],
+    )
+    def test_huge_exponent_refused_before_it_expands(self, argv):
+        # Fraction would compute 10**(10**9) first; the child's address space
+        # and time are capped so that doing so fails fast
+        resource = pytest.importorskip("resource")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        command, env = entry_point(*argv)
+        proc = subprocess.run(
+            command, input=b"2 100\n10 20\n10 25\n", capture_output=True, env=env,
+            preexec_fn=cap_memory, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_FLAGS, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert b"exponent" in proc.stderr
 
     @pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]])
     def test_help_exits_zero_with_usage_on_stdout(self, capsys, argv):

@@ -23,6 +23,7 @@ from issp.core import (
     validate,
 )
 from issp.errors import (
+    InvalidSetting,
     InvertedInterval,
     IsspError,
     NegativeGap,
@@ -31,7 +32,8 @@ from issp.errors import (
     TargetExceeded,
     ValueOutsideInterval,
 )
-from issp.instgen import gen_c
+from issp.fptas import fptas_solve
+from issp.instgen import GenSpec, gen_c
 
 from conftest import eager_sort, instances
 import reference_frontend
@@ -312,6 +314,35 @@ class TestRelativeError:
     def test_rejects_nonpositive_reference(self):
         with pytest.raises(NegativeGap):
             relative_error(0, 0)
+
+
+class TestExactRatio:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e-4300", Fraction(1, 10**4300)),
+            (" 25E+4300\n", Fraction(25 * 10**4300)),
+            ("1e-0000004300", Fraction(1, 10**4300)),
+            ("3/2", Fraction(3, 2)),
+            ("0.125", Fraction(1, 8)),
+        ],
+    )
+    def test_accepts_up_to_the_bound(self, text, value):
+        assert core.exact_ratio(text) == value
+
+    @pytest.mark.parametrize("text", ["1e-4301", "1E4301", " 1e+99999 ", "1e-1000000000"])
+    def test_refuses_a_larger_exponent_before_fraction(self, monkeypatch, text):
+        # Fraction never sees the string: it would compute 10**|exp| first
+        monkeypatch.setattr(core, "Fraction", None)
+        with pytest.raises(InvalidSetting, match="exponent"):
+            core.exact_ratio(text)
+
+    def test_fptas_and_generators_share_the_bound(self):
+        inst = validate([(10, 20), (10, 25)], 100)
+        with pytest.raises(InvalidSetting, match="exponent"):
+            fptas_solve(inst, "1e-5000")
+        with pytest.raises(InvalidSetting, match="exponent"):
+            GenSpec("C", 3, "1e5000")
 
 
 class TestFormatPercent:

@@ -37,7 +37,7 @@ from issp.exact import (
     use_bitset,
 )
 from issp.fptas import BucketArray, FptasParams, fptas_solve
-from issp.instgen import gen_c
+from issp.instgen import gen_a, gen_c
 
 from conftest import chunk_ends, eager_sort, exit_instance, instances, reference_optimum
 from reference_dp import FilteredSums, insort_dp
@@ -672,6 +672,43 @@ class TestMeetInTheMiddle:
     def test_rejects_proper_intervals(self):
         with pytest.raises(ValueError):
             ssp_optimum_mitm(validate([(1, 2)], 5))
+
+    def test_family_a_peak_within_budget(self, monkeypatch):
+        # a reference either peaks within its budget or is refused before it
+        # enumerates; the peak does not depend on the budget, so each n runs
+        # once, under the smallest budget that takes it
+        largest = {}
+        for n in range(20, 37):
+            inst = gen_a(n)
+            for mb in (2, 8, 32):
+                monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
+                tracemalloc.start()
+                try:
+                    ssp_optimum_mitm(inst)
+                    refused = False
+                except MemoryBudgetExceeded:
+                    refused = True
+                finally:
+                    _, peak = tracemalloc.get_traced_memory()
+                    tracemalloc.stop()
+                if refused:
+                    assert peak < 4096, (mb, n, peak)
+                    continue
+                assert peak <= mb << 20, (mb, n, peak / (mb << 20))
+                largest.update({b: n for b in (2, 8, 32) if b >= mb})
+                break
+        # 128 B for each of 2^floor(n/2) + 2^ceil(n/2) sums
+        assert largest == {2: 26, 8: 30, 32: 34}
+
+    def test_default_budget_takes_family_a_to_n_40(self, monkeypatch):
+        monkeypatch.delenv("ISSP_MEMORY_BUDGET_MB", raising=False)
+        assert [exact.mitm_in_budget(n) for n in (0, 1, 40, 41, 62, 10**30)] == [
+            True, True, True, False, False, False
+        ]
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
+        assert not exact.mitm_in_budget(0)
+        with pytest.raises(MemoryBudgetExceeded, match="ISSP_MEMORY_BUDGET_MB"):
+            ssp_optimum_mitm(validate([(1, 1)], 5))
 
 
 def _dp_outcome(out):
