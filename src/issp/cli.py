@@ -317,7 +317,8 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     # one checked spec per cell, built before any row so a refusal leaves stdout empty
     cells: list[instgen.GenSpec] = []
     for n in sizes:
-        if family == "A" and not exact.mitm_in_budget(n):
+        # n + 2 * bit_length(n) bits bound family A's T (instgen.gen_a)
+        if family == "A" and not exact.mitm_in_budget(n, n + 2 * n.bit_length()):
             raise InstanceTooLarge(
                 f"refusing cell family={family} n={n}: exact reference out of budget"
             )

@@ -24,13 +24,10 @@ budget alone, with bit-identical answers:
 
 Where no first-reach run records the item that reached a sum (every item
 of the bitset, the pending items of the sparse set), backtracking takes
-``backtrack_items``'s step; the sparse set tests a sum with ``largest_sum_le``.
-
-The bitset is used when T is at most ``BITSET_DENSITY`` times the bound
-min(T, 3^n) on stored sums and its checkpoints, counted in exact bytes, fit
-``ISSP_MEMORY_BUDGET_MB``; otherwise the sparse set is used, and it is
-gated at a nominal 128 B per stored sum, counted before an item's runs
-are built; the pending block's sums are charged with them before it grows.
+``backtrack_items``'s step.  The bitset is used when T is at most
+``BITSET_DENSITY`` times min(T, 3^n), the bound on stored sums, and its
+exact bytes fit ``ISSP_MEMORY_BUDGET_MB``; the sparse set is gated at a
+nominal 128 B per stored sum, counted before the sums are built.
 """
 
 from __future__ import annotations
@@ -95,11 +92,9 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
             best_subset = chosen.copy()
         if i == n or best_value == t:
             return
-        # skip interval i
-        dfs(i + 1, lo_sum, hi_sum)
+        dfs(i + 1, lo_sum, hi_sum)  # skip interval i, then take it
         if best_value == t:
             return
-        # take interval i
         if lo_sum + lo[i] <= t:
             chosen.append(i)
             dfs(i + 1, lo_sum + lo[i], hi_sum + hi[i])
@@ -115,24 +110,28 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
 
 
 # Representation choice.  Per item, BitsetSums costs time in proportion to
-# the largest reachable sum (at most T) and SparseSums in proportion to the
-# sums stored, which min(T, 3^n) bounds.  On random instances with
-# n = 7..13, lo uniform in [1, 2.75 T / n], hi uniform in [lo, 2 lo] and
-# T = r * 3^n (nine per n; each set built over all n items, then its
-# largest sum backtracked; Python 3.11, 2-vCPU x86 VM), the median
-# speed-up of the bitset over the sparse set was 1.9x at r = 32 (0.9-3.3x
-# across n), 0.9x at r = 64 (0.4-2.1x) and 0.5x at r = 128 (0.3-1.9x).
-# The sets held about 0.33 * 3^n sums, so at r = 32 both sides also budget
-# about the same bytes (n = 13: 82 MB of bitset_bytes, 67 MB at 128 B per
-# sum).
+# the largest reachable sum (at most T), SparseSums to the sums stored (at
+# most min(T, 3^n)).  On random instances, n = 7..13, lo uniform in
+# [1, 2.75 T / n], hi in [lo, 2 lo], T = r * 3^n (nine per n; each set built
+# over all n items, then its largest sum backtracked; Python 3.11, 2-vCPU
+# x86 VM), the bitset's median speed-up was 1.9x at r = 32 (0.9-3.3x across
+# n), 0.9x at r = 64 (0.4-2.1x) and 0.5x at r = 128 (0.3-1.9x).  The sets
+# held about 0.33 * 3^n sums, so at r = 32 both sides budget about the same
+# bytes (n = 13: 88 MB of bitset_bytes, 67 MB at 128 B per sum).
 BITSET_DENSITY = 32
 
 _DIGIT_BYTES = sys.int_info.sizeof_digit
 _DIGIT_BITS = sys.int_info.bits_per_digit
 _INT_HEADER = sys.getsizeof(1) - _DIGIT_BYTES
-# ints of up to T+1 bits alive during one update besides the checkpoints
-# and the set itself: a mask, the masked set, its shift and the result
-_BITSET_WORKING = 4
+_SLOT_BYTES = sys.getsizeof([None]) - sys.getsizeof([])
+# ints of T + 1 bits alive during one step besides the checkpoints, the set
+# and a replayed segment: one mask (the scan's, or the backtrack's at its
+# residual) and two shifted sets of up to 2T bits, two ints each
+_BITSET_WORKING = 5
+
+
+def _int_bytes(bits: int) -> int:
+    return _INT_HEADER + _DIGIT_BYTES * -(-bits // _DIGIT_BITS)
 
 
 def _checkpoint_step(n: int) -> int:
@@ -140,15 +139,11 @@ def _checkpoint_step(n: int) -> int:
 
 
 def bitset_bytes(n: int, t: int) -> int:
-    """Peak bytes of BitsetSums over n items below T = t, counted exactly.
-
-    It holds n // step + 1 checkpoints, a replayed segment of at most
-    ``step`` states while backtracking, and a few temporaries, each an int
-    of at most t + 1 bits.
-    """
+    """Peak bytes of BitsetSums over n items below T = t in ints of t + 1
+    bits: n // step + 1 checkpoints, a replayed segment of at most ``step``
+    states while backtracking, and ``_BITSET_WORKING`` temporaries."""
     step = _checkpoint_step(n)
-    live = n // step + 1 + step + _BITSET_WORKING
-    return live * (_INT_HEADER + _DIGIT_BYTES * -(-(t + 1) // _DIGIT_BITS))
+    return (n // step + 1 + step + _BITSET_WORKING) * _int_bytes(t + 1)
 
 
 def use_bitset(n: int, t: int) -> bool:
@@ -395,48 +390,57 @@ class SparseSums:
         return x
 
 
-def _low_bits(r: int, k: int) -> int:
-    """The k lowest bits of r; no mask is built when r has no more than k."""
-    return r if r.bit_length() <= k else r & ((1 << k) - 1)
-
-
-def _extend(r: int, lo: int, hi: int, t: int) -> int:
-    """Reachable-set bits r after one more item [lo, hi], cut at t.
-
-    Each step costs time in proportion to the largest reachable sum, not
-    to T, so a few sums far below a large T stay cheap.
-    """
-    out = r
-    for e in {lo, hi}:
-        if e <= t:
-            out |= _low_bits(r, t - e + 1) << e
-    return out
+def _extend(r: int, lo: int, hi: int, cut: int) -> int:
+    """r | r << lo | r << hi as (r << (hi - lo) | r) << lo | r, two shifted ints
+    at most, less shifts wholly above ``cut``; the caller cuts the result."""
+    if lo > cut:
+        return r
+    if lo != hi <= cut:
+        return (r << hi - lo | r) << lo | r
+    return r << lo | r
 
 
 class BitsetSums:
     """Reachable sums in [0, T] as the set bits of one int; bit 0 is the empty sum.
 
-    The bits after every ``step`` ~ sqrt(n) items are kept; backtracking
-    replays one segment of items from its checkpoint at a time, on the
-    endpoint columns it is given after the scan.
+    A step past T is cut by one mask, built the first time; ``largest_le``
+    reads windows just below its bound, 4x wider each time.  The bits after
+    every ``step`` ~ sqrt(n) items are kept; backtracking replays one segment
+    of items from its checkpoint at a time, cut at the residual d (it tests
+    no bit above d), on the endpoint columns it is given after the scan.
     """
 
     name = "bitset"
 
     def __init__(self, n: int, t: int) -> None:
-        self.t = t
-        self.reach = 1
+        self.t, self.reach = t, 1
+        self.mask = 0  # (1 << t + 1) - 1 once a step reaches past t
         self.step = _checkpoint_step(n)
         self.marks = [1]  # marks[q] = reach after the first q * step items
 
     def largest_le(self, bound: int) -> int:
         """Largest reachable sum <= bound, or 0."""
-        return _low_bits(self.reach, bound + 1).bit_length() - 1
+        r, top = self.reach, bound + 1
+        if r.bit_length() > top:
+            # each window re-reads the bits above the bound: only if they are few
+            width = 64 if 4 * (r.bit_length() - top) < top else top
+            while width < top:
+                window = r >> top - width & (1 << width) - 1
+                if window:
+                    return top - width + window.bit_length() - 1
+                width *= 4
+            r &= (1 << top) - 1
+        return r.bit_length() - 1
 
     def add(self, i: int, lo: int, hi: int) -> None:
-        self.reach = _extend(self.reach, lo, hi, self.t)
+        t = self.t
+        r = _extend(self.reach, lo, hi, t)
+        if r.bit_length() > t + 1:
+            self.mask = self.mask or (1 << t + 1) - 1
+            r &= self.mask
+        self.reach = r
         if (i + 1) % self.step == 0:
-            self.marks.append(self.reach)
+            self.marks.append(r)
 
     def stored(self) -> int:
         return self.reach.bit_count() - 1
@@ -448,28 +452,28 @@ class BitsetSums:
     def backtrack(self, d: int, m: int, los: Sequence[int], his: Sequence[int]) -> dict[int, int]:
         """Endpoint per item position of the sum d over the first m items,
         whose endpoints are ``los[k]`` and ``his[k]``; see ``backtrack_items``."""
-        t, step = self.t, self.step
+        step = self.step
         x: dict[int, int] = {}
-        j = m
+        j, self.mask = m, 0  # the scan's mask is freed; each segment has its own
         while d:
             base = (j - 1) // step * step
-            before = [self.marks[base // step]]  # before[k - base]: bits before item k
+            cut = (1 << d + 1) - 1
+            before = [self.marks[base // step] & cut]  # before[k - base]: bits before item k
             for k in range(base, j - 1):
-                before.append(_extend(before[-1], los[k], his[k], t))
+                r = _extend(before[-1], los[k], his[k], d)
+                before.append(r & cut if r.bit_length() > d + 1 else r)
             d = backtrack_items(d, base, before, los, his, lambda r, s: s > 0 and r >> s & 1, x)
             j = base
         return x
 
 
 def scan(inst: Instance, reach, trace: bool = False) -> tuple:
-    """The midrange scan shared by ``dp_exact`` and ``fptas_solve``.
-
-    ``reach`` is an empty reachable-sum set: ``SparseSums``, ``BitsetSums``
-    or the FPTAS's ``BucketArray``.  For each length-sorted interval i with
-    lo_i <= T, d is the largest stored sum <= T - lo_i (0 if none) and the
-    candidate is min(d + hi_i, T); the first strict best is kept, and the
-    scan stops once it reaches T.  Unless it stops, interval i then joins
-    the set, whatever its lo.
+    """The midrange scan of ``dp_exact`` and ``fptas_solve`` on ``reach``,
+    an empty set.  For each length-sorted interval i with lo_i <= T, d is
+    the largest stored sum <= T - lo_i (0 if none) and the candidate is
+    min(d + hi_i, T); the first strict best is kept, and the scan stops once
+    it reaches T.  Unless it stops, interval i then joins the set, whatever
+    its lo.
 
     The (lo, hi) pairs are read through ``inst.stream()``, so a
     ``LengthOrder`` view is sorted only as far as the scan goes.
@@ -502,12 +506,10 @@ def midrange_solution(
     inst: Instance, m: int | None, endpoints: dict[int, int], y: int
 ) -> tuple[Solution, int]:
     """Fill the midrange item m to min(hi_m, T - y) next to the endpoints
-    chosen for the items before it, which sum to y.
-
-    ``endpoints`` maps length-sorted positions to values; m is added to it
-    and ``place`` writes it to input order.  Returns the solution and its
-    value; with m None only the endpoints are placed.
-    """
+    chosen for the items before it, which sum to y.  ``endpoints`` maps
+    length-sorted positions to values; m is added to it and ``place`` writes
+    it to input order.  Returns the solution and its value; with m None only
+    the endpoints are placed."""
     if m is not None:
         endpoints[m] = xm = min(inst.prefix(m + 1)[1][m], inst.target - y)
         y += xm
@@ -516,7 +518,6 @@ def midrange_solution(
 
 def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     """``dp_exact`` with the reachable sums held by ``sums``, a class above.
-
     ``stats["stored_values"]`` counts the sums built.  Untraced, the sparse
     set never builds the pending block the scan leaves; traced, every
     snapshot builds it, so the count is the size of the last set in ``sets``.
@@ -551,30 +552,29 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
 def dp_exact(inst: Instance, trace: bool = False) -> SolveOutcome:
     """Exact solve via reachable-sum sets over the length-sorted intervals.
 
-    For each prefix i the set D_i holds every sum of one endpoint per chosen
-    interval among the first i that lies in (0, T].  The best value is
-    max over i of min(d + hi_i, T) where d is the largest element of
-    D_{i-1} not exceeding T - lo_i (0 if none).  The smallest i attaining
-    the maximum (strict-improvement update) is the only interval that may
-    take a strictly interior value; everything after it is 0, everything
-    before it sits on an endpoint, recovered by backtracking.  The sets are
-    held by BitsetSums when ``use_bitset(n, T)``, else by SparseSums.
-
-    With ``trace=True`` the outcome's stats include the per-iteration sets
+    D_i holds every sum in (0, T] of one endpoint per chosen interval among
+    the first i.  The value is max over i of min(d + hi_i, T), d the largest
+    element of D_{i-1} <= T - lo_i (0 if none); the smallest such i is the
+    only interval that may take a strictly interior value, the ones after
+    it are 0 and the ones before it sit on endpoints, recovered by
+    backtracking.  The sets are BitsetSums when ``use_bitset(n, T)``, else
+    SparseSums.  With ``trace=True`` the stats hold the per-iteration sets
     and the early-exit point, for verification.
     """
     sums = BitsetSums if use_bitset(inst.n, inst.target) else SparseSums
     return run_dp(inst, sums, trace)
 
 
-def mitm_in_budget(n: int) -> bool:
-    """True when ``ssp_optimum_mitm``'s halves, at most 2^floor(n/2) +
-    2^ceil(n/2) sums at the nominal 128 B each, fit the memory budget (on
-    family A, n = 9..38, its tracemalloc peak was 43-48 B per such sum)."""
+def mitm_in_budget(n: int, width: int = 0) -> bool:
+    """True when ``ssp_optimum_mitm``'s halves, 2^floor(n/2) + 2^ceil(n/2)
+    sums of up to ``width`` bits, fit the budget at the larger of 128 B and
+    the int plus two list slots per sum (its tracemalloc peak per sum: the
+    int plus 16 B at 2^1000..2^20000, 43-48 B on family A, n = 9..38)."""
     n, budget = max(n, 0), memory_budget_bytes()
     # n is bounded first, so that a huge n builds no huge int
     fits = n < 2 * budget.bit_length()
-    return fits and _BYTES_PER_ENTRY * ((1 << n // 2) + (1 << n - n // 2)) <= budget
+    per_sum = max(_BYTES_PER_ENTRY, _int_bytes(width) + 2 * _SLOT_BYTES)
+    return fits and per_sum * ((1 << n // 2) + (1 << n - n // 2)) <= budget
 
 
 def ssp_optimum_mitm(inst: Instance) -> int:
@@ -582,11 +582,11 @@ def ssp_optimum_mitm(inst: Instance) -> int:
 
     Meet-in-the-middle: enumerate and sort the subset sums of each half, and
     pair them by ``largest_sum_le``.  Refused before it enumerates unless
-    ``mitm_in_budget(n)``.
+    ``mitm_in_budget(n, T.bit_length())``.
     """
     if any(map(ne, inst.lo, inst.hi)):
         raise ValueError("meet-in-the-middle path requires lo == hi everywhere")
-    if not mitm_in_budget(inst.n):
+    if not mitm_in_budget(inst.n, inst.target.bit_length()):
         raise MemoryBudgetExceeded(
             f"meet-in-the-middle over {inst.n} items may outgrow the budget of "
             f"{memory_budget_bytes()} B; raise ISSP_MEMORY_BUDGET_MB to override"

@@ -23,6 +23,13 @@ six lists the array first kept: values, positions and endpoints (1 = lo,
 stored sums filters every item's shifted runs, where ``SparseSums`` builds
 its set only when a sum first repeats.  Both must hold the same ``values``,
 ``firsts`` and ``ends`` after every item.
+
+``FullWidthBitset`` is ``issp.exact.BitsetSums`` as first written: every
+step builds a fresh mask per endpoint, ``largest_le`` masks the whole set
+below its bound, and the backtrack replays each segment at the full width
+of T, where ``BitsetSums`` caches one mask, reads a window below the bound
+and cuts each replay at the residual sum.  Both must give one answer, one
+trace and one backtrack from every reachable sum.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from itertools import filterfalse, islice
 
 from issp.core import Instance, sort_by_length
 from issp.errors import EmptyArray, IsspError
-from issp.exact import SparseSums
+from issp.exact import BitsetSums, SparseSums, backtrack_items
 from issp.fptas import BucketArray, FptasParams, Item, Number, find_u1_u2, relaxed_dp
 
 
@@ -132,6 +139,45 @@ class FilteredSums(SparseSums):
         values += hi_run
         values += lo_run
         values.sort()
+
+
+def low_bits(r: int, k: int) -> int:
+    """The k lowest bits of r; no mask is built when r has no more than k."""
+    return r if r.bit_length() <= k else r & ((1 << k) - 1)
+
+
+def full_extend(r: int, lo: int, hi: int, t: int) -> int:
+    """Reachable-set bits r after one more item [lo, hi], cut at t."""
+    out = r
+    for e in {lo, hi}:
+        if e <= t:
+            out |= low_bits(r, t - e + 1) << e
+    return out
+
+
+class FullWidthBitset(BitsetSums):
+    """``BitsetSums`` with its steps, lookups and replays at full width."""
+
+    def largest_le(self, bound: int) -> int:
+        return low_bits(self.reach, bound + 1).bit_length() - 1
+
+    def add(self, i: int, lo: int, hi: int) -> None:
+        self.reach = full_extend(self.reach, lo, hi, self.t)
+        if (i + 1) % self.step == 0:
+            self.marks.append(self.reach)
+
+    def backtrack(self, d, m, los, his):
+        t, step = self.t, self.step
+        x: dict[int, int] = {}
+        j = m
+        while d:
+            base = (j - 1) // step * step
+            before = [self.marks[base // step]]
+            for k in range(base, j - 1):
+                before.append(full_extend(before[-1], los[k], his[k], t))
+            d = backtrack_items(d, base, before, los, his, lambda r, s: s > 0 and r >> s & 1, x)
+            j = base
+        return x
 
 
 def producer(src: int) -> tuple[int, int]:

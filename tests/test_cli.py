@@ -605,7 +605,7 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and "ISSP_MEMORY_BUDGET_MB" in err and "-5" in err
 
     def test_dense_instance_over_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the bitset would need 33 MB and the sparse set outgrows 8,192 entries
+        # the bitset would need 35 MB and the sparse set outgrows 8,192 entries
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
         pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
         path = tmp_path / "inst.txt"
@@ -1274,6 +1274,14 @@ class TestPinnedOutput:
             Gen("--family B --n 100"), ("--algorithm", "dp"),
             "498624 exact 100 6efbb8cab21c7c45",
             "the exact-dense instance: the bitset's backtrack replays from checkpoints",
+        ),
+        "dp-bitset-intervals": (
+            instance_text(
+                10**6, [(5 * 10**4 + 397 * k, 5 * 10**4 + 410 * k) for k in range(60)]
+            ),
+            ("--algorithm", "dp"),
+            "1000000 exact 24 6917a88e87312e65",
+            "bitset with lo < hi: five steps cut at T, the backtrack crosses three checkpoints",
         ),
         "dp-repeated-sums": (
             instance_text(

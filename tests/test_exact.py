@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from issp.fptas import BucketArray, FptasParams, fptas_solve
 from issp.instgen import gen_a, gen_c
 
 from conftest import chunk_ends, eager_sort, exit_instance, instances, reference_optimum
-from reference_dp import FilteredSums, insort_dp
+from reference_dp import FilteredSums, FullWidthBitset, insort_dp
 
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
@@ -138,7 +139,7 @@ class TestDpExact:
 
     def test_bitset_refused_over_budget_before_allocation(self, monkeypatch):
         # 3^100 > T, so the density rule alone picks the bitset, but its
-        # checkpoints would take 33 MB; under a 1 MiB budget the sparse set
+        # checkpoints would take 35 MB; under a 1 MiB budget the sparse set
         # is used and stops at 8,192 entries
         pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
         t = 10**7
@@ -595,6 +596,122 @@ class TestSparseSumsAgainstFilter:
         assert len(made) == 5
 
 
+@st.composite
+def bitset_sets(draw):
+    """A ``BitsetSums`` after up to 8 items under T <= 2 * 10^5, each item
+    small (lo <= 8) or anywhere up to T, so that some sets reach far past a
+    bound with no sum for thousands of bits below it."""
+    t = draw(st.integers(min_value=1, max_value=2 * 10**5))
+    los = st.one_of(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=t))
+    items = draw(st.lists(st.tuples(los, st.integers(0, 3)), min_size=1, max_size=8))
+    reach = BitsetSums(len(items), t)
+    for i, (lo, extra) in enumerate(items):
+        reach.add(i, lo, lo + extra)
+    return reach
+
+
+def _even_pairs(n: int, t: int, spread: bool) -> list[tuple[int, int]]:
+    """n items with even endpoints under an odd T: lo uniform in [2, 4T / n],
+    so the set reaches past T after about n / 4 items, and hi = lo or, with
+    ``spread``, up to T / n above it.  Then [T - 1, T - 1], which with lo ==
+    hi comes last but one and shifts the whole set by T - 1, and [2, T - 1],
+    the longest.  With lo == hi no sum is odd, so the scan first reaches T
+    at the last item and the backtrack crosses every checkpoint."""
+    rnd = random.Random(n * t)
+    pairs = []
+    for _ in range(n - 2):
+        lo = 2 * rnd.randint(1, max(1, 2 * t // n))
+        pairs.append((lo, lo + 2 * rnd.randint(0, t // (2 * n)) if spread else lo))
+    return pairs + [(t - 1, t - 1), (2, t - 1)]
+
+
+class TestBitsetKernels:
+    """The bitset's cached mask, top-window lookup and cut replay against
+    ``FullWidthBitset``, its kernels as first written, and its memory
+    against ``bitset_bytes``."""
+
+    @given(bitset_sets(), st.integers(min_value=0, max_value=2 * 10**5 + 10))
+    @settings(max_examples=300)
+    def test_largest_le_matches_the_snapshot(self, reach, bound):
+        sums = (0,) + reach.snapshot()
+        below = sums[1] - 1 if len(sums) > 1 else 0  # below every sum
+        length = reach.reach.bit_length()  # the largest sum plus one
+        for b in (0, below, bound, max(length - 2, 0), length - 1, length, length + 7):
+            assert reach.largest_le(b) == sums[bisect_right(sums, b) - 1], b
+
+    def test_largest_le_widens_its_window_to_bit_0(self):
+        # sums 5 and 10^4: below 9,000 the nearest is 5, which windows of
+        # 64, 256, 1,024 and 4,096 bits below the bound all miss
+        reach = BitsetSums(2, 2 * 10**4)
+        reach.add(0, 5, 5)
+        reach.add(1, 10**4, 10**4)
+        assert reach.snapshot() == (5, 10**4, 10**4 + 5)
+        bounds = (0, 4, 5, 9_000, 9_999, 10**4, 10**4 + 4, 2 * 10**4)
+        assert [reach.largest_le(b) for b in bounds] == [0, 0, 5, 5, 5, 10**4, 10**4, 10**4 + 5]
+
+    @given(st.one_of(dp_instances(), dp_instances(scale=1000)))
+    @settings(max_examples=300)
+    def test_matches_the_full_width_reference(self, work):
+        got = _fields(run_dp(work, BitsetSums, trace=True))
+        assert got == _fields(run_dp(work, FullWidthBitset, trace=True))
+
+    @pytest.mark.parametrize(
+        "pairs, t",
+        [
+            ([(3 + k % 7, 4 + k % 7 + k % 3) for k in range(30)], 200),
+            ([(50 + 7 * k, 50 + 9 * k) for k in range(40)], 3001),
+            ([(11 + k % 5, 11 + k % 5) for k in range(40)], 401),
+        ],
+    )
+    def test_cut_replay_matches_full_width_replay_from_every_sum(self, pairs, t):
+        work = sort_by_length(validate(pairs, t))
+        lo, hi, _ = work.prefix(work.n)
+        got, ref = BitsetSums(work.n, t), FullWidthBitset(work.n, t)
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            got.add(i, a, b)
+            ref.add(i, a, b)
+        assert got.reach == ref.reach and got.marks == ref.marks
+        assert got.mask  # the set reached past T
+        for m in (work.n, work.n // 2):
+            for d in _sums_of(lo[:m], hi[:m], t):
+                assert got.backtrack(d, m, lo, hi) == ref.backtrack(d, m, lo, hi), (m, d)
+
+    @pytest.mark.parametrize("n", [16, 100, 400])
+    @pytest.mark.parametrize("spread", [False, True], ids=["lo==hi", "lo<hi"])
+    def test_tracemalloc_peak_within_bitset_bytes(self, n, spread):
+        for t in (10**4 + 1, 10**5 + 1, 10**6 + 1, 10**7 + 1):
+            work = sort_by_length(validate(_even_pairs(n, t, spread), t))
+            assert use_bitset(n, t)
+            tracemalloc.start()
+            try:
+                out = run_dp(work, BitsetSums)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert evaluate(work, out.solution) == out.value
+            assert peak <= bitset_bytes(n, t), (t, peak / bitset_bytes(n, t))
+
+    def test_mask_is_built_only_when_a_step_reaches_past_t(self):
+        # 2,000 sums below T = 10^8: a mask of T + 1 bits would take 12.5 MB
+        inst = validate([(1, 2)] * 1000, 10**8)
+        tracemalloc.start()
+        try:
+            out = run_dp(inst, BitsetSums)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.value == 2000
+        assert peak < 1 << 20
+
+
+def _sums_of(lo, hi, t):
+    """Every sum in (0, t] of one endpoint per chosen item."""
+    reach = FullWidthBitset(len(lo), t)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        reach.add(i, a, b)
+    return reach.snapshot()
+
+
 class TestSparseBudget:
     """The sparse set checks the budget before an item's runs are built."""
 
@@ -699,6 +816,32 @@ class TestMeetInTheMiddle:
                 break
         # 128 B for each of 2^floor(n/2) + 2^ceil(n/2) sums
         assert largest == {2: 26, 8: 30, 32: 34}
+
+    def test_wide_sums_peak_within_the_budget_the_check_admits(self, monkeypatch):
+        # 24 items of about 2^4000: 8,192 sums of 560 B, where a nominal 128 B
+        # per sum admitted the search under 1 MiB and it peaked at 4.5 MiB
+        rnd = random.Random(1)
+        items = [(1 << 4000) + rnd.randrange(1 << 3992) for _ in range(24)]
+        inst = validate([(a, a) for a in items], sum(items) // 2)
+        width = inst.target.bit_length()
+        admitted = []
+        for mb in range(1, 9):
+            monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
+            if exact.mitm_in_budget(24, width):
+                admitted.append(mb)
+        assert admitted == [5, 6, 7, 8]
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "4")
+        with pytest.raises(MemoryBudgetExceeded):
+            ssp_optimum_mitm(inst)
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "5")
+        tracemalloc.start()
+        try:
+            best = ssp_optimum_mitm(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < best <= inst.target
+        assert 4 << 20 < peak <= 5 << 20
 
     def test_default_budget_takes_family_a_to_n_40(self, monkeypatch):
         monkeypatch.delenv("ISSP_MEMORY_BUDGET_MB", raising=False)
