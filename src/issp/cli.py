@@ -146,19 +146,10 @@ def _read_instance(path: str) -> Instance:
         raise InputError(e) from e
 
 
-def parse_ratio(text: str) -> Fraction:
-    """Accept 'p/q' or a decimal literal as an exact rational, else ValueError
-    (InvalidSetting for an exponent ``exact_ratio`` refuses)."""
-    try:
-        return exact_ratio(text)
-    except ZeroDivisionError:
-        raise ValueError(f"ratio {text!r} has a zero denominator") from None
-
-
 def parse_epsilon(text: str) -> Fraction:
     """An --epsilon value: an exact rational in (0, 1), else ValueError."""
     try:
-        eps = parse_ratio(text)
+        eps = exact_ratio(text)
     except ValueError:
         eps = None
     if eps is None or not 0 < eps < 1:
@@ -230,8 +221,7 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, out: TextIO) -> None:
-    param = None if args.c is None else _setting(parse_ratio, args.c)
-    spec = _setting(instgen.GenSpec, args.family, args.n, param, args.seed)
+    spec = _setting(instgen.GenSpec, args.family, args.n, args.c, args.seed)
     out.writelines(_serialized_pieces(instgen.generate(spec)))
 
 
@@ -266,12 +256,9 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _exact_reference(family: str, inst: Instance, n: int) -> int:
-    """Exact optimum for families A/B, the target for C/D; family A's n must
-    pass ``exact.mitm_in_budget``."""
+    """Exact optimum for families A/B, by closed form, the target for C/D."""
     if family == "A":
-        # the search keeps only sums <= T: items above T never enter it and
-        # an item equal to T yields T, so it needs no preprocessing
-        return exact.ssp_optimum_mitm(inst)
+        return instgen.instance_a_optimum(n)
     if family == "B":
         return instgen.instance_b_optimum(n)
     return inst.target
@@ -301,27 +288,21 @@ def _bench_trial(
 def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     epsilons = [_setting(parse_epsilon, e) for e in args.epsilons.split(",")]
     sizes = [_setting(int, s) for s in args.sizes.split(",")] if args.sizes is not None else None
-    fixed_param = _setting(parse_ratio, args.c) if args.c is not None else None
     if args.trials < 1:
         raise InvalidSetting(f"--trials must be at least 1, got {args.trials}")
     family = args.suite
     if family in ("A", "B"):
         default_sizes = [10, 15, 20, 25, 30, 35] if family == "A" else [10, 50, 100, 500]
-        params: list[Optional[Fraction]] = [None]
+        params: list[object] = [None]
     else:
         default_sizes = [1000]
         params = [Fraction(3, 2), Fraction(13, 10), Fraction(11, 10)]
-        if fixed_param is not None:
-            params = [fixed_param]
+        if args.c is not None:
+            params = [args.c]  # GenSpec parses it
     sizes = sizes or default_sizes
     # one checked spec per cell, built before any row so a refusal leaves stdout empty
     cells: list[instgen.GenSpec] = []
     for n in sizes:
-        # n + 2 * bit_length(n) bits bound family A's T (instgen.gen_a)
-        if family == "A" and not exact.mitm_in_budget(n, n + 2 * n.bit_length()):
-            raise InstanceTooLarge(
-                f"refusing cell family={family} n={n}: exact reference out of budget"
-            )
         cells += [_setting(instgen.GenSpec, family, n, p, args.seed) for p in params]
     writer = csv.writer(out)
     writer.writerow(BENCH_HEADER)

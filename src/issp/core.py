@@ -384,14 +384,20 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def exact_ratio(value: Union[Fraction, int, float, str]) -> Fraction:
-    """``Fraction(value)``; a string whose decimal exponent is above
-    ``MAX_EXPONENT`` in magnitude raises InvalidSetting before it is expanded."""
+    """``Fraction(value)``; a value it refuses raises ValueError, and a string
+    whose decimal exponent is above ``MAX_EXPONENT`` in magnitude raises
+    InvalidSetting before it is expanded."""
     if isinstance(value, str):
         found = _EXPONENT.search(value)
         digits = found[1].replace("_", "").lstrip("0") if found else ""
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise InvalidSetting(f"the exponent of {value!r} is above {MAX_EXPONENT} in magnitude")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {value!r} has a zero denominator") from None
+    except OverflowError:  # an infinite float or Decimal
+        raise ValueError(f"ratio {value!r} is not finite") from None
 
 
 PERCENT_DECIMALS = 3

@@ -34,7 +34,7 @@ class NegativeGap(IsspError):
 
 
 class InstanceTooLarge(IsspError):
-    """Exhaustive enumeration, or an exact reference, refused: n exceeds its cap."""
+    """Exhaustive enumeration refused: n exceeds its cap."""
 
 
 class MemoryBudgetExceeded(IsspError):

@@ -38,7 +38,7 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import filterfalse, islice, repeat
 from math import isqrt
-from operator import add, eq, ne
+from operator import add, eq
 from typing import Callable, Sequence
 
 from .analysis import fill_values
@@ -123,7 +123,6 @@ BITSET_DENSITY = 32
 _DIGIT_BYTES = sys.int_info.sizeof_digit
 _DIGIT_BITS = sys.int_info.bits_per_digit
 _INT_HEADER = sys.getsizeof(1) - _DIGIT_BYTES
-_SLOT_BYTES = sys.getsizeof([None]) - sys.getsizeof([])
 # ints of T + 1 bits alive during one step besides the checkpoints, the set
 # and a replayed segment: one mask (the scan's, or the backtrack's at its
 # residual) and two shifted sets of up to 2T bits, two ints each
@@ -564,44 +563,3 @@ def dp_exact(inst: Instance, trace: bool = False) -> SolveOutcome:
     sums = BitsetSums if use_bitset(inst.n, inst.target) else SparseSums
     return run_dp(inst, sums, trace)
 
-
-def mitm_in_budget(n: int, width: int = 0) -> bool:
-    """True when ``ssp_optimum_mitm``'s halves, 2^floor(n/2) + 2^ceil(n/2)
-    sums of up to ``width`` bits, fit the budget at the larger of 128 B and
-    the int plus two list slots per sum (its tracemalloc peak per sum: the
-    int plus 16 B at 2^1000..2^20000, 43-48 B on family A, n = 9..38)."""
-    n, budget = max(n, 0), memory_budget_bytes()
-    # n is bounded first, so that a huge n builds no huge int
-    fits = n < 2 * budget.bit_length()
-    per_sum = max(_BYTES_PER_ENTRY, _int_bytes(width) + 2 * _SLOT_BYTES)
-    return fits and per_sum * ((1 << n // 2) + (1 << n - n // 2)) <= budget
-
-
-def ssp_optimum_mitm(inst: Instance) -> int:
-    """Exact optimum for pure subset-sum instances (lo == hi everywhere).
-
-    Meet-in-the-middle: enumerate and sort the subset sums of each half, and
-    pair them by ``largest_sum_le``.  Refused before it enumerates unless
-    ``mitm_in_budget(n, T.bit_length())``.
-    """
-    if any(map(ne, inst.lo, inst.hi)):
-        raise ValueError("meet-in-the-middle path requires lo == hi everywhere")
-    if not mitm_in_budget(inst.n, inst.target.bit_length()):
-        raise MemoryBudgetExceeded(
-            f"meet-in-the-middle over {inst.n} items may outgrow the budget of "
-            f"{memory_budget_bytes()} B; raise ISSP_MEMORY_BUDGET_MB to override"
-        )
-    t = inst.target
-    items = list(inst.hi)
-    half = len(items) // 2
-
-    def sums(part: list[int]) -> list[int]:
-        acc = [0]
-        for a in part:
-            acc += [s + a for s in acc if s + a <= t]
-        return acc
-
-    left, right = sums(items[:half]), sums(items[half:])
-    left.sort()
-    right.sort()
-    return largest_sum_le(left, right, t)

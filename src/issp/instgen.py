@@ -101,7 +101,7 @@ class GenSpec:
 
     family: str  # "A", "B", "C", or "D"
     n: int
-    param: Optional[Fraction] = None  # family C's ratio c or family D's bound Cap
+    param: Optional[Fraction] = None  # C's ratio c or D's bound Cap, as text or a number
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -158,6 +158,27 @@ def generate(spec: GenSpec) -> Instance:
     if spec.family in ("A", "B"):
         return (gen_a if spec.family == "A" else gen_b)(spec.n)
     return (gen_c if spec.family == "C" else gen_d)(spec.n, spec.param, spec.seed)
+
+
+def instance_a_optimum(n: int) -> int:
+    """Exact optimum of family A in closed form.
+
+    With k = floor(log2 n) and H = 2^(k+n+1), a subset of j items sums to
+    jH + B + j, B a sum of j distinct powers 2^(k+i), 1 <= i <= n.  Since
+    B <= H - 2^(k+1) and j <= n < 2^(k+1), B + j < H: sums are ordered by
+    j first and by B second.  The target T = floor(sum(a) / 2) is
+    floor(n/2) H + 2^(k+n) - 2^k + floor(n/2), plus 2^(k+n) for odd n;
+    its remainder past floor(n/2) H is below H (2^k > floor(n/2)), so the
+    best subset has j = floor(n/2) items and then the largest B that fits.
+    For odd n every B fits, so B takes the top j powers, up to p = n.  For
+    even n, B <= 2^(k+n) - 2^k excludes the top power 2^(k+n), and the
+    next j powers, up to p = n - 1, fit.  Either way
+    B = 2^(k+p+1) - 2^(k+p+1-j).
+    """
+    _check("A", n)
+    k = n.bit_length() - 1
+    j, p = n // 2, n if n % 2 else n - 1
+    return j * ((1 << k + n + 1) + 1) + (1 << k + p + 1) - (1 << k + p + 1 - j)
 
 
 def instance_b_optimum(n: int) -> int:

@@ -34,9 +34,9 @@ from issp.core import (
     sort_by_length,
     validate,
 )
-from issp.exact import brute_force_optimum, dp_exact, ssp_optimum_mitm
+from issp.exact import brute_force_optimum, dp_exact
 from issp.fptas import fptas_solve
-from issp.instgen import SplitMix64, gen_a, gen_b, gen_c, instance_b_optimum
+from issp.instgen import SplitMix64, gen_a, gen_b, gen_c, instance_a_optimum, instance_b_optimum
 
 from conftest import random_instance
 
@@ -129,7 +129,7 @@ def test_criterion_06_family_a_error_table():
     for n in (10, 15, 20, 25, 30, 35):
         inst = gen_a(n)
         resolved, work = _reduced(inst)
-        reference = resolved if work is None else ssp_optimum_mitm(work)
+        reference = instance_a_optimum(n)
         for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
             if work is None:
                 err = relative_error(resolved, reference)

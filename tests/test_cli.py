@@ -31,7 +31,6 @@ from issp.cli import (
     EXIT_PARSE,
     main,
     parse_instance_text,
-    parse_ratio,
     serialize_instance,
 )
 from issp.core import Solution, preprocess, sort_by_length, validate
@@ -466,12 +465,6 @@ class TestColumnarFrontEnd:
         code, out, err = run_cli(capsys, "classify", str(path))
         assert (code, err) == (0, "")
         assert f"polynomial route: {'none' if route is None else f'({route})'}\n" in out
-
-
-class TestParseRatio:
-    def test_fraction_and_decimal(self):
-        assert parse_ratio("3/2") == Fraction(3, 2)
-        assert parse_ratio("1.5") == Fraction(3, 2)
 
 
 class TestSolveCommand:
@@ -924,39 +917,6 @@ class TestBenchCommand:
         record = dict(zip(BENCH_HEADER, list(csv.reader(io.StringIO(out)))[1]))
         assert float(record["avg_rel_err_pct"]) <= 10.0
 
-    def test_refuses_out_of_budget_reference(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "--suite", "A", "--sizes", "50", "--epsilons", "0.1"
-        )
-        assert code == EXIT_BUDGET
-        assert "refusing" in err
-
-    def test_refuses_a_later_size_before_writing(self, capsys):
-        # n = 10 is in budget and n = 50 is not: no header and no n = 10 row
-        code, out, err = run_cli(
-            capsys, "bench", "--suite", "A", "--sizes", "10,50", "--epsilons", "0.1"
-        )
-        assert code == EXIT_BUDGET
-        assert out == ""
-        assert err == "error: refusing cell family=A n=50: exact reference out of budget\n"
-
-    @pytest.mark.parametrize(
-        "flags, code",
-        [
-            (("--suite", "B", "--sizes", "10,0"), EXIT_FLAGS),
-            (("--suite", "D", "--sizes", "10,-3", "--c", "13/10"), EXIT_FLAGS),
-            (("--suite", "C", "--c", "1/2", "--sizes", "10"), EXIT_FLAGS),
-            (("--suite", "A", "--sizes", "10,50"), EXIT_BUDGET),
-            (("--suite", "A", "--sizes", "63"), EXIT_BUDGET),
-        ],
-    )
-    def test_refuses_every_bad_cell_before_writing(self, capsys, flags, code):
-        # every cell is checked before the header: n, the parameter, and
-        # family A's exact reference budget
-        got, out, err = run_cli(capsys, "bench", *flags, "--epsilons", "0.1")
-        assert (got, out) == (code, "")
-        assert err.count("\n") == 1 and err.startswith("error:")
-
     def test_zero_trials_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "bench", "--suite", "B", "--sizes", "10", "--epsilons", "0.1", "--trials", "0"
@@ -1021,15 +981,15 @@ class TestErrorsReachMain:
             EXIT_FLAGS, {}, ["bench", "--suite", "C", "--c", "1/2", "--sizes", "10", "--epsilons", "0.1"],
             "error: ",
         ),
-        "bench-reference-out-of-budget": (
-            EXIT_BUDGET, {}, ["bench", "--suite", "A", "--sizes", "10,50", "--epsilons", "0.1"],
-            "error: refusing cell family=A n=50",
+        "bench-negative-size-after-10": (
+            EXIT_FLAGS,
+            {},
+            ["bench", "--suite", "D", "--sizes", "10,-3", "--c", "13/10", "--epsilons", "0.1"],
+            "error: ",
         ),
-        "bench-reference-over-16-mib": (
-            EXIT_BUDGET,
-            {"ISSP_MEMORY_BUDGET_MB": "16"},
-            ["bench", "--suite", "A", "--sizes", "36", "--epsilons", "0.1"],
-            "error: refusing cell family=A n=36",
+        "bench-family-a-above-62": (
+            EXIT_FLAGS, {}, ["bench", "--suite", "A", "--sizes", "63", "--epsilons", "0.1"],
+            "error: family A supports 1 <= n <= 62, got 63",
         ),
     }
 
@@ -1179,6 +1139,14 @@ class TestPinnedOutput:
             "D,30,13/10,1/10,7.944,2,8.821",
             "D,30,13/10,1/100,0.000,2,0.000",
             "D,30,13/10,1/1000,0.000,2,0.000",
+        ],
+        ("--suite", "A", "--sizes", "41,62"): [
+            "A,41,,1/10,9.525,1,9.525",
+            "A,41,,1/100,0.000,1,0.000",
+            "A,41,,1/1000,0.000,1,0.000",
+            "A,62,,1/10,7.937,1,7.937",
+            "A,62,,1/100,0.000,1,0.000",
+            "A,62,,1/1000,0.000,1,0.000",
         ],
     }
 

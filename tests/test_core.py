@@ -325,10 +325,33 @@ class TestExactRatio:
             ("1e-0000004300", Fraction(1, 10**4300)),
             ("3/2", Fraction(3, 2)),
             ("0.125", Fraction(1, 8)),
+            ("1.5", Fraction(3, 2)),
         ],
     )
     def test_accepts_up_to_the_bound(self, text, value):
         assert core.exact_ratio(text) == value
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ("1/0", "ratio '1/0' has a zero denominator"),
+            (float("inf"), "ratio inf is not finite"),
+            (float("nan"), None),  # Fraction's own refusals keep its text
+            ("x", None),
+        ],
+    )
+    def test_refuses_with_value_error(self, value, text):
+        with pytest.raises(ValueError) as refused:
+            core.exact_ratio(value)
+        assert type(refused.value) is ValueError
+        assert text is None or str(refused.value) == text
+
+    def test_fptas_and_generators_refuse_a_zero_denominator_alike(self):
+        inst = validate([(10, 20), (10, 25)], 100)
+        with pytest.raises(ValueError, match="zero denominator"):
+            fptas_solve(inst, "1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            GenSpec("C", 5, "1/0")
 
     @pytest.mark.parametrize("text", ["1e-4301", "1E4301", " 1e+99999 ", "1e-1000000000"])
     def test_refuses_a_larger_exponent_before_fraction(self, monkeypatch, text):

@@ -31,14 +31,14 @@ from issp.exact import (
     bitset_bytes,
     brute_force_optimum,
     dp_exact,
+    largest_sum_le,
     memory_budget_entries,
     run_dp,
     scan,
-    ssp_optimum_mitm,
     use_bitset,
 )
 from issp.fptas import BucketArray, FptasParams, fptas_solve
-from issp.instgen import gen_a, gen_c
+from issp.instgen import gen_c
 
 from conftest import chunk_ends, eager_sort, exit_instance, instances, reference_optimum
 from reference_dp import FilteredSums, FullWidthBitset, insort_dp
@@ -775,83 +775,25 @@ class TestSparseBudget:
 
 
 class TestMeetInTheMiddle:
+    """``largest_sum_le`` pairs a sorted block of sums, 0 included, with
+    sorted stored sums, as Horowitz and Sahni pair two halves' subset sums."""
+
+    @staticmethod
+    def _best(items, t):
+        half = len(items) // 2
+        block = [0, *_sums_of(items[:half], items[:half], t)]
+        return largest_sum_le(block, list(_sums_of(items[half:], items[half:], t)), t)
+
     @given(instances(max_n=10, max_end=50, max_t=200))
     @settings(max_examples=100)
     def test_matches_brute_force_on_point_intervals(self, inst):
         points = validate([(iv.hi, iv.hi) for iv in inst.intervals], inst.target)
-        assert ssp_optimum_mitm(points) == brute_force_optimum(points).value
+        assert self._best(list(points.hi), points.target) == brute_force_optimum(points).value
 
     def test_items_above_and_at_target(self):
         # items above T never enter a sum; an item equal to T reaches T
-        assert ssp_optimum_mitm(validate([(7, 7), (2, 2), (9, 9)], 5)) == 2
-        assert ssp_optimum_mitm(validate([(7, 7), (2, 2), (5, 5)], 5)) == 5
-
-    def test_rejects_proper_intervals(self):
-        with pytest.raises(ValueError):
-            ssp_optimum_mitm(validate([(1, 2)], 5))
-
-    def test_family_a_peak_within_budget(self, monkeypatch):
-        # a reference either peaks within its budget or is refused before it
-        # enumerates; the peak does not depend on the budget, so each n runs
-        # once, under the smallest budget that takes it
-        largest = {}
-        for n in range(20, 37):
-            inst = gen_a(n)
-            for mb in (2, 8, 32):
-                monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
-                tracemalloc.start()
-                try:
-                    ssp_optimum_mitm(inst)
-                    refused = False
-                except MemoryBudgetExceeded:
-                    refused = True
-                finally:
-                    _, peak = tracemalloc.get_traced_memory()
-                    tracemalloc.stop()
-                if refused:
-                    assert peak < 4096, (mb, n, peak)
-                    continue
-                assert peak <= mb << 20, (mb, n, peak / (mb << 20))
-                largest.update({b: n for b in (2, 8, 32) if b >= mb})
-                break
-        # 128 B for each of 2^floor(n/2) + 2^ceil(n/2) sums
-        assert largest == {2: 26, 8: 30, 32: 34}
-
-    def test_wide_sums_peak_within_the_budget_the_check_admits(self, monkeypatch):
-        # 24 items of about 2^4000: 8,192 sums of 560 B, where a nominal 128 B
-        # per sum admitted the search under 1 MiB and it peaked at 4.5 MiB
-        rnd = random.Random(1)
-        items = [(1 << 4000) + rnd.randrange(1 << 3992) for _ in range(24)]
-        inst = validate([(a, a) for a in items], sum(items) // 2)
-        width = inst.target.bit_length()
-        admitted = []
-        for mb in range(1, 9):
-            monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
-            if exact.mitm_in_budget(24, width):
-                admitted.append(mb)
-        assert admitted == [5, 6, 7, 8]
-        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "4")
-        with pytest.raises(MemoryBudgetExceeded):
-            ssp_optimum_mitm(inst)
-        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "5")
-        tracemalloc.start()
-        try:
-            best = ssp_optimum_mitm(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 0 < best <= inst.target
-        assert 4 << 20 < peak <= 5 << 20
-
-    def test_default_budget_takes_family_a_to_n_40(self, monkeypatch):
-        monkeypatch.delenv("ISSP_MEMORY_BUDGET_MB", raising=False)
-        assert [exact.mitm_in_budget(n) for n in (0, 1, 40, 41, 62, 10**30)] == [
-            True, True, True, False, False, False
-        ]
-        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
-        assert not exact.mitm_in_budget(0)
-        with pytest.raises(MemoryBudgetExceeded, match="ISSP_MEMORY_BUDGET_MB"):
-            ssp_optimum_mitm(validate([(1, 1)], 5))
+        assert self._best([7, 2, 9], 5) == 2
+        assert self._best([7, 2, 5], 5) == 5
 
 
 def _dp_outcome(out):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from issp.cli import serialize_instance
 from issp.core import Solution, preprocess
 from issp.errors import NOutOfRange
-from issp.exact import dp_exact, ssp_optimum_mitm
+from issp.exact import brute_force_optimum, dp_exact
 from issp.instgen import (
     HI_RANGE,
     RATIO_DENOM,
@@ -22,6 +22,7 @@ from issp.instgen import (
     gen_c,
     gen_d,
     generate,
+    instance_a_optimum,
     instance_b_optimum,
 )
 
@@ -82,21 +83,21 @@ class TestFamilyA:
         assert all(iv.lo == iv.hi for iv in inst.intervals)
         assert inst.target == sum(a.hi for a in inst.intervals) // 2
 
-    def test_mitm_optimum_needs_no_preprocessing(self):
-        # the bench's family A reference runs the search on the raw instance
-        for n in range(1, 21):
+    def test_closed_form_matches_exact_solvers(self):
+        for n in range(1, 27):
             inst = gen_a(n)
             pre = preprocess(inst)
-            if isinstance(pre, Solution):
-                expected = pre.total
-            else:
-                expected = ssp_optimum_mitm(pre)
-            assert ssp_optimum_mitm(inst) == expected
+            expected = pre.total if isinstance(pre, Solution) else dp_exact(pre).value
+            assert instance_a_optimum(n) == expected
+            if n <= 16:
+                assert brute_force_optimum(inst).value == expected
 
     def test_n_cap(self):
         gen_a(62)
         with pytest.raises(NOutOfRange):
             gen_a(63)
+        with pytest.raises(NOutOfRange):
+            instance_a_optimum(63)
         with pytest.raises(NOutOfRange):
             gen_a(0)
 
@@ -111,10 +112,7 @@ class TestFamilyB:
         for n in range(2, 13):
             inst = gen_b(n)
             pre = preprocess(inst)
-            if isinstance(pre, Solution):
-                expected = pre.total
-            else:
-                expected = ssp_optimum_mitm(pre)
+            expected = pre.total if isinstance(pre, Solution) else dp_exact(pre).value
             assert instance_b_optimum(n) == expected
 
     def test_closed_form_matches_dp_at_medium_size(self):
