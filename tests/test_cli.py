@@ -917,6 +917,20 @@ class TestBenchCommand:
         record = dict(zip(BENCH_HEADER, list(csv.reader(io.StringIO(out)))[1]))
         assert float(record["avg_rel_err_pct"]) <= 10.0
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (("--suite", "B", "--sizes", "10,0"), EXIT_FLAGS),
+            (("--suite", "D", "--sizes", "10,-3", "--c", "13/10"), EXIT_FLAGS),
+            (("--suite", "C", "--c", "1/2", "--sizes", "10"), EXIT_FLAGS),
+        ],
+    )
+    def test_refuses_every_bad_cell_before_writing(self, capsys, flags, code):
+        # every cell is checked before the header: n and the parameter
+        got, out, err = run_cli(capsys, "bench", *flags, "--epsilons", "0.1")
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_zero_trials_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "bench", "--suite", "B", "--sizes", "10", "--epsilons", "0.1", "--trials", "0"
@@ -979,12 +993,6 @@ class TestErrorsReachMain:
         ),
         "bench-c-below-1": (
             EXIT_FLAGS, {}, ["bench", "--suite", "C", "--c", "1/2", "--sizes", "10", "--epsilons", "0.1"],
-            "error: ",
-        ),
-        "bench-negative-size-after-10": (
-            EXIT_FLAGS,
-            {},
-            ["bench", "--suite", "D", "--sizes", "10,-3", "--c", "13/10", "--epsilons", "0.1"],
             "error: ",
         ),
         "bench-family-a-above-62": (
