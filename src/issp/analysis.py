@@ -18,7 +18,6 @@ Two sufficient conditions make the problem solvable in polynomial time:
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,18 +194,12 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
 
     The instance must already satisfy T > max hi (run preprocess first).
     """
-    start = time.perf_counter()
     t = inst.target
     if inst.is_empty:
         return None
 
     def outcome(sol: Solution, route: str) -> SolveOutcome:
-        return SolveOutcome(
-            solution=sol,
-            value=sol.total,
-            kind="exact",
-            stats={"route": route, "elapsed": time.perf_counter() - start},
-        )
+        return SolveOutcome(solution=sol, value=sol.total, kind="exact", stats={"route": route})
 
     agg = aggregates(inst)
     if t >= agg.lo_total:

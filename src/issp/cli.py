@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterator, NoReturn, Optional, TextIO
@@ -168,26 +169,34 @@ def _setting(convert: Callable[..., Any], *args: Any) -> Any:
 def _solve_instance(
     inst: Instance, algorithm: str, epsilon: Optional[Fraction]
 ) -> SolveOutcome:
-    """Run preprocessing plus the selected solver; solution in input order."""
+    """Preprocess, sort, route and solve; solution in input order.
+    ``stats["elapsed"]`` is the wall time of all four, a settled instance's too."""
+    start = time.perf_counter()
     reduced = preprocess(inst)
     if isinstance(reduced, Solution):
         # T lies in an interval (value T >= 1) or every interval was dropped
-        return SolveOutcome(
-            solution=reduced, value=reduced.total, kind="exact", stats={"elapsed": 0.0}
-        )
-    reduced = sort_by_length(reduced)
-    if algorithm == "dp":
-        return exact.dp_exact(reduced)
-    if algorithm == "brute":
-        return exact.brute_force_optimum(reduced)
-    if algorithm == "fptas":
-        return fptas.fptas_solve(reduced, epsilon)
-    if algorithm == "auto":
-        poly = analysis.solve_polynomial(reduced)
-        if poly is not None:
-            return poly
-        return fptas.fptas_solve(reduced, epsilon)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        outcome = SolveOutcome(solution=reduced, value=reduced.total, kind="exact")
+    else:
+        reduced = sort_by_length(reduced)
+        if algorithm == "dp":
+            outcome = exact.dp_exact(reduced)
+        elif algorithm == "brute":
+            outcome = exact.brute_force_optimum(reduced)
+        elif algorithm == "fptas":
+            outcome = fptas.fptas_solve(reduced, epsilon)
+        elif algorithm == "auto":
+            outcome = analysis.solve_polynomial(reduced) or fptas.fptas_solve(reduced, epsilon)
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+    outcome.stats["elapsed"] = time.perf_counter() - start
+    return outcome
+
+
+def _check_answer(inst: Instance, outcome: SolveOutcome) -> None:
+    """Raise IsspError (EXIT_BUG) unless the solution is feasible and sums to the value."""
+    total = evaluate(inst, outcome.solution)
+    if total != outcome.value:
+        raise IsspError(f"reported value {outcome.value} but the solution sums to {total}")
 
 
 def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
@@ -196,11 +205,7 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
         raise InvalidSetting("--epsilon is required for fptas/auto")
     eps = None if args.epsilon is None else _setting(parse_epsilon, args.epsilon)
     outcome = _solve_instance(inst, args.algorithm, eps)
-    # self-check before printing; an infeasible solution or a wrong value
-    # raises an IsspError, which main maps to EXIT_BUG
-    total = evaluate(inst, outcome.solution)
-    if total != outcome.value:
-        raise IsspError(f"reported value {outcome.value} but the solution sums to {total}")
+    _check_answer(inst, outcome)  # before anything is printed
     if args.json:
         payload = {
             "value": outcome.value,
@@ -208,7 +213,7 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
             "kind": outcome.kind,
             "epsilon": None if outcome.epsilon is None else str(outcome.epsilon),
             "midrange_index": outcome.midrange_index,
-            "elapsed_s": outcome.stats.get("elapsed"),
+            "elapsed_s": outcome.stats["elapsed"],
         }
         print(json.dumps(payload), file=out)
     else:
@@ -217,7 +222,7 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> None:
         print(f"kind {outcome.kind}", file=out)
         if outcome.midrange_index is not None:
             print(f"midrange_index {outcome.midrange_index}", file=out)
-        print(f"elapsed_s {outcome.stats.get('elapsed', 0.0):.6f}", file=out)
+        print(f"elapsed_s {outcome.stats['elapsed']:.6f}", file=out)
 
 
 def cmd_generate(args: argparse.Namespace, out: TextIO) -> None:
@@ -267,8 +272,9 @@ def _exact_reference(family: str, inst: Instance, n: int) -> int:
 def _bench_trial(
     cell: instgen.GenSpec, seed: int, epsilons: list[Fraction]
 ) -> list[tuple[Fraction, float]]:
-    """(relative error, FPTAS time) at each epsilon on the instance of
-    ``cell`` with ``seed``; its spec is made, and checked again, here.
+    """(relative error, pipeline time) at each epsilon on the instance of
+    ``cell`` with ``seed``, each answer checked; its spec is made, and
+    checked again, here.
 
     The instance and its reference do not depend on epsilon, so they are
     built once; they are freed on return, so ``cmd_bench`` holds one
@@ -280,6 +286,7 @@ def _bench_trial(
     results = []
     for eps in epsilons:
         outcome = _solve_instance(inst, "fptas", eps)
+        _check_answer(inst, outcome)
         error = relative_error(outcome.value, reference) if reference else Fraction(0)
         results.append((error, outcome.stats["elapsed"]))
     return results

@@ -11,34 +11,34 @@ representations with one interface (``largest_le``, ``add``,
 ``snapshot``): the two exact ones below, and the FPTAS's ``BucketArray``,
 which keeps only a min and a max per bucket.  ``dp_exact`` runs the scan
 on an exact set and reconstructs an optimal solution by backtracking.
-The exact set has two representations, chosen from n, T and the memory
-budget alone, with bit-identical answers:
+The exact set has two representations, chosen from the items' endpoints,
+T and the memory budget alone, with bit-identical answers:
 
 - ``SparseSums``: a sorted list of the sums and the runs of sums each
   item reached first.  Time and space grow with the number of stored
   sums, so it serves any T.  A block of the newest items stays pending,
   unbuilt, so a scan that stops at T never builds them.
 - ``BitsetSums``: one Python int whose bit s is set when s is reachable.
-  Time per item grows with the largest reachable sum (at most T) and space
-  with T.
+  Time per item grows with the largest reachable sum and space with the
+  width W = min(T, sum of hi), which bounds it.
 
 Where no first-reach run records the item that reached a sum (every item
 of the bitset, the pending items of the sparse set), backtracking takes
-``backtrack_items``'s step.  The bitset is used when T is at most
-``BITSET_DENSITY`` times min(T, 3^n), the bound on stored sums, and its
-exact bytes fit ``ISSP_MEMORY_BUDGET_MB``; the sparse set is gated at a
-nominal 128 B per stored sum, counted before the sums are built.
+``backtrack_items``'s step.  The bitset is used when W is at most
+``BITSET_DENSITY`` times min(W, 3^a * 2^b), the bound on stored sums of a
+items with lo < hi and b with lo == hi, and its exact bytes fit
+``ISSP_MEMORY_BUDGET_MB``; the sparse set is gated at a nominal 128 B per
+stored sum, counted before the sums are built.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 from bisect import bisect_left, bisect_right
 from itertools import filterfalse, islice, repeat
 from math import isqrt
-from operator import add, eq
+from operator import add, eq, ne
 from typing import Callable, Sequence
 
 from .analysis import fill_values
@@ -74,7 +74,6 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
     achieves value min(sum of its upper endpoints, T).  Depth-first
     enumeration prunes branches whose lower-endpoint sum already exceeds T.
     """
-    start = time.perf_counter()
     n = inst.n
     if n > BRUTE_FORCE_CAP:
         raise InstanceTooLarge(f"n = {n} exceeds the enumeration cap {BRUTE_FORCE_CAP}")
@@ -105,7 +104,7 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
         solution=place(inst, fill_values(lo, hi, best_subset, t)),
         value=best_value,
         kind="exact",
-        stats={"elapsed": time.perf_counter() - start, "subset": tuple(best_subset)},
+        stats={"subset": tuple(best_subset)},
     )
 
 
@@ -145,10 +144,12 @@ def bitset_bytes(n: int, t: int) -> int:
     return (n // step + 1 + step + _BITSET_WORKING) * _int_bytes(t + 1)
 
 
-def use_bitset(n: int, t: int) -> bool:
-    """True when BitsetSums should hold the reachable sums of n items below t."""
-    # 3^n > t once n reaches the bit length of t; the bound is then T itself
-    dense = n >= t.bit_length() or t <= BITSET_DENSITY * 3**n
+def use_bitset(n: int, t: int, wide: int | None = None) -> bool:
+    """True when BitsetSums should hold the sums <= t of n items, ``wide`` of
+    them (all by default) with lo < hi: at most 3^wide * 2^(n - wide) sums."""
+    wide = n if wide is None else wide
+    # the bound passes t once 2^n does, at the bit length of t; it is then t
+    dense = n >= t.bit_length() or t <= BITSET_DENSITY * (3**wide << n - wide)
     return dense and bitset_bytes(n, t) <= memory_budget_bytes()
 
 
@@ -521,7 +522,6 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     set never builds the pending block the scan leaves; traced, every
     snapshot builds it, so the count is the size of the last set in ``sets``.
     """
-    start = time.perf_counter()
     if not inst.length_sorted:
         inst = sort_by_length(inst)
     reach = sums(inst.n, inst.target)
@@ -529,11 +529,7 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     lo, hi, _ = inst.prefix(m or 0)
     # when m is None, delta is 0 and backtrack places no item
     sol, value = midrange_solution(inst, m, reach.backtrack(delta, m, lo, hi), delta)
-    stats: dict = {
-        "elapsed": time.perf_counter() - start,
-        "stored_values": reach.stored(),
-        "representation": reach.name,
-    }
+    stats: dict = {"stored_values": reach.stored(), "representation": reach.name}
     if trace:
         stats["sets"] = states
         # 1-based, matching midrange_index
@@ -556,10 +552,12 @@ def dp_exact(inst: Instance, trace: bool = False) -> SolveOutcome:
     element of D_{i-1} <= T - lo_i (0 if none); the smallest such i is the
     only interval that may take a strictly interior value, the ones after
     it are 0 and the ones before it sit on endpoints, recovered by
-    backtracking.  The sets are BitsetSums when ``use_bitset(n, T)``, else
-    SparseSums.  With ``trace=True`` the stats hold the per-iteration sets
-    and the early-exit point, for verification.
+    backtracking.  The sets are BitsetSums when ``use_bitset(n, W, a)``,
+    else SparseSums: no sum exceeds W = min(T, sum of hi), and a items have
+    lo < hi.  With ``trace=True`` the stats hold the per-iteration sets and
+    the early-exit point, for verification.
     """
-    sums = BitsetSums if use_bitset(inst.n, inst.target) else SparseSums
-    return run_dp(inst, sums, trace)
+    lo, hi = inst.unsorted
+    dense = use_bitset(inst.n, min(inst.target, sum(hi)), sum(map(ne, lo, hi)))
+    return run_dp(inst, BitsetSums if dense else SparseSums, trace)
 

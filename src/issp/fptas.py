@@ -35,7 +35,6 @@ released, so peak space is O(1/eps) regardless of T.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -467,7 +466,6 @@ def fptas_solve(
     With ``trace=True`` the stats record per-iteration bucket states and
     the reconstruction target, for verification.
     """
-    start = time.perf_counter()
     eps = exact_ratio(epsilon)
     if not inst.length_sorted:
         inst = sort_by_length(inst)
@@ -493,7 +491,6 @@ def fptas_solve(
     kind = "exact" if (value == t or case_a or inst.n == 1) else "approximate"
 
     stats: dict = {
-        "elapsed": time.perf_counter() - start,
         "peak_slots": params.peak_slots,
         "case_a": bool(case_a),
         "early_exit": exit_at is not None,

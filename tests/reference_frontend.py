@@ -12,7 +12,6 @@ C-level validation, the one-pass detectors, ``analysis.fill_values`` with
 
 from __future__ import annotations
 
-import time
 import warnings
 from fractions import Fraction
 from typing import Optional
@@ -113,7 +112,6 @@ def check_wide(inst: Instance) -> Optional[Fraction]:
 
 
 def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
-    start = time.perf_counter()
     t = inst.target
     if inst.is_empty:
         return None
@@ -123,7 +121,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
             solution=sol,
             value=sol.total,
             kind="exact",
-            stats={"route": route, "elapsed": time.perf_counter() - start},
+            stats={"route": route},
         )
 
     lo_total = sum(iv.lo for iv in inst.intervals)

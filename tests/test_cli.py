@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -647,6 +648,26 @@ class TestSolveCommand:
         assert proc.returncode == EXIT_BUG
         assert "solver bug" in proc.stderr
 
+    def test_elapsed_covers_the_detectors(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.txt"
+        path.write_text(GOLDEN_FILE)
+
+        def slow_detectors(inst):
+            time.sleep(0.05)
+            return None
+
+        monkeypatch.setattr(analysis, "solve_polynomial", slow_detectors)
+        code, out, err = run_cli(capsys, "solve", str(path), "--epsilon", "1/5", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["elapsed_s"] >= 0.05
+
+    def test_elapsed_of_a_settled_instance(self, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text("1 5\n3 7\n")  # T lies in the interval
+        code, out, err = run_cli(capsys, "solve", str(path), "--algorithm", "dp", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["elapsed_s"] > 0
+
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "inst.txt"
         path.write_text(GOLDEN_FILE)
@@ -908,6 +929,20 @@ class TestBenchCommand:
             main(["bench", "--suite", "C", "--sizes", "10", "--trials", "1000"])
         assert info.value.args == (3,)
         assert capsys.readouterr().out == ",".join(BENCH_HEADER) + "\r\n"
+
+    def test_checks_every_answer(self, capsys, monkeypatch):
+        real = fptas.fptas_solve
+
+        def off_by_one(*args):
+            out = real(*args)
+            return dataclasses.replace(out, value=out.value + 1)
+
+        monkeypatch.setattr(fptas, "fptas_solve", off_by_one)
+        code, out, err = run_cli(capsys, "bench", "--suite", "C", "--sizes", "30", "--c", "3/2")
+        assert code == EXIT_BUG
+        assert out == ",".join(BENCH_HEADER) + "\r\n"  # no row for an unchecked answer
+        assert err.startswith("error: solver bug: IsspError: reported value ")
+        assert err.count("\n") == 1
 
     def test_exact_reference_for_family_a(self, capsys):
         code, out, _ = run_cli(

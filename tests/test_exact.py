@@ -38,7 +38,7 @@ from issp.exact import (
     use_bitset,
 )
 from issp.fptas import BucketArray, FptasParams, fptas_solve
-from issp.instgen import gen_c
+from issp.instgen import gen_a, gen_c
 
 from conftest import chunk_ends, eager_sort, exit_instance, instances, reference_optimum
 from reference_dp import FilteredSums, FullWidthBitset, insort_dp
@@ -132,7 +132,7 @@ class TestDpExact:
 
     def test_budget_message_names_need_and_budget(self, monkeypatch):
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
-        inst = validate([(10, 20), (10, 25)], 10**30)  # sparse: T far above 3^n
+        inst = validate([(10, 20), (10, 25)], 10**30)  # sparse: no bitset fits in 0 B
         message = "needs 2 entries, more than the budget of 0 entries"
         with pytest.raises(MemoryBudgetExceeded, match=message):
             dp_exact(inst)
@@ -162,6 +162,20 @@ class TestDpExact:
         assert use_bitset(5, BITSET_DENSITY * 3**5)
         assert not use_bitset(5, BITSET_DENSITY * 3**5 + 1)
         assert use_bitset(10**6, 10**3)  # 3^n is never computed here
+        # an item with lo == hi adds one sum, not two
+        assert use_bitset(5, BITSET_DENSITY * 3**2 * 2**3, 2)
+        assert not use_bitset(5, BITSET_DENSITY * 3**2 * 2**3 + 1, 2)
+
+    def test_sums_bounded_by_what_the_items_make(self, monkeypatch):
+        # family A's 20 items have lo == hi, so they make at most 2^20 sums
+        # (15,913 here) below T ~ 3.5 * 10^8: the bitset would cost T bits
+        # per item, though the budget admits it
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1024")
+        assert dp_exact(gen_a(20)).stats["representation"] == "sparse"
+        monkeypatch.delenv("ISSP_MEMORY_BUDGET_MB")
+        # no sum exceeds sum hi = 4,000, so T = 10^12 leaves the bitset small
+        out = dp_exact(validate([(1, 2)] * 2000, 10**12))
+        assert (out.stats["representation"], out.value) == ("bitset", 4000)
 
     def test_bitset_cost_follows_largest_sum_not_target(self):
         # 2,000 sums below T = 10^7: building a T-bit mask per item made
@@ -796,12 +810,6 @@ class TestMeetInTheMiddle:
         assert self._best([7, 2, 5], 5) == 5
 
 
-def _dp_outcome(out):
-    """Everything a DP outcome reports but its running time."""
-    stats = {k: v for k, v in out.stats.items() if k != "elapsed"}
-    return out.value, out.solution, out.kind, out.midrange_index, stats
-
-
 class TestLazyLengthOrder:
     """The exact DP reads a lazily sorted view as it would the eager sort."""
 
@@ -818,11 +826,11 @@ class TestLazyLengthOrder:
             ref = eager_sort(inst)
             got = dp_exact(sort_by_length(inst), trace=True)
             assert got.stats["early_exit_at"] == (None if k is None else k + 1)
-            assert _dp_outcome(got) == _dp_outcome(dp_exact(ref, trace=True))
+            assert got == dp_exact(ref, trace=True)
             for sums in (SparseSums, BitsetSums):
                 view = sort_by_length(inst)
                 got = run_dp(view, sums, trace=True)
-                assert _dp_outcome(got) == _dp_outcome(run_dp(ref, sums, trace=True))
+                assert got == run_dp(ref, sums, trace=True)
                 # the scan read items 0..k and backtracking sorted no further
                 assert view.materialized == min(e for e in ends if e > (n - 1 if k is None else k))
 
@@ -837,4 +845,4 @@ class TestLazyLengthOrder:
             mp.setattr(core, "FULL_SORT_SHARE", constants[1])
             for sums in (SparseSums, BitsetSums):
                 got = run_dp(sort_by_length(pre), sums, trace=True)
-                assert _dp_outcome(got) == _dp_outcome(run_dp(ref, sums, trace=True))
+                assert got == run_dp(ref, sums, trace=True)

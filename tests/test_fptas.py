@@ -717,12 +717,6 @@ class TestFptasSolve:
         assert small.stats["peak_slots"] == big.stats["peak_slots"]
 
 
-def _outcome(out):
-    """Everything an FPTAS outcome reports but its running time."""
-    stats = {k: v for k, v in out.stats.items() if k != "elapsed"}
-    return out.value, out.solution, out.kind, out.midrange_index, out.epsilon, stats
-
-
 class TestLazyLengthOrder:
     """fptas_solve reads a lazily sorted view as it would the eager sort."""
 
@@ -740,7 +734,7 @@ class TestLazyLengthOrder:
             got = fptas_solve(view, Fraction(1, 1000), trace=True)
             assert got.midrange_index == (n if k is None else k + 1)
             assert got.stats["early_exit"] == (k is not None)
-            assert _outcome(got) == _outcome(fptas_solve(eager_sort(inst), Fraction(1, 1000), trace=True))
+            assert got == fptas_solve(eager_sort(inst), Fraction(1, 1000), trace=True)
             # the scan read items 0..k, so the view holds the chunk with k
             assert view.materialized == min(e for e in ends if e > (n - 1 if k is None else k))
 
@@ -754,11 +748,11 @@ class TestLazyLengthOrder:
         pre = preprocess(inst)
         if isinstance(pre, Solution):
             return
-        ref = _outcome(fptas_solve(eager_sort(pre), eps, trace=True))
+        ref = fptas_solve(eager_sort(pre), eps, trace=True)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "FIRST_CHUNK", constants[0])
             mp.setattr(core, "FULL_SORT_SHARE", constants[1])
-            assert _outcome(fptas_solve(sort_by_length(pre), eps, trace=True)) == ref
+            assert fptas_solve(sort_by_length(pre), eps, trace=True) == ref
 
     def test_early_exit_sorts_a_prefix_only(self):
         # the scan stops at item 360 of 20,000, inside the first chunk;
