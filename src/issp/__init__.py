@@ -10,7 +10,6 @@ benchmarking CLI (``issp``).
 
 from .core import (
     Instance,
-    Interval,
     Solution,
     SolveOutcome,
     evaluate,
@@ -24,18 +23,14 @@ from .core import (
 from .exact import brute_force_optimum, dp_exact
 from .fptas import FptasParams, fptas_solve
 from .analysis import (
-    KnapsackInstance,
-    check_theorem2,
     check_wide,
     solution_from_subset,
     solve_polynomial,
-    to_knapsack,
 )
 from .instgen import GenSpec, gen_a, gen_b, gen_c, gen_d
 
 __all__ = [
     "Instance",
-    "Interval",
     "Solution",
     "SolveOutcome",
     "validate",
@@ -49,10 +44,7 @@ __all__ = [
     "dp_exact",
     "FptasParams",
     "fptas_solve",
-    "KnapsackInstance",
-    "to_knapsack",
     "solution_from_subset",
-    "check_theorem2",
     "check_wide",
     "solve_polynomial",
     "GenSpec",

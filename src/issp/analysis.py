@@ -18,33 +18,13 @@ Two sufficient conditions make the problem solvable in polynomial time:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Instance, Solution, SolveOutcome, place, validate_columns
-from .errors import DegenerateLength, IsspError, SubsetInfeasible
+from .errors import IsspError, SubsetInfeasible
 from .instgen import SplitMix64, ratio_columns
-
-
-@dataclass(frozen=True)
-class KnapsackInstance:
-    """0-1 knapsack view: weights = lo, profits = hi, capacity = T."""
-
-    weights: tuple[int, ...]
-    profits: tuple[int, ...]
-    capacity: int
-
-
-def to_knapsack(inst: Instance) -> KnapsackInstance:
-    """Export the instance as a 0-1 knapsack.
-
-    The value map: the interval problem's optimum equals the maximum over
-    subsets S with sum(weights[S]) <= capacity of min(sum(profits[S]), capacity).
-    """
-    return KnapsackInstance(weights=tuple(inst.lo), profits=tuple(inst.hi), capacity=inst.target)
 
 
 def fill_values(
@@ -105,8 +85,7 @@ def aggregates(inst: Instance) -> Aggregates:
 
     The aggregates do not depend on the order, so they are read from the
     columns of ``inst.unsorted``, each by a C-level pass: a ``LengthOrder``
-    view would have to sort in full first, and would build an ``Interval``
-    per position.
+    view would have to sort in full first.
     """
     lo, hi = inst.unsorted
     return Aggregates(
@@ -118,28 +97,9 @@ def aggregates(inst: Instance) -> Aggregates:
     )
 
 
-def check_theorem2(inst: Instance) -> bool:
-    """Test the large-target condition T >= ceil(max lo / min len) * max lo.
-
-    Instances containing a zero-length interval make the condition
-    undefined (division by zero); they are classified False with a
-    DegenerateLength warning.
-    """
-    if inst.is_empty:
-        return False
-    agg = aggregates(inst)
-    if agg.min_length == 0:
-        warnings.warn(
-            "zero-length interval: large-target condition undefined",
-            DegenerateLength,
-            stacklevel=2,
-        )
-    return agg.large_target(inst.target)
-
-
 def check_wide(inst: Instance) -> Optional[Fraction]:
     """Return c* = min over intervals of hi/lo as an exact rational."""
-    if inst.is_empty:
+    if not inst.n:
         return None
     # compare hi/lo by cross-multiplication; one Fraction at the end
     lo, hi = inst.unsorted
@@ -195,7 +155,7 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
     The instance must already satisfy T > max hi (run preprocess first).
     """
     t = inst.target
-    if inst.is_empty:
+    if not inst.n:
         return None
 
     def outcome(sol: Solution, route: str) -> SolveOutcome:

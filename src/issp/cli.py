@@ -311,8 +311,8 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
     cells: list[instgen.GenSpec] = []
     for n in sizes:
         cells += [_setting(instgen.GenSpec, family, n, p, args.seed) for p in params]
-    writer = csv.writer(out)
-    writer.writerow(BENCH_HEADER)
+    # rows are held until every trial has passed, so a failed one leaves stdout empty too
+    rows = []
     seeds = range(args.seed, args.seed + args.trials)
     for cell in cells:
         n, param = cell.n, cell.param
@@ -321,7 +321,7 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
         for eps, results in zip(epsilons, zip(*trials)):
             errors, times = zip(*results)
             k = len(errors)
-            writer.writerow(
+            rows.append(
                 [
                     family,
                     n,
@@ -334,6 +334,9 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> None:
                     f"{max(times):.6f}",
                 ]
             )
+    writer = csv.writer(out)
+    writer.writerow(BENCH_HEADER)
+    writer.writerows(rows)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

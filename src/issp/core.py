@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from operator import le, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     InvalidSetting,
@@ -30,28 +30,6 @@ from .errors import (
     TargetExceeded,
     ValueOutsideInterval,
 )
-
-
-class Interval(NamedTuple):
-    """One selectable item: any integer in [lo, hi], or 0 (off).
-
-    A named tuple, so ``Interval(1, 2) == (1, 2)`` and ``lo, hi = iv``
-    work.  It has no per-object ``__dict__``, which keeps building and
-    scanning 10^5 of them cheap.
-    """
-
-    lo: int
-    hi: int
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
-
-
-def _intervals(lo: Iterable[int], hi: Iterable[int]) -> Iterator[Interval]:
-    """``Interval(a, b)`` for each pair of the two columns, each built in C
-    by ``tuple.__new__``; the one place that builds intervals from columns."""
-    return map(tuple.__new__, repeat(Interval), zip(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -66,16 +44,13 @@ class Instance:
     either way, so solutions can always be reported and checked in input
     order.  Instances are equal when these fields are.
 
-    The columns are the one interval format the library reads.
-    ``intervals`` and ``original`` are read-only tuples of ``Interval`` for
-    the current view and for the input, built from the columns for callers
-    when first read and kept; no solver reads them.  The solvers read the
-    current order through ``stream`` and ``prefix``, and the order-free
-    detectors through ``unsorted``, so that a ``LengthOrder`` view (what
-    ``sort_by_length`` returns) sorts only as far as they read; here
-    ``stream`` zips the columns, ``prefix`` is the columns and ``origin``,
-    and ``unsorted`` is the two columns.  ``n`` is the full count of
-    intervals, also in a view that has sorted a prefix.
+    The columns are the one interval format the library reads.  The
+    solvers read the current order through ``stream`` and ``prefix``, and
+    the order-free detectors through ``unsorted``, so that a
+    ``LengthOrder`` view (what ``sort_by_length`` returns) sorts only as
+    far as they read; here ``stream`` zips the columns, ``prefix`` is the
+    columns and ``origin``, and ``unsorted`` is the two columns.  ``n`` is
+    the full count of intervals, also in a view that has sorted a prefix.
     """
 
     lo: Sequence[int]
@@ -90,21 +65,15 @@ class Instance:
         return len(self.lo)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.n
-
-    @property
     def input(self) -> Instance:
         """The validated instance, in input order, that this one views."""
         return self if self.source is None else self.source
 
-    @cached_property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(_intervals(self.lo, self.hi))
-
-    @cached_property
-    def original(self) -> tuple[Interval, ...]:
-        return self.input.intervals
+    @property
+    def original(self) -> tuple[tuple[int, int], ...]:
+        """The validated input's (lo, hi) pairs, in input order."""
+        src = self.input
+        return tuple(zip(src.lo, src.hi))
 
     @property
     def unsorted(self) -> tuple[Sequence[int], Sequence[int]]:
@@ -326,9 +295,8 @@ def sort_by_length(inst: Instance) -> LengthOrder:
     The result is a ``LengthOrder`` view.  Only its first ``FIRST_CHUNK``
     positions (all of them when n <= FIRST_CHUNK * FULL_SORT_SHARE) are
     sorted now, and the rest as ``stream`` and ``prefix`` read them; its
-    ``n`` is the full count.  Reading ``lo``, ``hi``, ``origin`` or
-    ``intervals`` sorts in full and gives the tuples of the eager stable
-    sort.
+    ``n`` is the full count.  Reading ``lo``, ``hi`` or ``origin`` sorts
+    in full and gives the tuples of the eager stable sort.
     """
     return LengthOrder(inst)
 

@@ -67,7 +67,3 @@ class NoPairFound(IsspError):
 
 class EmptyArray(IsspError):
     """Backtracking started from an all-empty bucket array (caller bug)."""
-
-
-class DegenerateLength(UserWarning):
-    """A zero-length interval makes the large-target ratio undefined."""

@@ -144,10 +144,9 @@ def bitset_bytes(n: int, t: int) -> int:
     return (n // step + 1 + step + _BITSET_WORKING) * _int_bytes(t + 1)
 
 
-def use_bitset(n: int, t: int, wide: int | None = None) -> bool:
+def use_bitset(n: int, t: int, wide: int) -> bool:
     """True when BitsetSums should hold the sums <= t of n items, ``wide`` of
-    them (all by default) with lo < hi: at most 3^wide * 2^(n - wide) sums."""
-    wide = n if wide is None else wide
+    them with lo < hi: at most 3^wide * 2^(n - wide) sums."""
     # the bound passes t once 2^n does, at the bit length of t; it is then t
     dense = n >= t.bit_length() or t <= BITSET_DENSITY * (3**wide << n - wide)
     return dense and bitset_bytes(n, t) <= memory_budget_bytes()
@@ -478,11 +477,11 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
     The (lo, hi) pairs are read through ``inst.stream()``, so a
     ``LengthOrder`` view is sorted only as far as the scan goes.
 
-    Returns (best, m, delta, exit, states): the best candidate, the
-    0-based index of the interval that gave it (None when no interval has
-    lo <= T), its d, the index at which the scan stopped at T (None when
-    it saw every interval) and, with ``trace``, ``reach.snapshot()`` after
-    each interval joined.
+    Returns (m, delta, exit, states): the 0-based index of the interval
+    that gave the best candidate (None when no interval has lo <= T), its
+    d, the index at which the scan stopped at T (None when it saw every
+    interval) and, with ``trace``, ``reach.snapshot()`` after each
+    interval joined.
     """
     t = inst.target
     best, m, delta, exit_at = 0, None, 0, None
@@ -499,7 +498,7 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
         reach.add(i, lo, hi)
         if trace:
             states.append(reach.snapshot())
-    return best, m, delta, exit_at, states
+    return m, delta, exit_at, states
 
 
 def midrange_solution(
@@ -525,7 +524,7 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     if not inst.length_sorted:
         inst = sort_by_length(inst)
     reach = sums(inst.n, inst.target)
-    _, m, delta, exit_at, states = scan(inst, reach, trace)
+    m, delta, exit_at, states = scan(inst, reach, trace)
     lo, hi, _ = inst.prefix(m or 0)
     # when m is None, delta is 0 and backtrack places no item
     sol, value = midrange_solution(inst, m, reach.backtrack(delta, m, lo, hi), delta)

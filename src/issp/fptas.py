@@ -473,7 +473,7 @@ def fptas_solve(
     params = FptasParams(epsilon=eps, target=t)
 
     arrays = BucketArray(params, t)
-    _, m, delta_hat, exit_at, states = scan(inst, arrays, trace)
+    m, delta_hat, exit_at, states = scan(inst, arrays, trace)
     arrays.release()
 
     if m is None:  # no interval has lo <= T, so 0 is optimal

@@ -56,11 +56,10 @@ def instances(draw, max_n: int = 8, max_end: int = 40, max_t: int = 160):
 def eager_sort(inst: Instance) -> Instance:
     """``inst`` stable-sorted by length at once into plain tuples: the
     reference for a lazily sorted ``LengthOrder`` view."""
-    order = sorted(range(inst.n), key=lambda i: inst.intervals[i].length)
-    ivs = [inst.intervals[i] for i in order]
+    order = sorted(range(inst.n), key=lambda i: inst.hi[i] - inst.lo[i])
     return Instance(
-        lo=tuple(iv.lo for iv in ivs),
-        hi=tuple(iv.hi for iv in ivs),
+        lo=tuple(inst.lo[i] for i in order),
+        hi=tuple(inst.hi[i] for i in order),
         target=inst.target,
         origin=tuple(inst.origin[i] for i in order),
         source=inst.input,

@@ -64,11 +64,11 @@ def insort_dp(inst: Instance) -> dict:
     sets_trace = []
 
     for i in range(n):
-        iv = inst.intervals[i]
-        bound = t - iv.lo
+        lo, hi = inst.lo[i], inst.hi[i]
+        bound = t - lo
         pos = bisect_right(values, bound)
         delta_star = values[pos - 1] if pos else 0
-        cand = min(delta_star + iv.hi, t)
+        cand = min(delta_star + hi, t)
         if cand > best:
             best = cand
             m = i
@@ -78,11 +78,11 @@ def insort_dp(inst: Instance) -> dict:
             break
         new_vals = []
         for d in values:
-            for e in (d + iv.lo, d + iv.hi):
+            for e in (d + lo, d + hi):
                 if e <= t and e not in provenance:
                     provenance[e] = (d, i, e - d)
                     new_vals.append(e)
-        for e in (iv.lo, iv.hi):
+        for e in (lo, hi):
             if e <= t and e not in provenance:
                 provenance[e] = (0, i, e)
                 new_vals.append(e)
@@ -97,7 +97,7 @@ def insort_dp(inst: Instance) -> dict:
             pred, idx, endpoint = provenance[d]
             x[idx] = endpoint
             d = pred
-        x[m] = min(inst.intervals[m].hi, t - delta_star_m)
+        x[m] = min(inst.hi[m], t - delta_star_m)
     return {
         "value": best,
         "x": tuple(x),

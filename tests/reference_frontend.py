@@ -12,13 +12,11 @@ C-level validation, the one-pass detectors, ``analysis.fill_values`` with
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Optional
 
-from issp.core import Instance, Interval, Solution, SolveOutcome
+from issp.core import Instance, Solution, SolveOutcome
 from issp.errors import (
-    DegenerateLength,
     InvertedInterval,
     IsspError,
     NonPositiveEndpoint,
@@ -31,19 +29,15 @@ from issp.errors import (
 def validate(pairs, target: int) -> Instance:
     if target < 1:
         raise NonPositiveTarget(f"target must be >= 1, got {target}")
-    intervals = []
+    los, his = [], []
     for pos, (lo, hi) in enumerate(pairs):
         if lo < 1 or hi < 1:
             raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{lo}, {hi}]")
         if lo > hi:
             raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
-        intervals.append(Interval(lo, hi))
-    return Instance(
-        lo=tuple(iv.lo for iv in intervals),
-        hi=tuple(iv.hi for iv in intervals),
-        target=target,
-        origin=range(len(intervals)),
-    )
+        los.append(lo)
+        his.append(hi)
+    return Instance(lo=tuple(los), hi=tuple(his), target=target, origin=range(len(los)))
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -84,36 +78,32 @@ def fill(inst: Instance, subset: list[int]) -> Solution:
 
 
 def min_interval_length(inst: Instance) -> Optional[int]:
-    if inst.is_empty:
+    if not inst.n:
         return None
-    return min(iv.length for iv in inst.intervals)
+    return min(inst.hi[i] - inst.lo[i] for i in range(inst.n))
 
 
-def check_theorem2(inst: Instance) -> bool:
-    if inst.is_empty:
+def large_target(inst: Instance) -> bool:
+    """T >= ceil(max lo / min length) * max lo; False if a length is 0."""
+    if not inst.n:
         return False
     min_len = min_interval_length(inst)
     if min_len == 0:
-        warnings.warn(
-            "zero-length interval: large-target condition undefined",
-            DegenerateLength,
-            stacklevel=2,
-        )
         return False
-    max_lo = max(iv.lo for iv in inst.intervals)
+    max_lo = max(inst.lo)
     bound = -(-max_lo // min_len) * max_lo
     return inst.target >= bound
 
 
 def check_wide(inst: Instance) -> Optional[Fraction]:
-    if inst.is_empty:
+    if not inst.n:
         return None
-    return min(Fraction(iv.hi, iv.lo) for iv in inst.intervals)
+    return min(Fraction(inst.hi[i], inst.lo[i]) for i in range(inst.n))
 
 
 def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
     t = inst.target
-    if inst.is_empty:
+    if not inst.n:
         return None
 
     def outcome(sol: Solution, route: str) -> SolveOutcome:
@@ -124,39 +114,36 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
             stats={"route": route},
         )
 
-    lo_total = sum(iv.lo for iv in inst.intervals)
+    lo_total = sum(inst.lo)
     if t >= lo_total:
         return outcome(fill(inst, list(range(inst.n))), "a")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateLength)
-        large_target = check_theorem2(inst)
-    if large_target:
+    if large_target(inst):
         acc = 0
         prefix_end = 0
-        for i, iv in enumerate(inst.intervals):
-            if acc + iv.lo > t:
+        for i, lo in enumerate(inst.lo):
+            if acc + lo > t:
                 break
-            acc += iv.lo
+            acc += lo
             prefix_end = i + 1
         prefix = list(range(prefix_end))
-        hi_sum = sum(inst.intervals[i].hi for i in prefix)
+        hi_sum = sum(inst.hi[i] for i in prefix)
         if hi_sum < t:
             raise IsspError("large-target route: prefix upper endpoints do not cover the target")
         return outcome(fill(inst, prefix), "b")
 
     cstar = check_wide(inst)
-    hi_total = sum(iv.hi for iv in inst.intervals)
+    hi_total = sum(inst.hi)
     if cstar is not None and cstar >= 2 and t <= hi_total:
-        order = sorted(range(inst.n), key=lambda i: -inst.intervals[i].hi)
+        order = sorted(range(inst.n), key=lambda i: -inst.hi[i])
         acc = 0
         chosen: list[int] = []
         for i in order:
             chosen.append(i)
-            acc += inst.intervals[i].hi
+            acc += inst.hi[i]
             if acc >= t:
                 break
-        lo_sum = sum(inst.intervals[i].lo for i in chosen)
+        lo_sum = sum(inst.lo[i] for i in chosen)
         if lo_sum > t:
             raise IsspError("wide-interval route: minimal covering prefix is infeasible")
         return outcome(fill(inst, chosen), "c")
@@ -171,9 +158,9 @@ def evaluate(inst: Instance, sol: Solution) -> int:
             f"solution has {len(sol.values)} entries, instance has {len(ref)} intervals"
         )
     total = 0
-    for i, (x, iv) in enumerate(zip(sol.values, ref)):
-        if x != 0 and not (iv.lo <= x <= iv.hi):
-            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{iv.lo}, {iv.hi}] and nonzero")
+    for i, (x, (lo, hi)) in enumerate(zip(sol.values, ref)):
+        if x != 0 and not (lo <= x <= hi):
+            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{lo}, {hi}] and nonzero")
         total += x
     if total > inst.target:
         raise TargetExceeded(f"total {total} exceeds target {inst.target}")

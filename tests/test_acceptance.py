@@ -4,10 +4,11 @@ Each test covers one release criterion: golden traces of the two solvers on
 the worked four-interval example, bulk oracle equivalence, the approximation
 guarantee with its exactness side-condition, reference error rates for the
 benchmark families, a 100,000-interval scale run with the space meter,
-the polynomial subclasses, and the knapsack-equivalence value map.  Two
-more checks cover the package as released: README's library example prints
-the answer it shows, and no self-check rests on an ``assert`` that
-``python -O`` would strip.
+the polynomial subclasses, and the knapsack-equivalence value map.  The
+other checks cover the package as released: README's library example prints
+the answer it shows, README names every exported name and no deleted one
+is left, and no self-check rests on an ``assert`` that ``python -O`` would
+strip.
 """
 
 import ast
@@ -18,12 +19,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import issp
+import pytest
 
+import issp
+from issp import analysis, core, errors
 from issp.analysis import (
     polynomial_rate_monte_carlo,
     solve_polynomial,
-    to_knapsack,
 )
 from issp.core import (
     Solution,
@@ -42,6 +44,7 @@ from conftest import random_instance
 
 GOLDEN_PAIRS = [(10, 20), (10, 25), (60, 85), (20, 50)]
 GOLDEN_T = 100
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _reduced(inst):
@@ -175,9 +178,7 @@ def test_criterion_08_scale_run_and_space_meter():
 
     # live slot count depends only on 1/eps: scaling the target by 10
     # must leave the peak unchanged
-    big = validate(
-        [(iv.lo, iv.hi) for iv in inst.intervals], inst.target * 10
-    )
+    big = validate(zip(inst.lo, inst.hi), inst.target * 10)
     resolved_b, work_b = _reduced(big)
     out_b = fptas_solve(work_b, eps)
     assert out_b.stats["peak_slots"] == out.stats["peak_slots"]
@@ -211,29 +212,64 @@ def test_criterion_10_knapsack_value_map_equivalence():
     rng = SplitMix64(31337)
     for _ in range(400):
         inst = random_instance(rng, max_n=15, max_end=40, max_t=250)
-        kp = to_knapsack(inst)
-        n = len(kp.weights)
+        # weights lo, profits hi, capacity T
+        n, t = inst.n, inst.target
         best = 0
         for mask in range(1 << n):
             w = p = 0
             for i in range(n):
                 if mask >> i & 1:
-                    w += kp.weights[i]
-                    p += kp.profits[i]
-            if w <= kp.capacity:
-                best = max(best, min(p, kp.capacity))
+                    w += inst.lo[i]
+                    p += inst.hi[i]
+            if w <= t:
+                best = max(best, min(p, t))
         assert best == brute_force_optimum(inst).value
     assert time.perf_counter() - start < 30
 
 
 def test_readme_library_example():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = re.search(r"## Library example\n+```python\n(.*?)```", text, re.S).group(1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue() == "100 (0, 25, 75, 0)\n"
+
+
+def test_every_exported_name_imports_and_is_in_readme():
+    namespace: dict = {}
+    exec("from issp import *", namespace)
+    assert set(issp.__all__) <= namespace.keys()
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    missing = [
+        name for name in issp.__all__ if not any(re.search(rf"\b{name}\b", s) for s in spans)
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (core, "Interval"),
+        (core.Instance, "intervals"),
+        (core.Instance, "is_empty"),
+        (analysis, "KnapsackInstance"),
+        (analysis, "to_knapsack"),
+        (analysis, "check_theorem2"),
+        (errors, "DegenerateLength"),
+    ],
+)
+def test_deleted_name_is_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(issp, name)
+
+
+def test_original_is_the_input_pairs():
+    # the bench's wrong-answer stub sizes its solution by len(inst.original)
+    inst = validate([(1, 2), (3, 4)], 9)
+    assert len(inst.original) == 2
+    view = sort_by_length(preprocess(validate([(3, 9), (20, 30), (1, 2)], 10)))
+    assert view.original == ((3, 9), (20, 30), (1, 2))
 
 
 def test_no_assert_or_debug_in_package():

@@ -1,7 +1,6 @@
-"""Knapsack export, greedy fill, subclass detectors, polynomial routes."""
+"""Knapsack value map, greedy fill, subclass detectors, polynomial routes."""
 
 import random
-import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -11,43 +10,36 @@ from hypothesis import strategies as st
 
 from issp import analysis
 from issp.analysis import (
-    check_theorem2,
+    aggregates,
     check_wide,
     fill_values,
     polynomial_rate_monte_carlo,
     solution_from_subset,
     solve_polynomial,
-    to_knapsack,
 )
 from issp.core import Solution, evaluate, preprocess, sort_by_length, validate, validate_columns
-from issp.errors import DegenerateLength, NOutOfRange, SubsetInfeasible
+from issp.errors import NOutOfRange, SubsetInfeasible
 from issp.exact import brute_force_optimum
 
 from conftest import eager_sort, instances
 import reference_frontend
 
 
-class TestToKnapsack:
-    def test_fields(self):
-        kp = to_knapsack(validate([(10, 20), (10, 25)], 100))
-        assert kp.weights == (10, 10)
-        assert kp.profits == (20, 25)
-        assert kp.capacity == 100
-
+class TestKnapsackValueMap:
     @given(instances(max_n=8, max_end=30, max_t=200))
     @settings(max_examples=100)
     def test_clipped_knapsack_value_equals_optimum(self, inst):
-        kp = to_knapsack(inst)
-        n = len(kp.weights)
+        # weights lo, profits hi, capacity T
+        n, t = inst.n, inst.target
         best = 0
         for mask in range(1 << n):
             w = p = 0
             for i in range(n):
                 if mask >> i & 1:
-                    w += kp.weights[i]
-                    p += kp.profits[i]
-            if w <= kp.capacity:
-                best = max(best, min(p, kp.capacity))
+                    w += inst.lo[i]
+                    p += inst.hi[i]
+            if w <= t:
+                best = max(best, min(p, t))
         assert best == brute_force_optimum(inst).value
 
 
@@ -78,33 +70,35 @@ class TestSolutionFromSubset:
         t = inst.target
         for mask in range(1 << n):
             sub = [i for i in range(n) if mask >> i & 1]
-            lo_sum = sum(inst.intervals[i].lo for i in sub)
+            lo_sum = sum(inst.lo[i] for i in sub)
             if lo_sum > t:
                 with pytest.raises(SubsetInfeasible):
                     solution_from_subset(inst, sub)
                 continue
             sol = solution_from_subset(inst, sub)
-            hi_sum = sum(inst.intervals[i].hi for i in sub)
+            hi_sum = sum(inst.hi[i] for i in sub)
             assert evaluate(inst, sol) == min(hi_sum, t)
+
+
+def large_target(inst):
+    return aggregates(inst).large_target(inst.target)
 
 
 class TestDetectors:
     def test_large_target_condition_true(self):
         # max lo = 4, min length = 2, bound = 2 * 4 = 8 <= 9
-        assert check_theorem2(validate([(3, 5), (4, 6)], 9))
+        assert large_target(validate([(3, 5), (4, 6)], 9))
 
     def test_large_target_condition_false(self):
-        assert not check_theorem2(validate([(3, 5), (4, 6)], 7))
+        assert not large_target(validate([(3, 5), (4, 6)], 7))
 
-    def test_zero_length_interval_warns_and_fails(self):
-        inst = validate([(5, 5), (1, 10)], 100)
-        with pytest.warns(DegenerateLength):
-            assert not check_theorem2(inst)
+    def test_zero_length_interval_fails(self):
+        assert not large_target(validate([(5, 5), (1, 10)], 100))
 
     def test_golden_instance_fails_condition(self):
         inst = validate([(10, 20), (10, 25), (60, 85), (20, 50)], 100)
         # ceil(60/10) * 60 = 360 > 100
-        assert not check_theorem2(inst)
+        assert not large_target(inst)
 
     def test_width_ratio_exact_rational(self):
         assert check_wide(validate([(1, 4), (2, 4)], 100)) == Fraction(2)
@@ -238,16 +232,16 @@ def detector_case(draw_int, mode: str):
 
 
 def detector_results(inst):
-    """Route outcome, c* and the large-target test with its warnings, from
-    the one-pass detectors and from the reference."""
-    out = []
-    for module in (analysis, reference_frontend):
-        poly = module.solve_polynomial(inst)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            large = module.check_theorem2(inst)
-        out.append((poly, module.check_wide(inst), large, [w.category for w in caught]))
-    return out
+    """Route outcome, c* and the large-target test, from the one-pass
+    detectors and from the reference."""
+    return [
+        (analysis.solve_polynomial(inst), analysis.check_wide(inst), large_target(inst)),
+        (
+            reference_frontend.solve_polynomial(inst),
+            reference_frontend.check_wide(inst),
+            reference_frontend.large_target(inst),
+        ),
+    ]
 
 
 def check_same_detectors(pairs, t):

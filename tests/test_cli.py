@@ -35,7 +35,7 @@ from issp.cli import (
     serialize_instance,
 )
 from issp.core import Solution, preprocess, sort_by_length, validate
-from issp.errors import IsspError, NoPairFound
+from issp.errors import IsspError, MemoryBudgetExceeded, NoPairFound
 
 from conftest import eager_sort, instances
 import reference_frontend
@@ -91,7 +91,7 @@ class TestInstanceFile:
         inst = parse_instance_text("2 100\n10 20\n10 25\n")
         assert inst.n == 2
         assert inst.target == 100
-        assert inst.intervals[1].hi == 25
+        assert inst.hi[1] == 25
 
     def test_comments_and_blank_lines_ignored(self):
         inst = parse_instance_text("# header\n\n2 100\n# first\n10 20\n10 25\n")
@@ -101,7 +101,7 @@ class TestInstanceFile:
     @settings(max_examples=100)
     def test_round_trip(self, inst):
         again = parse_instance_text(serialize_instance(inst))
-        assert again.intervals == inst.intervals
+        assert (again.lo, again.hi) == (inst.lo, inst.hi)
         assert again.target == inst.target
         assert serialize_instance(again) == serialize_instance(inst)
 
@@ -109,7 +109,7 @@ class TestInstanceFile:
     @settings(max_examples=100)
     def test_serialize_in_small_pieces(self, inst, chunk):
         canonical = f"{inst.n} {inst.target}\n" + "".join(
-            f"{iv.lo} {iv.hi}\n" for iv in inst.intervals
+            f"{lo} {hi}\n" for lo, hi in zip(inst.lo, inst.hi)
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CHUNK", chunk)
@@ -210,20 +210,21 @@ class TestParserAgainstReference:
         assert got == ref
         t = ref.target
         out = preprocess(got)
-        hit = next((i for i, iv in enumerate(ref.intervals) if iv.lo <= t <= iv.hi), None)
-        keep = [i for i, iv in enumerate(ref.intervals) if iv.lo <= t]
+        hit = next((i for i in range(ref.n) if ref.lo[i] <= t <= ref.hi[i]), None)
+        keep = [i for i in range(ref.n) if ref.lo[i] <= t]
         if hit is not None or not keep:
             expected = [0] * ref.n
             if hit is not None:
                 expected[hit] = t
             assert out == Solution(tuple(expected))
             return
-        assert out.intervals == tuple(ref.intervals[i] for i in keep)
+        assert out.lo == tuple(ref.lo[i] for i in keep)
+        assert out.hi == tuple(ref.hi[i] for i in keep)
         assert tuple(out.origin) == tuple(keep)
         assert (out.target, out.original) == (t, ref.original)
         view, eager = sort_by_length(out), eager_sort(out)
-        assert (view.intervals, view.origin, view.original) == (
-            eager.intervals, eager.origin, eager.original
+        assert (view.lo, view.hi, view.origin, view.original) == (
+            eager.lo, eager.hi, eager.origin, eager.original
         )
 
     @given(instance_texts())
@@ -232,7 +233,7 @@ class TestParserAgainstReference:
         got = parse_result(parse_instance_text, text)
         assert got == parse_result(reference_frontend.parse_instance_text, text)
         if not isinstance(got, tuple):
-            assert all(type(iv) is issp.Interval for iv in got.intervals)
+            assert (type(got.lo), type(got.hi)) == (tuple, tuple)
 
     @given(st.text(alphabet="0123456789 -#\n\r\t\x0b\x0c\u2028a", max_size=40))
     @settings(max_examples=300)
@@ -410,34 +411,26 @@ class TestTextMemory:
         assert peak - sys.getsizeof(got) < 4 * 2**20
 
 
+def refuse_pairs(inst):
+    raise AssertionError("the input's (lo, hi) pairs were built")
+
+
 class TestColumnarFrontEnd:
     def test_solve_builds_intervals_for_the_scanned_prefix_only(self, monkeypatch):
         # issp solve's op on C n = 20,000: the scan exits at item 360, inside
         # the length order's first chunk, and every pass reads the columns,
-        # so no Interval is built, for the scanned prefix or any other
+        # so no (lo, hi) pair is built, for the scanned prefix or any other
         n = 20_000
         text = serialize_instance(issp.gen_c(n, Fraction(3, 2), 1))
-        built = 0
-        make = core._intervals
-
-        def counting(lo, hi):
-            nonlocal built
-            for iv in make(lo, hi):
-                built += 1
-                yield iv
-
         views = []
         sort = cli.sort_by_length
-        monkeypatch.setattr(core, "_intervals", counting)
+        monkeypatch.setattr(core.Instance, "original", property(refuse_pairs))
         monkeypatch.setattr(cli, "sort_by_length", lambda inst: views.append(sort(inst)) or views[-1])
         inst = parse_instance_text(text)
         out = cli._solve_instance(inst, "auto", Fraction(1, 1000))
         assert cli.evaluate(inst, out.solution) == out.value
         assert core.midrange_count(inst, out.solution) <= 1
         assert out.midrange_index == 360 and len(views) == 1
-        for obj in (inst, *views):
-            assert not {"intervals", "original"} & vars(obj).keys()
-        assert built == 0
 
     @pytest.mark.parametrize(
         "pairs, t, route",
@@ -450,10 +443,7 @@ class TestColumnarFrontEnd:
         ],
     )
     def test_no_pass_builds_an_interval(self, monkeypatch, capsys, tmp_path, pairs, t, route):
-        def refuse(lo, hi):
-            raise AssertionError("an Interval was built")
-
-        monkeypatch.setattr(core, "_intervals", refuse)
+        monkeypatch.setattr(core.Instance, "original", property(refuse_pairs))
         inst = validate(pairs, t)
         poly = analysis.solve_polynomial(sort_by_length(preprocess(inst)))
         assert (poly and poly.stats["route"]) == route
@@ -909,7 +899,7 @@ class TestBenchCommand:
 
     def test_one_spec_per_cell_before_the_first_trial(self, capsys, monkeypatch):
         # three cells of 1,000 trials: each cell's spec is checked before the
-        # header, and each trial makes its own spec when it runs
+        # first trial, and each trial makes its own spec when it runs
         made = []
         real = instgen.GenSpec.__post_init__
 
@@ -928,7 +918,7 @@ class TestBenchCommand:
         with pytest.raises(FirstTrial) as info:
             main(["bench", "--suite", "C", "--sizes", "10", "--trials", "1000"])
         assert info.value.args == (3,)
-        assert capsys.readouterr().out == ",".join(BENCH_HEADER) + "\r\n"
+        assert capsys.readouterr().out == ""
 
     def test_checks_every_answer(self, capsys, monkeypatch):
         real = fptas.fptas_solve
@@ -940,9 +930,30 @@ class TestBenchCommand:
         monkeypatch.setattr(fptas, "fptas_solve", off_by_one)
         code, out, err = run_cli(capsys, "bench", "--suite", "C", "--sizes", "30", "--c", "3/2")
         assert code == EXIT_BUG
-        assert out == ",".join(BENCH_HEADER) + "\r\n"  # no row for an unchecked answer
+        assert out == ""  # no row for an unchecked answer
         assert err.startswith("error: solver bug: IsspError: reported value ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "error, code", [(MemoryBudgetExceeded, EXIT_BUDGET), (IsspError, EXIT_BUG)]
+    )
+    def test_later_cell_failing_writes_no_row(self, capsys, monkeypatch, error, code):
+        # the cell n = 20 passes, then n = 30 fails: no header and no row of
+        # the first cell reach stdout
+        real = fptas.fptas_solve
+
+        def fail_at_30(inst, eps):
+            if inst.input.n == 30:
+                raise error("second cell")
+            return real(inst, eps)
+
+        monkeypatch.setattr(fptas, "fptas_solve", fail_at_30)
+        args = ["bench", "--suite", "C", "--sizes", "20,30", "--c", "3/2", "--epsilons", "0.1"]
+        got = run_cli(capsys, *args)
+        assert got[:2] == (code, "")
+        assert got[2].startswith("error: ") and "second cell" in got[2]
+        monkeypatch.setattr(fptas, "fptas_solve", real)
+        assert len(strip_times(run_cli(capsys, *args)[1])) == 1 + 2
 
     def test_exact_reference_for_family_a(self, capsys):
         code, out, _ = run_cli(

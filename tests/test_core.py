@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from issp import core
 from issp.core import (
     Instance,
-    Interval,
     Solution,
     evaluate,
     format_percent,
@@ -44,7 +43,7 @@ class TestValidate:
         inst = validate([(10, 20), (10, 25)], 100)
         assert inst.n == 2
         assert inst.target == 100
-        assert inst.intervals[0].lo == 10 and inst.intervals[0].hi == 20
+        assert (inst.lo[0], inst.hi[0]) == (10, 20)
         assert inst.origin == range(2)
 
     def test_rejects_zero_endpoint(self):
@@ -65,13 +64,7 @@ class TestValidate:
 
     def test_point_interval_allowed(self):
         inst = validate([(5, 5)], 10)
-        assert inst.intervals[0].length == 0
-
-    def test_interval_is_a_named_tuple(self):
-        iv = validate([(1, 2)], 10).intervals[0]
-        assert iv == Interval(1, 2) == (1, 2)
-        lo, hi = iv
-        assert (lo, hi, iv.lo, iv.hi, iv.length) == (1, 2, 1, 2, 1)
+        assert inst.hi[0] - inst.lo[0] == 0
 
     @given(
         st.lists(
@@ -101,7 +94,7 @@ class TestPreprocess:
         inst = validate([(10, 20), (400, 500), (30, 90)], 100)
         out = preprocess(inst)
         assert isinstance(out, Instance)
-        assert out.intervals == ((10, 20), (30, 90))
+        assert (out.lo, out.hi) == ((10, 30), (20, 90))
         assert out.origin == (0, 2)
 
     def test_all_dropped_gives_zero_solution(self):
@@ -112,7 +105,7 @@ class TestPreprocess:
     def test_reduced_instance_has_target_above_every_hi(self, inst):
         out = preprocess(inst)
         if isinstance(out, Instance):
-            assert out.intervals and all(iv.hi < inst.target for iv in out.intervals)
+            assert out.n and max(out.hi) < inst.target
 
     @given(instances())
     def test_idempotent_on_reduced_instances(self, inst):
@@ -125,7 +118,7 @@ class TestSortByLength:
     def test_orders_by_width_stable(self):
         inst = validate([(1, 10), (2, 5), (3, 6), (1, 1)], 100)
         s = sort_by_length(inst)
-        assert [iv.length for iv in s.intervals] == [0, 3, 3, 9]
+        assert list(map(sub, s.hi, s.lo)) == [0, 3, 3, 9]
         # equal lengths keep input order (stable)
         assert s.origin == (3, 1, 2, 0)
         assert s.length_sorted
@@ -133,11 +126,9 @@ class TestSortByLength:
     @given(instances())
     def test_permutation_of_input(self, inst):
         s = sort_by_length(inst)
-        assert sorted(s.intervals, key=lambda iv: (iv.lo, iv.hi)) == sorted(
-            inst.intervals, key=lambda iv: (iv.lo, iv.hi)
-        )
+        assert sorted(zip(s.lo, s.hi)) == sorted(zip(inst.lo, inst.hi))
         assert sorted(s.origin) == list(range(inst.n))
-        lengths = [iv.length for iv in s.intervals]
+        lengths = list(map(sub, s.hi, s.lo))
         assert lengths == sorted(lengths)
 
     @given(instances(max_n=10, max_end=60, max_t=100))
@@ -148,12 +139,13 @@ class TestSortByLength:
         if isinstance(pre, Instance) and pre is not inst:
             views.append(pre)  # reduced: origin is not the identity
         for view in views:
-            order = sorted(range(view.n), key=lambda i: view.intervals[i].length)
+            order = sorted(range(view.n), key=lambda i: view.hi[i] - view.lo[i])
             s = sort_by_length(view)
-            assert s.intervals == tuple(view.intervals[i] for i in order)
+            assert s.lo == tuple(view.lo[i] for i in order)
+            assert s.hi == tuple(view.hi[i] for i in order)
             assert s.origin == tuple(view.origin[i] for i in order)
             assert s.length_sorted
-        assert inst.intervals is inst.original
+        assert inst.original == tuple(zip(inst.lo, inst.hi))
 
 
 @st.composite
@@ -194,8 +186,8 @@ class TestLengthOrder:
                 assert min(k, ref.n) <= done == len(lo) == len(hi) == len(origin) <= ref.n
                 assert tuple(lo[:done]) == ref.lo[:done] and tuple(hi[:done]) == ref.hi[:done]
                 assert tuple(origin[:done]) == ref.origin[:done]
-            assert tuple(sort_by_length(inst).stream()) == ref.intervals
-            assert (view.intervals, view.origin) == (ref.intervals, ref.origin)
+            assert tuple(sort_by_length(inst).stream()) == tuple(zip(ref.lo, ref.hi))
+            assert (view.lo, view.hi, view.origin) == (ref.lo, ref.hi, ref.origin)
             assert view.unsorted[0] is inst.lo and view.unsorted[1] is inst.hi
 
     def test_partial_view_holds_only_its_sorted_prefix_beyond_the_lengths(self):
@@ -280,8 +272,8 @@ class TestEvaluate:
         # entries drawn around each interval, so totals over T and values
         # just outside [lo, hi] both come up
         values = tuple(
-            data.draw(st.sampled_from([0, -iv.lo, iv.lo - 1, iv.lo, iv.hi, iv.hi + 1]))
-            for iv in inst.original
+            data.draw(st.sampled_from([0, -lo, lo - 1, lo, hi, hi + 1]))
+            for lo, hi in zip(inst.lo, inst.hi)
         )
 
         def result(check):

@@ -51,7 +51,7 @@ GOLDEN_T = 100
 class TestBruteForce:
     @given(instances())
     def test_matches_reference_walk(self, inst):
-        ref = reference_optimum([(iv.lo, iv.hi) for iv in inst.intervals], inst.target)
+        ref = reference_optimum(list(zip(inst.lo, inst.hi)), inst.target)
         out = brute_force_optimum(inst)
         assert out.value == ref
         assert evaluate(inst, out.solution) == out.value
@@ -86,8 +86,7 @@ class TestDpExact:
         for i, stored in enumerate(out.stats["sets"]):
             expected = {0}
             for j in range(i + 1):
-                iv = inst.intervals[j]
-                expected |= {s + e for s in expected for e in (iv.lo, iv.hi)}
+                expected |= {s + e for s in expected for e in (inst.lo[j], inst.hi[j])}
             expected = {s for s in expected if 0 < s <= inst.target}
             assert set(stored) == expected
 
@@ -143,10 +142,10 @@ class TestDpExact:
         # is used and stops at 8,192 entries
         pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
         t = 10**7
-        assert use_bitset(100, t)
+        assert use_bitset(100, t, 100)
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
         assert bitset_bytes(100, t) > 30 << 20
-        assert not use_bitset(100, t)
+        assert not use_bitset(100, t, 100)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetExceeded):
@@ -159,9 +158,9 @@ class TestDpExact:
     def test_representation_choice(self):
         assert dp_exact(validate(GOLDEN_PAIRS, GOLDEN_T)).stats["representation"] == "bitset"
         # T = BITSET_DENSITY * 3^n is the sparsest T the bitset takes
-        assert use_bitset(5, BITSET_DENSITY * 3**5)
-        assert not use_bitset(5, BITSET_DENSITY * 3**5 + 1)
-        assert use_bitset(10**6, 10**3)  # 3^n is never computed here
+        assert use_bitset(5, BITSET_DENSITY * 3**5, 5)
+        assert not use_bitset(5, BITSET_DENSITY * 3**5 + 1, 5)
+        assert use_bitset(10**6, 10**3, 10**6)  # 3^n is never computed here
         # an item with lo == hi adds one sum, not two
         assert use_bitset(5, BITSET_DENSITY * 3**2 * 2**3, 2)
         assert not use_bitset(5, BITSET_DENSITY * 3**2 * 2**3 + 1, 2)
@@ -298,7 +297,7 @@ class TestRepresentations:
         got = scan(inst, arrays)
         for sums in (SparseSums, BitsetSums):
             reach = sums(inst.n, t)
-            assert scan(inst, reach)[:4] == got[:4]
+            assert scan(inst, reach) == got
             assert reach.snapshot() == tuple(arrays.values())
 
     @given(
@@ -363,7 +362,7 @@ class TestSparseSums:
         assert run_dp(inst, SparseSums).solution == run_dp(inst, BitsetSums).solution
         work = sort_by_length(inst)
         reach = SparseSums(work.n, work.target)
-        _, m, delta, _, _ = scan(work, reach)
+        m, delta, _, _ = scan(work, reach)
         assert (m, delta) == (1999, 3998)
         reach.ends = ReadLog(reach.ends)
         assert reach.backtrack(delta, m, work.lo, work.hi) == dict.fromkeys(range(m), 2)
@@ -398,7 +397,7 @@ class TestSparseSums:
     def test_pending_item_backtracks_like_the_bitset(self, pairs, t, x):
         work = sort_by_length(validate(pairs, t))
         reach = SparseSums(work.n, t)
-        _, m, _, exit_at, _ = scan(work, reach)
+        m, _, exit_at, _ = scan(work, reach)
         assert exit_at == m == work.n - 1
         assert reach.pending == [pairs[m - 1]]
         for sums in (SparseSums, BitsetSums):
@@ -481,7 +480,7 @@ class TestPendingBlock:
     def test_midrange_around_the_block_backtracks_like_the_bitset(self, pairs, m, h, k):
         work = sort_by_length(validate(pairs, BASE4_T))
         reach = SparseSums(work.n, BASE4_T)
-        _, got_m, _, _, _ = scan(work, reach)
+        got_m, _, _, _ = scan(work, reach)
         built = len(reach.ends) // 2
         assert (got_m, built, built + len(reach.pending)) == (m, h, k)
         ref = _reference_fields(work)
@@ -695,7 +694,7 @@ class TestBitsetKernels:
     def test_tracemalloc_peak_within_bitset_bytes(self, n, spread):
         for t in (10**4 + 1, 10**5 + 1, 10**6 + 1, 10**7 + 1):
             work = sort_by_length(validate(_even_pairs(n, t, spread), t))
-            assert use_bitset(n, t)
+            assert use_bitset(n, t, n)
             tracemalloc.start()
             try:
                 out = run_dp(work, BitsetSums)
@@ -801,7 +800,7 @@ class TestMeetInTheMiddle:
     @given(instances(max_n=10, max_end=50, max_t=200))
     @settings(max_examples=100)
     def test_matches_brute_force_on_point_intervals(self, inst):
-        points = validate([(iv.hi, iv.hi) for iv in inst.intervals], inst.target)
+        points = validate([(hi, hi) for hi in inst.hi], inst.target)
         assert self._best(list(points.hi), points.target) == brute_force_optimum(points).value
 
     def test_items_above_and_at_target(self):

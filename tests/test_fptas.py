@@ -354,7 +354,7 @@ class TestRelaxedDp:
     @settings(max_examples=100)
     def test_stored_values_are_reachable_endpoint_sums(self, inst):
         p = FptasParams(Fraction(1, 7), inst.target)
-        items = [(i, iv.lo, iv.hi) for i, iv in enumerate(inst.intervals)]
+        items = list(zip(range(inst.n), inst.lo, inst.hi))
         b = relaxed_dp(items, inst.target, p)
         exact = {0}
         for _, lo, hi in items:

@@ -79,9 +79,9 @@ class TestFamilyA:
     def test_formula_small_n(self):
         inst = gen_a(4)
         # k = 2, items 2**7 + 2**(2+i) + 1 for i = 1..4
-        assert [iv.hi for iv in inst.intervals] == [137, 145, 161, 193]
-        assert all(iv.lo == iv.hi for iv in inst.intervals)
-        assert inst.target == sum(a.hi for a in inst.intervals) // 2
+        assert inst.hi == (137, 145, 161, 193)
+        assert inst.lo == inst.hi
+        assert inst.target == sum(inst.hi) // 2
 
     def test_closed_form_matches_exact_solvers(self):
         for n in range(1, 27):
@@ -105,7 +105,7 @@ class TestFamilyA:
 class TestFamilyB:
     def test_formula_n10(self):
         inst = gen_b(10)
-        assert [iv.hi for iv in inst.intervals] == [110 + i for i in range(1, 11)]
+        assert inst.hi == tuple(110 + i for i in range(1, 11))
         assert inst.target == 485
 
     def test_closed_form_matches_exact_solvers(self):
@@ -131,11 +131,11 @@ class TestFamilyC:
         c = Fraction(3, 2)
         inst = gen_c(500, c, seed=4)
         assert inst.target == TARGET_CD
-        for iv in inst.intervals:
-            assert 1 <= iv.hi <= HI_RANGE
-            assert iv.lo == max(1, iv.hi * 2 // 3)
+        for lo, hi in zip(inst.lo, inst.hi):
+            assert 1 <= hi <= HI_RANGE
+            assert lo == max(1, hi * 2 // 3)
             # ratio at least c, up to the floor in lo
-            assert Fraction(iv.hi, iv.lo) >= c or iv.lo == 1
+            assert Fraction(hi, lo) >= c or lo == 1
 
     def test_deterministic_in_seed(self):
         assert gen_c(50, Fraction(3, 2), 7) == gen_c(50, Fraction(3, 2), 7)
@@ -154,12 +154,12 @@ class TestFamilyD:
         inst = gen_d(500, cap, seed=9)
         assert inst.target == TARGET_CD
         cap_scaled = int(cap * RATIO_DENOM)
-        for iv in inst.intervals:
-            assert 1 <= iv.hi <= HI_RANGE
-            assert iv.lo <= iv.hi
+        for lo, hi in zip(inst.lo, inst.hi):
+            assert 1 <= hi <= HI_RANGE
+            assert lo <= hi
             # per-item ratio is at most the cap, so lo never drops below
             # the floor the cap itself would give
-            assert iv.lo >= max(1, iv.hi * RATIO_DENOM // cap_scaled)
+            assert lo >= max(1, hi * RATIO_DENOM // cap_scaled)
 
     def test_deterministic_in_seed(self):
         assert gen_d(50, Fraction(13, 10), 7) == gen_d(50, Fraction(13, 10), 7)
