@@ -28,7 +28,7 @@ of the bitset, the pending items of the sparse set), backtracking takes
 ``BITSET_DENSITY`` times min(W, 3^a * 2^b), the bound on stored sums of a
 items with lo < hi and b with lo == hi, and its exact bytes fit
 ``ISSP_MEMORY_BUDGET_MB``; the sparse set is gated at a nominal 128 B per
-stored sum, counted before the sums are built.
+stored sum, counted before the sums are built; ``charge`` makes every refusal.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ from .core import Instance, Solution, SolveOutcome, place, sort_by_length
 from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
-_BYTES_PER_ENTRY = 128  # nominal cost of one stored sum
+_BYTES_PER_ENTRY = 128  # nominal cost of one stored sum or bucket slot
+# an entry of SparseSums.seen: set builds and updates of 10 to 1.5 M ints peaked
+# at 133 B per entry in a resize below 50,000 entries, 80 B above (tracemalloc)
+_SEEN_BYTES = 128
 BRUTE_FORCE_CAP = 25  # largest n that brute_force_optimum enumerates
 
 
@@ -62,9 +65,13 @@ def memory_budget_bytes() -> int:
     return mb * 1024 * 1024
 
 
-def memory_budget_entries() -> int:
-    """Max number of stored reachable sums, at a nominal 128 B each."""
-    return memory_budget_bytes() // _BYTES_PER_ENTRY
+def charge(nbytes: int, budget: int, what: str) -> None:
+    """Refuse ``what`` before it is allocated when its ``nbytes`` are over
+    ``budget`` bytes; every MemoryBudgetExceeded is raised here.  A "{}" in
+    ``what`` is where the message names ``nbytes``."""
+    if nbytes > budget:
+        message = f"{what.format(nbytes)}, over the memory budget of {budget} B"
+        raise MemoryBudgetExceeded(message + "; raise ISSP_MEMORY_BUDGET_MB to override")
 
 
 def brute_force_optimum(inst: Instance) -> SolveOutcome:
@@ -161,10 +168,11 @@ def use_bitset(n: int, t: int, wide: int) -> bool:
 # n = 14, c = 11/10; run_dp with SparseSums, best of 5; Python 3.11, 2-vCPU
 # x86 VM), against 0.16 s with only the last item pending.  Where sums
 # repeat, the block saves less: on 60 or 100 items [10^4 + 397k,
-# 10^4 + 410k] (T = 6 x 10^6 or 10^7), refused by the default budget after
-# the same builds, its lookups and sums came to 15 / 8 / 4 / 2 % of the
-# sums those builds touch at weights 16 / 32 / 64 / 128.
+# 10^4 + 410k] (T = 6 x 10^6 or 10^7), over the builds both made before a
+# count of unfiltered sums refused them, its lookups and sums came to
+# 15 / 8 / 4 / 2 % of the sums those builds touch at weights 16 / 32 / 64 / 128.
 BLOCK_WEIGHT = 64
+_NEEDS = "the reachable-sum set needs {} B"
 
 
 def _sumset(block: list[int], lo: int, hi: int, t: int) -> list[int]:
@@ -224,14 +232,17 @@ class SparseSums:
     on it is a set of the stored sums that filters each run down to the
     sums not yet stored.  Backtracking is given the endpoint columns after
     the scan; ``n`` is unused, so that both exact sets are built as
-    ``sums(n, t)``.
+    ``sums(n, t)``.  The budget is read once, in bytes.  A sum is charged
+    ``per_sum``, its int at T's width and two list slots (the list's and a
+    merge's), at least ``_BYTES_PER_ENTRY`` (T of up to about 660 bits);
+    once ``seen`` exists, a stored sum is charged ``_SEEN_BYTES`` more.
 
     Items ``[0, h)`` are built into those lists; the newest items ``[h, k)``
     are ``pending``, unbuilt, and ``block`` holds their sums <= T, 0
     included, sorted.  A reachable sum is p + v with p in the block and v
     stored or 0 (``largest_sum_le``).  Once the block's sums times
     ``BLOCK_WEIGHT`` exceed the stored sums, ``add`` builds the oldest
-    pending items, one at a time with the budget check, until they are at
+    pending items, one at a time, each charged first, until they are at
     most half the stored sums; it always keeps the newest item pending.
     ``snapshot`` builds them all, and ``stored`` leaves their sums out.
     """
@@ -240,7 +251,8 @@ class SparseSums:
 
     def __init__(self, n: int, t: int) -> None:
         self.t = t
-        self.budget = memory_budget_entries()
+        self.budget = memory_budget_bytes()
+        self.per_sum = max(_BYTES_PER_ENTRY, _int_bytes(t.bit_length()) + 2 * 8)
         self.values: list[int] = []
         self.seen: set[int] | None = None  # built when a sum first repeats
         self.firsts: list[int] = []
@@ -255,10 +267,11 @@ class SparseSums:
     def add(self, i: int, lo: int, hi: int) -> None:
         """Keep item i pending, and build the oldest pending items once the
         block costs more than building them."""
-        values, block, t = self.values, self.block, self.t
+        values, block, t, per_sum = self.values, self.block, self.t, self.per_sum
         # the block's sums are charged with the stored ones before it grows
         cuts = bisect_right(block, t - hi) + (bisect_right(block, t - lo) if lo != hi else 0)
-        self._check(len(values) + len(block) - 1 + cuts)
+        per_stored = per_sum if self.seen is None else per_sum + _SEEN_BYTES
+        charge(per_sum * (len(block) - 1 + cuts) + per_stored * len(values), self.budget, _NEEDS)
         pending = self.pending
         pending.append((lo, hi))
         self.block = _sumset(block, lo, hi, t)
@@ -274,29 +287,21 @@ class SparseSums:
                 if len(pending) == 1 or 2 * len(self.block) * BLOCK_WEIGHT <= len(self.values):
                     break
 
-    def _check(self, size: int) -> None:
-        if size > self.budget:
-            raise MemoryBudgetExceeded(
-                f"the reachable-sum set needs {size} entries, more than the budget of "
-                f"{self.budget} entries ({_BYTES_PER_ENTRY} B each); raise "
-                "ISSP_MEMORY_BUDGET_MB to override"
-            )
-
     def _build(self) -> None:
         """Build the oldest pending item; the caller resets the block."""
         lo, hi = self.pending[0]
-        values, seen, t = self.values, self.seen, self.t
+        values, seen, t, per_sum = self.values, self.seen, self.t, self.per_sum
         # The shifted runs take the stored sums up to each bisect cut, and
         # the lone endpoints join them; with lo == hi the lo shift repeats
         # the hi shift, so it is skipped and the lone point takes the lo run.
-        # Without a repeat, this count is the new size exactly.
         cut_hi = bisect_right(values, t - hi)
         cut_lo = bisect_right(values, t - lo) if lo != hi else 0
-        self._check(len(values) + cut_hi + cut_lo + (lo <= t) + (lo != hi and hi <= t))
         if seen is None:
-            # Until a sum repeats, every sum on a run is new: the runs are the
-            # first-reach runs as they stand, with a lone endpoint (smaller
-            # than every shifted sum) at the head.
+            # Until a sum repeats, every sum on a run is new, so the charge is
+            # the new size exactly: the runs are the first-reach runs as they
+            # stand, with a lone endpoint (below every shifted sum) at the head.
+            new = cut_hi + cut_lo + (lo <= t) + (lo != hi and hi <= t)
+            charge(per_sum * (len(values) + new), self.budget, _NEEDS)
             hi_run = [hi] if lo != hi and hi <= t else []
             hi_run += map(hi.__add__, islice(values, cut_hi))
             lo_run = [lo] if lo <= t else []
@@ -305,26 +310,29 @@ class SparseSums:
             merged += lo_run
             merged.sort()
             if any(map(eq, merged, islice(merged, 1, None))):
-                del merged  # freed before the set is built
+                del merged, hi_run, lo_run  # freed before the set, charged here, is built
+                charge((per_sum + _SEEN_BYTES) * len(values), self.budget, _NEEDS)
                 self.seen = seen = set(values)
             else:
                 self.values = merged
         if seen is not None:
-            # From the first repeat on, a set filters the runs down to the
-            # sums not yet stored.  A sum on both runs takes the hi link, the
-            # one from the smaller predecessor; then come the lo run and the
-            # lone endpoints, lo first: the links backtrack_items picks, so
-            # both representations give one solution.
+            # From the first repeat on, ``seen`` filters the runs down to the
+            # new sums before they are charged.  A sum on both runs takes the
+            # hi link, from the smaller predecessor: s = lo + v is on the hi
+            # run when s - hi is stored, and a lone hi is on the lo run when
+            # hi - lo is.  These are the links backtrack_items picks, so both
+            # representations give one solution.
             hi_run = list(filterfalse(seen.__contains__, map(hi.__add__, islice(values, cut_hi))))
-            seen.update(hi_run)
-            lo_run = list(filterfalse(seen.__contains__, map(lo.__add__, islice(values, cut_lo))))
-            seen.update(lo_run)
+            lo_run = filterfalse(seen.__contains__, map(lo.__add__, islice(values, cut_lo)))
+            lo_run = [s for s in lo_run if s - hi not in seen]
             if lo <= t and lo not in seen:
-                seen.add(lo)
                 lo_run.insert(0, lo)
-            if hi <= t and hi not in seen:
-                seen.add(hi)
+            if lo != hi and hi <= t and hi not in seen and hi - lo not in seen:
                 hi_run.insert(0, hi)
+            new = len(hi_run) + len(lo_run)
+            charge((per_sum + _SEEN_BYTES) * (len(values) + new), self.budget, _NEEDS)
+            seen.update(hi_run)
+            seen.update(lo_run)
             # the one sort merges three runs: the stored sums, hi_run and lo_run
             values += hi_run
             values += lo_run

@@ -41,14 +41,8 @@ from fractions import Fraction
 from typing import Union
 
 from .core import Instance, SolveOutcome, exact_ratio, sort_by_length
-from .errors import (
-    EmptyArray,
-    EpsilonOutOfRange,
-    MemoryBudgetExceeded,
-    NoPairFound,
-    OutOfRange,
-)
-from .exact import memory_budget_entries, midrange_solution, scan
+from .errors import EmptyArray, EpsilonOutOfRange, NoPairFound, OutOfRange
+from .exact import _BYTES_PER_ENTRY, charge, memory_budget_bytes, midrange_solution, scan
 
 Number = Union[int, Fraction]
 
@@ -63,7 +57,9 @@ class FptasParams:
     ``bounds[k] = floor(k*T/l)`` is the largest integer in bucket k, so the
     bucket of an integer v in (0, T] is the first k with v <= bounds[k].
     ``live_slots`` counts the bucket slots allocated and not yet released;
-    ``peak_slots``, its maximum, certifies the space bound.
+    ``peak_slots``, its maximum, certifies the space bound.  Construction
+    charges 5l + 1 entries at 128 B before any is allocated: two arrays of
+    2l slots live at once (the metered peak) and the boundary table.
     """
 
     epsilon: Fraction
@@ -78,16 +74,11 @@ class FptasParams:
             raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {self.epsilon}")
         p, q = self.epsilon.numerator, self.epsilon.denominator
         self.l = -(-q // p)  # ceil(1/eps)
-        # At most two arrays of 2l slots are live at once (the metered peak),
-        # plus the boundary table; check before allocating any of them.  The
-        # message names no eps-sized number: l may have thousands of digits.
-        budget = memory_budget_entries()
-        if 5 * self.l + 1 > budget:
-            raise MemoryBudgetExceeded(
-                f"epsilon too small: the memory budget of {budget} entries allows at "
-                f"most {(budget - 1) // 5} buckets (ceil(1/epsilon)); raise "
-                "ISSP_MEMORY_BUDGET_MB to override"
-            )
+        # the message names no eps-sized number: l may have thousands of digits
+        budget = memory_budget_bytes()
+        fits = max(0, (budget // _BYTES_PER_ENTRY - 1) // 5)
+        what = f"epsilon too small: ceil(1/epsilon) buckets are more than the {fits} that fit"
+        charge(_BYTES_PER_ENTRY * (5 * self.l + 1), budget, what)
         t, l = self.target, self.l
         self.bounds = [k * t // l for k in range(l + 1)]
 

@@ -589,7 +589,7 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and "ISSP_MEMORY_BUDGET_MB" in err and "-5" in err
 
     def test_dense_instance_over_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the bitset would need 35 MB and the sparse set outgrows 8,192 entries
+        # the bitset would need 35 MB and the sparse set outgrows 1 MiB at 128 B a sum
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
         pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
         path = tmp_path / "inst.txt"
@@ -597,7 +597,9 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", str(path), "--algorithm", "dp")
         assert code == EXIT_BUDGET
         assert out == ""
-        assert "more than the budget of 8192 entries" in err
+        assert err.endswith(
+            ", over the memory budget of 1048576 B; raise ISSP_MEMORY_BUDGET_MB to override\n"
+        )
 
     def test_value_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "inst.txt"
@@ -1312,6 +1314,14 @@ class TestPinnedOutput:
             ("--algorithm", "dp"),
             "9000000000 exact 11 3626abb941e8a99d",
             "sums repeat from the fourth item on, so the set's filter picks the first-reach runs",
+        ),
+        "dp-repeats-charged-as-stored": (
+            instance_text(
+                12 * 10**8, [(200 * (10**4 + 397 * k), 200 * (10**4 + 410 * k)) for k in range(60)]
+            ),
+            ("--algorithm", "dp"),
+            "265140000 exact 60 13a45581965a939a",
+            "918,549 sums; counted before repeats were filtered out, 256 MiB refused them",
         ),
         "dp-no-exit": (
             instance_text(

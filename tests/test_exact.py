@@ -32,7 +32,7 @@ from issp.exact import (
     brute_force_optimum,
     dp_exact,
     largest_sum_le,
-    memory_budget_entries,
+    memory_budget_bytes,
     run_dp,
     scan,
     use_bitset,
@@ -115,31 +115,34 @@ class TestDpExact:
 
     def test_memory_budget_enforced(self, monkeypatch):
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
-        assert memory_budget_entries() == 0
+        assert memory_budget_bytes() == 0
         inst = validate([(10, 20), (10, 25)], 100)
         with pytest.raises(MemoryBudgetExceeded):
             dp_exact(inst)
 
     def test_budget_env_var_parsed(self, monkeypatch):
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
-        assert memory_budget_entries() == 1024 * 1024 // 128
+        assert memory_budget_bytes() == 1024 * 1024
 
     def test_negative_budget_is_invalid(self, monkeypatch):
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "-5")
         with pytest.raises(InvalidSetting):
-            memory_budget_entries()
+            memory_budget_bytes()
 
     def test_budget_message_names_need_and_budget(self, monkeypatch):
         monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "0")
         inst = validate([(10, 20), (10, 25)], 10**30)  # sparse: no bitset fits in 0 B
-        message = "needs 2 entries, more than the budget of 0 entries"
+        message = (
+            r"^the reachable-sum set needs 256 B, over the memory budget of 0 B; "
+            "raise ISSP_MEMORY_BUDGET_MB to override$"
+        )
         with pytest.raises(MemoryBudgetExceeded, match=message):
             dp_exact(inst)
 
     def test_bitset_refused_over_budget_before_allocation(self, monkeypatch):
         # 3^100 > T, so the density rule alone picks the bitset, but its
         # checkpoints would take 35 MB; under a 1 MiB budget the sparse set
-        # is used and stops at 8,192 entries
+        # is used and refuses before its charges pass 1 MiB
         pairs = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
         t = 10**7
         assert use_bitset(100, t, 100)
@@ -164,6 +167,17 @@ class TestDpExact:
         # an item with lo == hi adds one sum, not two
         assert use_bitset(5, BITSET_DENSITY * 3**2 * 2**3, 2)
         assert not use_bitset(5, BITSET_DENSITY * 3**2 * 2**3 + 1, 2)
+
+    @pytest.mark.parametrize("mb", [0, 1, 2, 3])
+    def test_bitset_budget_boundary(self, monkeypatch, mb):
+        # the largest T whose bitset over 16 items fits the budget in bytes
+        # takes the bitset, and the next T does not
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
+        last = bisect_right(range(1, 10**7), mb << 20, key=lambda t: bitset_bytes(16, t))
+        assert (last == 0) == (mb == 0)
+        if last:
+            assert use_bitset(16, last, 16)
+        assert not use_bitset(16, last + 1, 16)
 
     def test_sums_bounded_by_what_the_items_make(self, monkeypatch):
         # family A's 20 items have lo == hi, so they make at most 2^20 sums
@@ -521,6 +535,13 @@ ARITHMETIC_PAIRS = [(10_000 + 397 * k, 10_000 + 410 * k) for k in range(100)]
 ARITHMETIC_T = 10**7
 
 
+def _witness_pairs(n):
+    """The arithmetic items scaled by 200: at n = 60, T = 1.2 x 10^9 the set
+    stores 918,549 sums, and a count taken before repeats were filtered
+    out refused them under the default budget."""
+    return [(200 * a, 200 * b) for a, b in ARITHMETIC_PAIRS[:n]]
+
+
 def _powers_then(last: tuple[int, int], k: int = 6) -> list[tuple[int, int]]:
     """Items [3^j, 2 * 3^j] for j < k, whose sums never repeat (each is a
     base-3 number with digits 0..2), then ``last``."""
@@ -725,8 +746,26 @@ def _sums_of(lo, hi, t):
     return reach.snapshot()
 
 
+# eight sums at 128 B against a budget of seven
+NEEDS_8_OF_7 = "needs 1024 B, over the memory budget of 896 B"
+
+
+def _traced_sparse_dp(work):
+    """The sums ``run_dp`` on SparseSums builds, None when the budget refuses
+    it, and the ``tracemalloc`` peak of either."""
+    tracemalloc.start()
+    try:
+        try:
+            stored = run_dp(work, SparseSums).stats["stored_values"]
+        except MemoryBudgetExceeded:
+            stored = None
+        return stored, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSparseBudget:
-    """The sparse set checks the budget before an item's runs are built."""
+    """The sparse set charges the budget before an item's runs are built."""
 
     @pytest.mark.parametrize("mb", [1, 2, 3, 4, 8])
     def test_tracemalloc_peak_within_budget(self, monkeypatch, mb):
@@ -734,32 +773,42 @@ class TestSparseBudget:
         budget = mb << 20
         cases = [sort_by_length(gen_c(14, Fraction(11, 10), seed)) for seed in (1, 3, 4)]
         cases.append(sort_by_length(gen_c(24, Fraction(11, 10), 10)))
-        repeats = sort_by_length(validate(ARITHMETIC_PAIRS, ARITHMETIC_T))
+        cases.append(sort_by_length(validate(ARITHMETIC_PAIRS, ARITHMETIC_T)))
+        cases += [sort_by_length(validate(_witness_pairs(n), 6 * 10**7)) for n in (20, 30, 40)]
         outcomes = []
-        for work in cases + [repeats]:
-            tracemalloc.start()
-            try:
-                try:
-                    outcomes.append(run_dp(work, SparseSums).stats["stored_values"])
-                except MemoryBudgetExceeded:
-                    outcomes.append(None)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= budget, (mb, outcomes[-1], peak / budget)
+        for work in cases:
+            stored, peak = _traced_sparse_dp(work)
+            outcomes.append(stored)
+            assert peak <= budget, (mb, stored, peak / budget)
         # seed 1 builds 6,560 sums, seed 3 728, seed 4 2,186 and n = 24
-        # 59,048 (the newest items of each scan stay pending); the instance
-        # with repeats outgrows every budget here
+        # 59,048 (the newest items of each scan stay pending).  Of the
+        # instances with repeats, charged for the set of their sums too,
+        # only the 20 witness items solve, at 8 MiB, with 29,740 sums.
         entries = budget // _BYTES_PER_ENTRY
         expected = [n if n <= entries else None for n in (6_560, 728, 2_186, 59_048)]
-        assert outcomes == expected + [None]
+        assert outcomes == expected + [None, 29_740 if mb == 8 else None, None, None]
+
+    def test_wide_sums_are_charged_at_their_width(self, monkeypatch):
+        # 24 point items of about 2^4000: the scan reaches T at item 17 and
+        # builds 4,095 distinct sums, which a flat 128 B admits into 1 MiB,
+        # but each takes a 560 B int and two list slots
+        xs = [2**4000 + 2 ** (j + 1) for j in range(24)]
+        work = sort_by_length(validate([(x, x) for x in xs], sum(xs[:17])))
+        assert SparseSums(work.n, work.target).per_sum == 576
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
+        stored, peak = _traced_sparse_dp(work)
+        assert stored is None and peak <= 1 << 20  # refused before the sums are built
+        # the solve peaks above 2 MiB, so a flat 128 B per sum overran 1 MiB
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "4")
+        stored, peak = _traced_sparse_dp(work)
+        assert stored == 4_095 and 4_095 * _BYTES_PER_ENTRY <= 1 << 20 < 2 << 20 < peak <= 4 << 20
 
     def test_no_repeat_count_is_the_new_size(self):
-        # [1, 2] then [20, 30] store 2 + 6 = 8 sums, none twice, so the count
-        # taken before the second item is its new size exactly
-        def after_first_item(budget):
+        # [1, 2] then [20, 30] store 2 + 6 = 8 sums, none twice, so the
+        # charge taken before the second item is its new size exactly
+        def after_first_item(entries):
             reach = SparseSums(2, 100)
-            reach.budget = budget
+            reach.budget = entries * _BYTES_PER_ENTRY
             reach.add(0, 1, 2)
             reach.snapshot()
             return reach
@@ -770,18 +819,38 @@ class TestSparseBudget:
         assert reach.seen is None and len(reach.values) == 8
         reach = after_first_item(7)
         reach.add(1, 20, 30)  # pending: the budget is checked when it is built
-        with pytest.raises(MemoryBudgetExceeded, match="needs 8 entries"):
+        with pytest.raises(MemoryBudgetExceeded, match=NEEDS_8_OF_7):
             reach.snapshot()
         # refused before anything was built
         assert (reach.values, reach.firsts, reach.ends) == ([1, 2], [2, 1], [0, 1, 2])
+
+    def test_repeat_charge_is_the_new_size(self):
+        # [1, 2] three times stores 2, 4 and then 6 sums.  Sums repeat from
+        # the second item on, so each stored sum is charged with its entry in
+        # the set, after the runs are filtered: the third build is charged
+        # for 6 sums, where a count of 4 stored sums, runs of 4 and 4 and two
+        # lone endpoints came to 14
+        def third_build(budget):
+            reach = SparseSums(3, 100)
+            for i in range(3):
+                reach.add(i, 1, 2)
+                reach.budget = budget if i == 2 else 1 << 20
+                reach.snapshot()
+            return reach
+
+        per_stored = _BYTES_PER_ENTRY + exact._SEEN_BYTES
+        assert third_build(6 * per_stored).values == [1, 2, 3, 4, 5, 6]
+        message = f"needs {6 * per_stored} B, over the memory budget of {6 * per_stored - 1} B"
+        with pytest.raises(MemoryBudgetExceeded, match=message):
+            third_build(6 * per_stored - 1)
 
     def test_block_count_is_its_new_size(self):
         # unbuilt, the two items' sums {1, 2, 20, 21, 22, 30, 31, 32} are
         # the block's; they are charged with the stored sums before it grows
         reach = SparseSums(2, 100)
-        reach.budget = 7
+        reach.budget = 7 * _BYTES_PER_ENTRY
         reach.add(0, 1, 2)
-        with pytest.raises(MemoryBudgetExceeded, match="needs 8 entries"):
+        with pytest.raises(MemoryBudgetExceeded, match=NEEDS_8_OF_7):
             reach.add(1, 20, 30)
         # refused before the block grew
         assert (reach.pending, reach.block, reach.values) == ([(1, 2)], [0, 1, 2], [])

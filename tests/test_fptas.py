@@ -235,8 +235,22 @@ class TestParams:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("mb", [0, 1, 2, 3])
+    def test_bucket_charge_boundary(self, monkeypatch, mb):
+        # l = ceil(1/eps) is admitted exactly when its 5l + 1 entries at
+        # 128 B fit the budget in bytes, which is when 5l + 1 <= budget // 128
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", str(mb))
+        budget = mb << 20
+        last = (budget // 128 - 1) // 5
+        assert 128 * (5 * last + 1) <= budget < 128 * (5 * last + 6)
+        if mb:
+            assert FptasParams(Fraction(1, last), 100).l == last
+        # eps = 1/l must lie in (0, 1), so l = 2 stands for l = 0 at 0 MiB
+        with pytest.raises(MemoryBudgetExceeded, match=f"more than the {max(last, 0)} that fit"):
+            FptasParams(Fraction(1, max(last + 1, 2)), 100)
+
     def test_epsilon_bounded_by_memory_budget(self, monkeypatch):
-        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")  # 8192 entries
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")  # at most 1,638 buckets
         assert FptasParams(Fraction(1, 1000), 100).l == 1000
         with pytest.raises(MemoryBudgetExceeded):
             FptasParams(Fraction(1, 2000), 100)
