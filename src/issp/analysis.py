@@ -23,7 +23,7 @@ from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Instance, Solution, SolveOutcome, place, validate_columns
-from .errors import IsspError, SubsetInfeasible
+from .errors import IsspError
 from .instgen import SplitMix64, ratio_columns
 
 
@@ -40,7 +40,7 @@ def fill_values(
     """
     lo_sum = sum(map(lo.__getitem__, subset))
     if lo_sum > target:
-        raise SubsetInfeasible(f"subset lower endpoints sum to {lo_sum} > target {target}")
+        raise IsspError(f"subset lower endpoints sum to {lo_sum} > target {target}")
     values = {i: lo[i] for i in subset}
     v = lo_sum
     for i in subset:

@@ -6,11 +6,13 @@ Instance file format (UTF-8, LF):
 Lines starting with '#' are ignored.  Serialization is canonical (single
 spaces, trailing newline), and parse(serialize(x)) is the identity.
 
-Exit codes: 0 success, 2 input or output error (an instance that cannot be
-read, is not UTF-8 or fails to parse or validate, or a failed write to stdout),
-3 usage error (any invalid flag or setting), 4 resource budget exceeded, 5
-solver bug (a solver's answer failed its self-check, or an internal invariant
-broke).  Commands raise; ``main`` prints the one ``error:`` line and picks the code.
+Exit codes: 0 success, 2 input or output error (InputError: an instance that
+cannot be read, is not UTF-8 or fails to parse or validate; or an OSError from
+a failed write to stdout), 3 usage error (InvalidSetting: any invalid flag or
+setting), 4 resource budget exceeded (MemoryBudgetExceeded, InstanceTooLarge),
+5 solver bug (IsspError: a solver's answer failed its self-check, or an
+internal invariant broke).  Commands raise; ``main`` prints the one ``error:``
+line and picks the code.
 """
 
 from __future__ import annotations
@@ -106,12 +108,12 @@ def parse_instance_text(text: str) -> Instance:
         # too few tokens is reported before a bad token, so count them all
         seen += sum(map(len, pieces))
         if seen >= 2:
-            raise IsspError(f"non-integer token in instance file: {e}") from e
+            raise InputError(f"non-integer token in instance file: {e}") from e
     if seen < 2:
-        raise IsspError("instance file needs at least 'n T' on the first line")
+        raise InputError("instance file needs at least 'n T' on the first line")
     n, target = numbers[0], numbers[1]
     if n < 0 or len(numbers) - 2 != 2 * n:
-        raise IsspError(
+        raise InputError(
             f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(numbers) - 2}"
         )
     return validate_columns(numbers[2::2], numbers[3::2], target)
@@ -143,7 +145,7 @@ def _read_instance(path: str) -> Instance:
     except UnicodeDecodeError as e:
         source = "standard input" if path == "-" else path
         raise InputError(f"{source} is not UTF-8 text: {e}") from e
-    except (OSError, IsspError) as e:
+    except OSError as e:
         raise InputError(e) from e
 
 
@@ -162,7 +164,7 @@ def _setting(convert: Callable[..., Any], *args: Any) -> Any:
     """``convert(*args)`` on a flag value; a value it refuses raises InvalidSetting."""
     try:
         return convert(*args)
-    except (ValueError, IsspError) as e:
+    except ValueError as e:
         raise InvalidSetting(e) from e
 
 
@@ -401,7 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (MemoryBudgetExceeded, InstanceTooLarge) as e:
         message, code = str(e), EXIT_BUDGET
     except IsspError as e:
-        message, code = f"solver bug: {type(e).__name__}: {e}", EXIT_BUG
+        message, code = f"solver bug: {e}", EXIT_BUG
     print(f"error: {message}", file=sys.stderr)
     return code
 

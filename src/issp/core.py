@@ -21,15 +21,7 @@ from itertools import compress
 from operator import le, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import (
-    InvalidSetting,
-    InvertedInterval,
-    NegativeGap,
-    NonPositiveEndpoint,
-    NonPositiveTarget,
-    TargetExceeded,
-    ValueOutsideInterval,
-)
+from .errors import InputError, InvalidSetting, IsspError
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,7 @@ def validate_columns(lo: Sequence[int], hi: Sequence[int], target: int) -> Insta
     pairs walked in Python, to report the first bad one.
     """
     if target < 1:
-        raise NonPositiveTarget(f"target must be >= 1, got {target}")
+        raise InputError(f"target must be >= 1, got {target}")
     lo, hi = tuple(lo), tuple(hi)
     if lo and not (min(lo) >= 1 and all(map(le, lo, hi))):
         _raise_first_invalid(lo, hi)
@@ -141,9 +133,9 @@ def _raise_first_invalid(lo: Sequence[int], hi: Sequence[int]) -> None:
     """Raise the error for the first interval that fails validation."""
     for pos, (a, b) in enumerate(zip(lo, hi)):
         if a < 1 or b < 1:
-            raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{a}, {b}]")
+            raise InputError(f"interval {pos}: endpoints must be >= 1, got [{a}, {b}]")
         if a > b:
-            raise InvertedInterval(f"interval {pos}: lo {a} > hi {b}")
+            raise InputError(f"interval {pos}: lo {a} > hi {b}")
 
 
 def place(inst: Instance, values: dict[int, int]) -> Solution:
@@ -312,16 +304,16 @@ def evaluate(inst: Instance, sol: Solution) -> int:
     lo, hi = src.lo, src.hi
     values = sol.values
     if len(values) != src.n:
-        raise ValueOutsideInterval(
+        raise IsspError(
             f"solution has {len(values)} entries, instance has {src.n} intervals"
         )
     for i in compress(range(len(values)), values):
         x = values[i]
         if not lo[i] <= x <= hi[i]:
-            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{lo[i]}, {hi[i]}] and nonzero")
+            raise IsspError(f"x[{i}] = {x} outside [{lo[i]}, {hi[i]}] and nonzero")
     total = sum(values)
     if total > inst.target:
-        raise TargetExceeded(f"total {total} exceeds target {inst.target}")
+        raise IsspError(f"total {total} exceeds target {inst.target}")
     return total
 
 
@@ -335,11 +327,11 @@ def midrange_count(inst: Instance, sol: Solution) -> int:
 def relative_error(approx_value: int, reference_value: int) -> Fraction:
     """(reference - approx) / reference as an exact rational."""
     if reference_value <= 0:
-        raise NegativeGap(f"reference must be positive, got {reference_value}")
+        raise IsspError(f"reference must be positive, got {reference_value}")
     if approx_value > reference_value:
-        raise NegativeGap(f"approx {approx_value} exceeds reference {reference_value}")
+        raise IsspError(f"approx {approx_value} exceeds reference {reference_value}")
     if approx_value < 0:
-        raise NegativeGap(f"approx must be nonnegative, got {approx_value}")
+        raise IsspError(f"approx must be nonnegative, got {approx_value}")
     return Fraction(reference_value - approx_value, reference_value)
 
 

@@ -1,69 +1,27 @@
-"""Exception hierarchy shared by all issp modules."""
+"""The errors of this package: the classes that ``cli.main`` maps to its exit codes.
+
+A failure raises the class of its exit code where it happens.  A bad
+argument to a library function (an epsilon outside (0, 1), an n outside a
+family's range) raises ValueError instead.
+"""
 
 
 class IsspError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base of the four below; raised itself, a solver's answer failed its
+    check or an internal invariant broke (exit 5)."""
 
 
 class InputError(IsspError):
-    """An instance could not be read or parsed."""
-
-
-class NonPositiveEndpoint(IsspError):
-    """An interval endpoint is smaller than 1."""
-
-
-class InvertedInterval(IsspError):
-    """An interval has lo > hi."""
-
-
-class NonPositiveTarget(IsspError):
-    """The target is smaller than 1."""
-
-
-class ValueOutsideInterval(IsspError):
-    """A solution entry is neither 0 nor inside its interval."""
-
-
-class TargetExceeded(IsspError):
-    """A solution's total exceeds the target."""
-
-
-class NegativeGap(IsspError):
-    """relative_error called with approx > reference."""
-
-
-class InstanceTooLarge(IsspError):
-    """Exhaustive enumeration refused: n exceeds its cap."""
-
-
-class MemoryBudgetExceeded(IsspError):
-    """A solver would exceed its memory budget."""
+    """An instance could not be read, parsed or validated (exit 2)."""
 
 
 class InvalidSetting(IsspError):
-    """A flag or a setting such as ISSP_MEMORY_BUDGET_MB is malformed or out of range."""
+    """A flag or a setting such as ISSP_MEMORY_BUDGET_MB is malformed or out of range (exit 3)."""
 
 
-class EpsilonOutOfRange(IsspError):
-    """The requested relative error is not in (0, 1)."""
+class MemoryBudgetExceeded(IsspError):
+    """A solver would exceed its memory budget (exit 4)."""
 
 
-class NOutOfRange(IsspError):
-    """A generator was asked for an unsupported instance size."""
-
-
-class SubsetInfeasible(IsspError):
-    """A subset's lower-endpoint sum already exceeds the target."""
-
-
-class OutOfRange(IsspError):
-    """A value passed to bucket_index lies outside (0, T]."""
-
-
-class NoPairFound(IsspError):
-    """The two-array sweep found no admissible (u1, u2) pair (caller bug)."""
-
-
-class EmptyArray(IsspError):
-    """Backtracking started from an all-empty bucket array (caller bug)."""
+class InstanceTooLarge(IsspError):
+    """Exhaustive enumeration refused: n exceeds its cap (exit 4)."""

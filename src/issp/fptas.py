@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Union
 
 from .core import Instance, SolveOutcome, exact_ratio, sort_by_length
-from .errors import EmptyArray, EpsilonOutOfRange, NoPairFound, OutOfRange
+from .errors import IsspError
 from .exact import _BYTES_PER_ENTRY, charge, memory_budget_bytes, midrange_solution, scan
 
 Number = Union[int, Fraction]
@@ -71,7 +71,7 @@ class FptasParams:
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1):
-            raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {self.epsilon}")
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         p, q = self.epsilon.numerator, self.epsilon.denominator
         self.l = -(-q // p)  # ceil(1/eps)
         # the message names no eps-sized number: l may have thousands of digits
@@ -89,7 +89,7 @@ class FptasParams:
     def bucket_index(self, v: int) -> int:
         """1-based bucket of v in the partition of (0, T]: ceil(v*l/T)."""
         if not (0 < v <= self.target):
-            raise OutOfRange(f"value {v} outside (0, {self.target}]")
+            raise IsspError(f"value {v} outside (0, {self.target}]")
         return bisect_left(self.bounds, v)
 
 
@@ -293,11 +293,11 @@ def find_u1_u2(
         if s < lob:
             i += 1
             if i >= len(vals1):
-                raise NoPairFound("sweep exhausted ascending side")
+                raise IsspError("sweep exhausted ascending side")
         else:
             j -= 1
             if j < 0:
-                raise NoPairFound("sweep exhausted descending side")
+                raise IsspError("sweep exhausted descending side")
 
 
 def backtrack(
@@ -316,7 +316,7 @@ def backtrack(
     """
     u = b.largest_le(math.floor(local_target))
     if u == 0:
-        raise EmptyArray("no stored value at or below the target")
+        raise IsspError("no stored value at or below the target")
     assignments: dict[int, int] = {}
     y, j, limit = 0, len(items), 2 * (items[-1][0] + 1)
     while u:

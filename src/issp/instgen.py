@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Instance, exact_ratio, validate_columns
-from .errors import NOutOfRange
 
 HI_RANGE = 10**14
 TARGET_CD = 3 * 10**14
@@ -83,9 +82,9 @@ def _check(family: str, n: int, param: object = None) -> Optional[Fraction]:
         what = "ratio parameter c" if family == "C" else "ratio bound parameter"
         raise ValueError(f"family {family} requires the {what}")
     if family == "A" and not 1 <= n <= 62:
-        raise NOutOfRange(f"family A supports 1 <= n <= 62, got {n}")
+        raise ValueError(f"family A supports 1 <= n <= 62, got {n}")
     if n < 1:
-        raise NOutOfRange(f"family {family} requires n >= 1, got {n}")
+        raise ValueError(f"family {family} requires n >= 1, got {n}")
     if family in ("A", "B"):
         return None
     param = exact_ratio(param)

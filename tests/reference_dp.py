@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import filterfalse, islice
 
 from issp.core import Instance, sort_by_length
-from issp.errors import EmptyArray, IsspError
+from issp.errors import IsspError
 from issp.exact import BitsetSums, SparseSums, backtrack_items
 from issp.fptas import BucketArray, FptasParams, Item, Number, find_u1_u2, relaxed_dp
 
@@ -204,7 +204,7 @@ def flagged_backtrack(
     bucket minimum only if u >= ceil(local_target - eps*T)."""
     u = b.largest_le(math.floor(local_target))
     if u == 0:
-        raise EmptyArray("no stored value at or below the target")
+        raise IsspError("no stored value at or below the target")
     admissible = u >= math.ceil(local_target - params.eps_t)
     k = params.bucket_index(u)
     if b.pos[k] == u:

@@ -16,25 +16,18 @@ from fractions import Fraction
 from typing import Optional
 
 from issp.core import Instance, Solution, SolveOutcome
-from issp.errors import (
-    InvertedInterval,
-    IsspError,
-    NonPositiveEndpoint,
-    NonPositiveTarget,
-    TargetExceeded,
-    ValueOutsideInterval,
-)
+from issp.errors import InputError, IsspError
 
 
 def validate(pairs, target: int) -> Instance:
     if target < 1:
-        raise NonPositiveTarget(f"target must be >= 1, got {target}")
+        raise InputError(f"target must be >= 1, got {target}")
     los, his = [], []
     for pos, (lo, hi) in enumerate(pairs):
         if lo < 1 or hi < 1:
-            raise NonPositiveEndpoint(f"interval {pos}: endpoints must be >= 1, got [{lo}, {hi}]")
+            raise InputError(f"interval {pos}: endpoints must be >= 1, got [{lo}, {hi}]")
         if lo > hi:
-            raise InvertedInterval(f"interval {pos}: lo {lo} > hi {hi}")
+            raise InputError(f"interval {pos}: lo {lo} > hi {hi}")
         los.append(lo)
         his.append(hi)
     return Instance(lo=tuple(los), hi=tuple(his), target=target, origin=range(len(los)))
@@ -48,15 +41,15 @@ def parse_instance_text(text: str) -> Instance:
             continue
         tokens.extend(line.split())
     if len(tokens) < 2:
-        raise IsspError("instance file needs at least 'n T' on the first line")
+        raise InputError("instance file needs at least 'n T' on the first line")
     try:
         numbers = [int(tok) for tok in tokens]
     except ValueError as e:
-        raise IsspError(f"non-integer token in instance file: {e}") from e
+        raise InputError(f"non-integer token in instance file: {e}") from e
     n, target = numbers[0], numbers[1]
     body = numbers[2:]
     if n < 0 or len(body) != 2 * n:
-        raise IsspError(f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(body)}")
+        raise InputError(f"expected {2 * max(n, 0)} endpoint tokens for n = {n}, got {len(body)}")
     pairs = [(body[2 * i], body[2 * i + 1]) for i in range(n)]
     return validate(pairs, target)
 
@@ -154,14 +147,14 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
 def evaluate(inst: Instance, sol: Solution) -> int:
     ref = inst.original
     if len(sol.values) != len(ref):
-        raise ValueOutsideInterval(
+        raise IsspError(
             f"solution has {len(sol.values)} entries, instance has {len(ref)} intervals"
         )
     total = 0
     for i, (x, (lo, hi)) in enumerate(zip(sol.values, ref)):
         if x != 0 and not (lo <= x <= hi):
-            raise ValueOutsideInterval(f"x[{i}] = {x} outside [{lo}, {hi}] and nonzero")
+            raise IsspError(f"x[{i}] = {x} outside [{lo}, {hi}] and nonzero")
         total += x
     if total > inst.target:
-        raise TargetExceeded(f"total {total} exceeds target {inst.target}")
+        raise IsspError(f"total {total} exceeds target {inst.target}")
     return total

@@ -257,6 +257,18 @@ def test_every_exported_name_imports_and_is_in_readme():
         (analysis, "to_knapsack"),
         (analysis, "check_theorem2"),
         (errors, "DegenerateLength"),
+        (errors, "NonPositiveEndpoint"),
+        (errors, "InvertedInterval"),
+        (errors, "NonPositiveTarget"),
+        (errors, "ValueOutsideInterval"),
+        (errors, "TargetExceeded"),
+        (errors, "NegativeGap"),
+        (errors, "EpsilonOutOfRange"),
+        (errors, "NOutOfRange"),
+        (errors, "SubsetInfeasible"),
+        (errors, "OutOfRange"),
+        (errors, "NoPairFound"),
+        (errors, "EmptyArray"),
     ],
 )
 def test_deleted_name_is_gone(owner, name):

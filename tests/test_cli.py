@@ -35,7 +35,7 @@ from issp.cli import (
     serialize_instance,
 )
 from issp.core import Solution, preprocess, sort_by_length, validate
-from issp.errors import IsspError, MemoryBudgetExceeded, NoPairFound
+from issp.errors import InputError, InstanceTooLarge, InvalidSetting, IsspError, MemoryBudgetExceeded
 
 from conftest import eager_sort, instances
 import reference_frontend
@@ -665,14 +665,14 @@ class TestSolveCommand:
         path.write_text(GOLDEN_FILE)
 
         def no_pair(*args):
-            raise NoPairFound("sweep exhausted ascending side")
+            raise IsspError("sweep exhausted ascending side")
 
         monkeypatch.setattr(fptas, "find_u1_u2", no_pair)
         code, out, err = run_cli(
             capsys, "solve", str(path), "--algorithm", "fptas", "--epsilon", "1/5"
         )
         assert code == EXIT_BUG
-        assert "solver bug" in err and "NoPairFound" in err
+        assert (out, err) == ("", "error: solver bug: sweep exhausted ascending side\n")
 
     def test_broken_route_guarantee_exit_code(self, tmp_path, capsys, monkeypatch):
         # with min length 10**30 the large-target route fires, but the longest
@@ -686,7 +686,7 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", str(path), "--epsilon", "1/10")
         assert code == EXIT_BUG
         assert out == ""
-        assert "solver bug: IsspError: large-target route" in err
+        assert "solver bug: large-target route" in err
 
 
 class TestGenerateCommand:
@@ -933,7 +933,7 @@ class TestBenchCommand:
         code, out, err = run_cli(capsys, "bench", "--suite", "C", "--sizes", "30", "--c", "3/2")
         assert code == EXIT_BUG
         assert out == ""  # no row for an unchecked answer
-        assert err.startswith("error: solver bug: IsspError: reported value ")
+        assert err.startswith("error: solver bug: reported value ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -1010,6 +1010,24 @@ class TestBenchCommand:
             assert "'1/0'" in err
 
 
+# good and bad flag values and stdin texts for the contract fuzz below; with
+# no budget set, epsilons 1e-6 and 1e-7 are refused for their bucket count
+FUZZ_RATIOS = ["3/2", "1/2", "1", "13/10", "1e5000", "1e-5000", "nan", "1/0", "x", ""]
+FUZZ_EPSILONS = ["1/10", "1/100", "0.001", "1e-6", "1e-7", "0", "2", "abc"]
+FUZZ_STDIN = [
+    "2 100\n10 20\n10 25\n",
+    GOLDEN_FILE,
+    "",
+    "2 100\n10 x\n10 25\n",
+    "1 0\n1 2\n",
+    "1 10\n7 3\n",
+    "1 10\n0 5\n",
+    "# comment\n1 5\n3 7\n",
+    "2 100\n10 20\n",
+    "2 10\n20 30\n40 50\n",
+]
+
+
 class TestErrorsReachMain:
     """Usage errors and failed writes end like every other error: one
     ``error:`` line on stderr and a defined exit code."""
@@ -1058,6 +1076,63 @@ class TestErrorsReachMain:
         got, out, err = run_cli(capsys, *argv)
         assert (got, out) == (code, "")
         assert err.startswith(err_start) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (InputError, EXIT_PARSE, "error: stub\n"),
+            (InvalidSetting, EXIT_FLAGS, "error: stub\n"),
+            (MemoryBudgetExceeded, EXIT_BUDGET, "error: stub\n"),
+            (InstanceTooLarge, EXIT_BUDGET, "error: stub\n"),
+            (IsspError, EXIT_BUG, "error: solver bug: stub\n"),
+        ],
+    )
+    def test_each_error_class_has_its_exit_code(self, capsys, monkeypatch, error, code, line):
+        def stub(args, out):
+            raise error("stub")
+
+        monkeypatch.setattr(cli, "cmd_generate", stub)
+        assert run_cli(capsys, "generate", "--family", "B", "--n", "5") == (code, "", line)
+
+    @given(
+        st.sampled_from(["generate", "solve", "classify", "bench"]),
+        st.data(),
+        st.sampled_from(FUZZ_STDIN),
+        st.sampled_from(["0", "x", "-1", None]),
+    )
+    @settings(max_examples=800, deadline=None)
+    def test_every_invocation_ends_in_a_defined_code(self, command, data, stdin, budget):
+        n = data.draw(st.integers(0, 63).map(str) | st.sampled_from(["-3", "x"]))
+        family = data.draw(st.sampled_from("ABCD"))
+        eps = data.draw(st.sampled_from(FUZZ_EPSILONS))
+        ratio = ["--c", data.draw(st.sampled_from(FUZZ_RATIOS))]
+        algorithm = ["--algorithm", data.draw(st.sampled_from(["fptas", "dp", "brute", "auto"]))]
+        # each command's fixed arguments, then the flags it may take
+        argv, optional = {
+            "generate": (["generate", "--family", family, "--n", n], [ratio]),
+            "solve": (["solve", "-"], [["--epsilon", eps], algorithm, ["--json"]]),
+            "classify": (["classify", "-"], []),
+            "bench": (["bench", "--suite", family, "--sizes", n, "--epsilons", eps], [ratio]),
+        }[command]
+        for flag in optional:
+            if data.draw(st.booleans()):
+                argv += flag
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is None:
+                mp.delenv("ISSP_MEMORY_BUDGET_MB", raising=False)
+            else:
+                mp.setenv("ISSP_MEMORY_BUDGET_MB", budget)
+            mp.setattr(sys, "stdin", io.StringIO(stdin))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, EXIT_PARSE, EXIT_FLAGS, EXIT_BUDGET)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize(
         "argv",

@@ -21,16 +21,7 @@ from issp.core import (
     sort_by_length,
     validate,
 )
-from issp.errors import (
-    InvalidSetting,
-    InvertedInterval,
-    IsspError,
-    NegativeGap,
-    NonPositiveEndpoint,
-    NonPositiveTarget,
-    TargetExceeded,
-    ValueOutsideInterval,
-)
+from issp.errors import InputError, InvalidSetting, IsspError
 from issp.fptas import fptas_solve
 from issp.instgen import GenSpec, gen_c
 
@@ -47,19 +38,19 @@ class TestValidate:
         assert inst.origin == range(2)
 
     def test_rejects_zero_endpoint(self):
-        with pytest.raises(NonPositiveEndpoint):
+        with pytest.raises(InputError, match=r"^interval 0: endpoints must be >= 1, got \[0, 5\]$"):
             validate([(0, 5)], 10)
 
     def test_rejects_negative_endpoint(self):
-        with pytest.raises(NonPositiveEndpoint):
+        with pytest.raises(InputError, match=r"^interval 0: endpoints must be >= 1, got \[3, -5\]$"):
             validate([(3, -5)], 10)
 
     def test_rejects_inverted_interval(self):
-        with pytest.raises(InvertedInterval):
+        with pytest.raises(InputError, match=r"^interval 0: lo 7 > hi 3$"):
             validate([(7, 3)], 10)
 
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(NonPositiveTarget):
+        with pytest.raises(InputError, match=r"^target must be >= 1, got 0$"):
             validate([(1, 2)], 0)
 
     def test_point_interval_allowed(self):
@@ -230,22 +221,22 @@ class TestEvaluate:
 
     def test_rejects_value_below_interval(self):
         inst = validate([(10, 20)], 40)
-        with pytest.raises(ValueOutsideInterval):
+        with pytest.raises(IsspError, match=r"^x\[0\] = 5 outside \[10, 20\] and nonzero$"):
             evaluate(inst, Solution((5,)))
 
     def test_rejects_value_above_interval(self):
         inst = validate([(10, 20)], 40)
-        with pytest.raises(ValueOutsideInterval):
+        with pytest.raises(IsspError, match=r"^x\[0\] = 21 outside \[10, 20\] and nonzero$"):
             evaluate(inst, Solution((21,)))
 
     def test_rejects_total_above_target(self):
         inst = validate([(10, 20), (10, 25)], 30)
-        with pytest.raises(TargetExceeded):
+        with pytest.raises(IsspError, match=r"^total 45 exceeds target 30$"):
             evaluate(inst, Solution((20, 25)))
 
     def test_rejects_length_mismatch(self):
         inst = validate([(10, 20)], 40)
-        with pytest.raises(ValueOutsideInterval):
+        with pytest.raises(IsspError, match=r"^solution has 2 entries, instance has 1 intervals$"):
             evaluate(inst, Solution((10, 10)))
 
     def test_checked_in_input_order_after_sorting(self):
@@ -300,11 +291,11 @@ class TestRelativeError:
         assert relative_error(100, 100) == 0
 
     def test_rejects_approx_above_reference(self):
-        with pytest.raises(NegativeGap):
+        with pytest.raises(IsspError, match=r"^approx 101 exceeds reference 100$"):
             relative_error(101, 100)
 
     def test_rejects_nonpositive_reference(self):
-        with pytest.raises(NegativeGap):
+        with pytest.raises(IsspError, match=r"^reference must be positive, got 0$"):
             relative_error(0, 0)
 
 

@@ -21,7 +21,7 @@ from issp.core import (
     validate,
 )
 from issp import fptas
-from issp.errors import EpsilonOutOfRange, IsspError, MemoryBudgetExceeded, OutOfRange
+from issp.errors import IsspError, MemoryBudgetExceeded
 from issp.exact import brute_force_optimum, dp_exact, scan
 from issp.fptas import (
     BucketArray,
@@ -198,7 +198,7 @@ class TestParams:
 
     def test_rejects_epsilon_outside_unit_interval(self):
         for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
-            with pytest.raises(EpsilonOutOfRange):
+            with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, 1\), got {bad}$"):
                 FptasParams(bad, 100)
 
     def test_bucket_index_partition(self):
@@ -212,7 +212,7 @@ class TestParams:
     def test_bucket_index_rejects_out_of_range(self):
         p = FptasParams(Fraction(1, 5), 100)
         for bad in (0, -3, 101):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(IsspError, match=rf"^value {bad} outside \(0, 100\]$"):
                 p.bucket_index(bad)
 
     @given(
@@ -708,7 +708,7 @@ class TestFptasSolve:
 
     def test_rejects_epsilon_outside_unit_interval(self):
         inst = validate(GOLDEN_PAIRS, GOLDEN_T)
-        with pytest.raises(EpsilonOutOfRange):
+        with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\), got 2$"):
             fptas_solve(inst, Fraction(2))
 
     def test_single_interval_is_exact(self):

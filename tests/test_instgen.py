@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from issp.cli import serialize_instance
 from issp.core import Solution, preprocess
-from issp.errors import NOutOfRange
 from issp.exact import brute_force_optimum, dp_exact
 from issp.instgen import (
     HI_RANGE,
@@ -94,11 +93,11 @@ class TestFamilyA:
 
     def test_n_cap(self):
         gen_a(62)
-        with pytest.raises(NOutOfRange):
+        with pytest.raises(ValueError, match=r"^family A supports 1 <= n <= 62, got 63$"):
             gen_a(63)
-        with pytest.raises(NOutOfRange):
+        with pytest.raises(ValueError, match=r"^family A supports 1 <= n <= 62, got 63$"):
             instance_a_optimum(63)
-        with pytest.raises(NOutOfRange):
+        with pytest.raises(ValueError, match=r"^family A supports 1 <= n <= 62, got 0$"):
             gen_a(0)
 
 
@@ -201,10 +200,10 @@ class TestGenSpec:
         "args, error, text",
         [
             (("E", 5), ValueError, "unknown family 'E'"),
-            (("A", 0), NOutOfRange, "family A supports 1 <= n <= 62, got 0"),
-            (("A", 63), NOutOfRange, "family A supports 1 <= n <= 62, got 63"),
-            (("B", 0), NOutOfRange, "family B requires n >= 1, got 0"),
-            (("C", 0, Fraction(3, 2)), NOutOfRange, "family C requires n >= 1, got 0"),
+            (("A", 0), ValueError, "family A supports 1 <= n <= 62, got 0"),
+            (("A", 63), ValueError, "family A supports 1 <= n <= 62, got 63"),
+            (("B", 0), ValueError, "family B requires n >= 1, got 0"),
+            (("C", 0, Fraction(3, 2)), ValueError, "family C requires n >= 1, got 0"),
             (("C", 5), ValueError, "family C requires the ratio parameter c"),
             (("C", 5, Fraction(1)), ValueError, "family C requires ratio c > 1, got 1"),
             (("D", 5, Fraction(1, 2)), ValueError, "family D requires Cap > 1, got 1/2"),
