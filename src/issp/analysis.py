@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Instance, Solution, SolveOutcome, place, validate_columns
+from .core import Instance, LengthOrder, Solution, SolveOutcome, place, sort_by_length, validate_columns
 from .errors import IsspError
 from .instgen import SplitMix64, ratio_columns
 
@@ -52,7 +52,7 @@ def fill_values(
     return values
 
 
-def solution_from_subset(inst: Instance, subset: Iterable[int]) -> Solution:
+def solution_from_subset(inst: Instance | LengthOrder, subset: Iterable[int]) -> Solution:
     """Build a feasible solution of value min(sum hi over subset, T).
 
     ``subset`` holds 0-based positions in ``inst``'s order; the fill
@@ -80,7 +80,7 @@ class Aggregates(NamedTuple):
         return target >= -(-self.max_lo // self.min_length) * self.max_lo
 
 
-def aggregates(inst: Instance) -> Aggregates:
+def aggregates(inst: Instance | LengthOrder) -> Aggregates:
     """All of the detectors' aggregates of a nonempty instance.
 
     The aggregates do not depend on the order, so they are read from the
@@ -97,7 +97,7 @@ def aggregates(inst: Instance) -> Aggregates:
     )
 
 
-def check_wide(inst: Instance) -> Optional[Fraction]:
+def check_wide(inst: Instance | LengthOrder) -> Optional[Fraction]:
     """Return c* = min over intervals of hi/lo as an exact rational."""
     if not inst.n:
         return None
@@ -140,7 +140,7 @@ def polynomial_rate_monte_carlo(
     return Fraction(hits, trials)
 
 
-def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
+def solve_polynomial(inst: Instance | LengthOrder) -> Optional[SolveOutcome]:
     """Try the polynomial-time routes; return an exact outcome or None.
 
     Routes, in order:
@@ -153,10 +153,12 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
           are guaranteed to fit; fill to value T.
 
     The instance must already satisfy T > max hi (run preprocess first).
+    Every route fills in the order of ``sort_by_length(inst)``.
     """
     t = inst.target
     if not inst.n:
         return None
+    inst = sort_by_length(inst)
 
     def outcome(sol: Solution, route: str) -> SolveOutcome:
         return SolveOutcome(solution=sol, value=sol.total, kind="exact", stats={"route": route})

@@ -254,7 +254,7 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
     print(f"large-target condition: {'yes' if t2 else 'no'}{note}", file=out)
     cstar = analysis.check_wide(reduced)
     print(f"c* = {cstar} ({'>= 2' if cstar >= 2 else '< 2'})", file=out)
-    poly = analysis.solve_polynomial(sort_by_length(reduced))
+    poly = analysis.solve_polynomial(reduced)
     if poly is None:
         print("polynomial route: none", file=out)
     else:

@@ -16,7 +16,6 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from operator import le, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -28,21 +27,20 @@ from .errors import InputError, InvalidSetting, IsspError
 class Instance:
     """An interval list plus target, held as two int columns.
 
-    ``lo[i]`` and ``hi[i]`` are the endpoints of interval i of the current
-    working view (possibly reduced and/or sorted by length), and
+    ``lo[i]`` and ``hi[i]`` are the endpoints of interval i of this
+    instance, which may be the validated input or a reduction of it, and
     ``origin[i]`` is its position in the validated input (``origin`` is
     ``range(n)`` on that input itself).  ``source`` is the validated input,
     or None when this instance is it, and ``input`` is the validated input
     either way, so solutions can always be reported and checked in input
     order.  Instances are equal when these fields are.
 
-    The columns are the one interval format the library reads.  The
-    solvers read the current order through ``stream`` and ``prefix``, and
-    the order-free detectors through ``unsorted``, so that a
-    ``LengthOrder`` view (what ``sort_by_length`` returns) sorts only as
-    far as they read; here ``stream`` zips the columns, ``prefix`` is the
-    columns and ``origin``, and ``unsorted`` is the two columns.  ``n`` is
-    the full count of intervals, also in a view that has sorted a prefix.
+    The columns are the one interval format the library reads.  Nothing
+    on an Instance says what order it is in: the solvers read the length
+    order of the ``LengthOrder`` view ``sort_by_length`` makes.  Code that
+    takes either reads every position through ``prefix`` and the
+    order-free aggregates through ``unsorted``, which here are just the
+    columns.
     """
 
     lo: Sequence[int]
@@ -50,7 +48,6 @@ class Instance:
     target: int
     origin: Sequence[int]
     source: Optional[Instance] = None
-    length_sorted: bool = False
 
     @property
     def n(self) -> int:
@@ -69,18 +66,12 @@ class Instance:
 
     @property
     def unsorted(self) -> tuple[Sequence[int], Sequence[int]]:
-        """The lo and hi columns in some order, for passes that do not
-        depend on it: this instance's own, and in a view those of the
-        instance it sorts."""
+        """The lo and hi columns, for passes that do not depend on order."""
         return self.lo, self.hi
 
-    def stream(self) -> Iterator[tuple[int, int]]:
-        """The (lo, hi) pairs in current order."""
-        return zip(self.lo, self.hi)
-
     def prefix(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """``lo``, ``hi`` and ``origin``, or sequences that agree with them
-        on (at least) their first min(k, n) positions."""
+        """``lo``, ``hi`` and ``origin``, as a view's ``prefix`` gives its
+        own (here right on every position, whatever k)."""
         return self.lo, self.hi, self.origin
 
 
@@ -138,7 +129,7 @@ def _raise_first_invalid(lo: Sequence[int], hi: Sequence[int]) -> None:
             raise InputError(f"interval {pos}: lo {a} > hi {b}")
 
 
-def place(inst: Instance, values: dict[int, int]) -> Solution:
+def place(inst: Instance | LengthOrder, values: dict[int, int]) -> Solution:
     """The solution in input order that gives the interval at position k
     of ``inst``'s order the value ``values[k]`` and every other interval 0."""
     origin = inst.prefix(max(values, default=0) + 1)[2]
@@ -148,7 +139,7 @@ def place(inst: Instance, values: dict[int, int]) -> Solution:
     return Solution(tuple(x))
 
 
-def preprocess(inst: Instance) -> Union[Solution, Instance]:
+def preprocess(inst: Instance | LengthOrder) -> Union[Solution, Instance, LengthOrder]:
     """Settle the instance, or normalize it so T exceeds every upper endpoint.
 
     Scanning in current order, the first interval with lo <= T <= hi
@@ -156,13 +147,13 @@ def preprocess(inst: Instance) -> Union[Solution, Instance]:
     dropped, since they can never be switched on; if none is left, the
     all-zero solution is optimal.  Either way the optimal ``Solution`` (in
     input order) is returned.  Otherwise the result is the nonempty
-    reduced ``Instance``, which satisfies T > max hi; an input that does
-    already is returned as it is.
+    reduced ``Instance``, in the same order, which satisfies T > max hi;
+    an input that does already, a view included, is returned as it is.
     """
     t = inst.target
-    lo, hi = inst.lo, inst.hi
-    if max(hi, default=t) < t:
+    if max(inst.unsorted[1], default=t) < t:
         return inst
+    lo, hi, origin = inst.prefix(inst.n)
     for i, (a, b) in enumerate(zip(lo, hi)):
         if a <= t <= b:
             return place(inst, {i: t})
@@ -173,9 +164,8 @@ def preprocess(inst: Instance) -> Union[Solution, Instance]:
         lo=tuple(map(lo.__getitem__, keep)),
         hi=tuple(map(hi.__getitem__, keep)),
         target=t,
-        origin=tuple(map(inst.origin.__getitem__, keep)),
+        origin=tuple(map(origin.__getitem__, keep)),
         source=inst.input,
-        length_sorted=inst.length_sorted,
     )
 
 
@@ -192,30 +182,25 @@ FIRST_CHUNK = 1024
 FULL_SORT_SHARE = 8
 
 
-class LengthOrder(Instance):
+class LengthOrder:
     """``inst`` stable-sorted by nondecreasing width hi - lo, sorted only
     as far as it is read.
 
-    The first ``materialized`` positions of the order are in place, in
-    three lists that hold just those: the endpoints ``inst``'s columns
-    give those positions, and their input positions.  Reading ``stream``
-    past them, or asking ``prefix`` for more, extends the order by a
-    larger ``heapq.nsmallest`` chunk, or by the one full sort once a chunk
-    would reach n / FULL_SORT_SHARE.  ``n`` is the full count.  ``lo``,
-    ``hi`` and ``origin`` are the full sorted tuples, built (and the order
-    sorted in full) when first read; ``unsorted`` is ``inst``'s columns,
-    which the order-free detectors read instead.  Each extension computes
-    the n lengths hi - lo afresh and keeps none, so a partial view holds
-    only its three lists beyond the columns.
+    ``target`` and ``input`` are ``inst``'s and ``unsorted`` its columns,
+    which the order-free detectors read; ``n`` is the full count.  The
+    first ``materialized`` positions of the order are in place, in three
+    lists that hold just those: their endpoints and input positions.
+    Reading ``stream`` past them, or asking ``prefix`` for more, extends
+    the order by a larger ``heapq.nsmallest`` chunk, or by the one full
+    sort once a chunk would reach n / FULL_SORT_SHARE.  Each extension
+    computes the n lengths hi - lo afresh and keeps none.
     """
 
-    length_sorted = True
-
     def __init__(self, inst: Instance) -> None:
-        object.__setattr__(self, "target", inst.target)  # frozen fields
-        object.__setattr__(self, "source", inst.input)
-        self._unsorted = (inst.lo, inst.hi)
-        self._unsorted_origin = None if inst.source is None else inst.origin  # None: identity
+        self.target = inst.target
+        self.input = inst.input
+        self.unsorted: tuple[Sequence[int], Sequence[int]] = (inst.lo, inst.hi)
+        self._unsorted_origin = inst.origin
         self._lo: list[int] = []
         self._hi: list[int] = []
         self._origin: list[int] = []
@@ -223,27 +208,15 @@ class LengthOrder(Instance):
 
     @property
     def n(self) -> int:
-        return len(self._unsorted[0])
+        return len(self.unsorted[0])
 
     @property
     def materialized(self) -> int:
         return len(self._lo)
 
     @property
-    def unsorted(self) -> tuple[Sequence[int], Sequence[int]]:
-        return self._unsorted
-
-    @cached_property
-    def lo(self) -> tuple[int, ...]:
-        return tuple(self.prefix(self.n)[0])
-
-    @cached_property
-    def hi(self) -> tuple[int, ...]:
-        return tuple(self.prefix(self.n)[1])
-
-    @cached_property
-    def origin(self) -> tuple[int, ...]:
-        return tuple(self.prefix(self.n)[2])
+    def original(self) -> tuple[tuple[int, int], ...]:
+        return self.input.original
 
     def stream(self) -> Iterator[tuple[int, int]]:
         """The (lo, hi) pairs in length order, extending the order as it is read."""
@@ -266,7 +239,7 @@ class LengthOrder(Instance):
         done, n = self.materialized, self.n
         if k <= done or done == n:
             return
-        lo, hi = self._unsorted
+        lo, hi = self.unsorted
         lengths = list(map(sub, hi, lo))
         size = max(k, 4 * done, FIRST_CHUNK)
         if size * FULL_SORT_SHARE >= n:
@@ -277,23 +250,20 @@ class LengthOrder(Instance):
         tail = order[done:]
         self._lo[done:size] = map(lo.__getitem__, tail)
         self._hi[done:size] = map(hi.__getitem__, tail)
-        src = self._unsorted_origin
-        self._origin[done:size] = tail if src is None else map(src.__getitem__, tail)
+        self._origin[done:size] = map(self._unsorted_origin.__getitem__, tail)
 
 
-def sort_by_length(inst: Instance) -> LengthOrder:
-    """Stable-sort intervals by nondecreasing width hi - lo.
-
-    The result is a ``LengthOrder`` view.  Only its first ``FIRST_CHUNK``
+def sort_by_length(inst: Instance | LengthOrder) -> LengthOrder:
+    """Stable-sort intervals by nondecreasing width hi - lo, into the
+    ``LengthOrder`` view every solver reads: a view is returned as it is,
+    an Instance wrapped in one.  Only the view's first ``FIRST_CHUNK``
     positions (all of them when n <= FIRST_CHUNK * FULL_SORT_SHARE) are
-    sorted now, and the rest as ``stream`` and ``prefix`` read them; its
-    ``n`` is the full count.  Reading ``lo``, ``hi`` or ``origin`` sorts
-    in full and gives the tuples of the eager stable sort.
+    sorted now, and the rest as ``stream`` and ``prefix`` read them.
     """
-    return LengthOrder(inst)
+    return inst if isinstance(inst, LengthOrder) else LengthOrder(inst)
 
 
-def evaluate(inst: Instance, sol: Solution) -> int:
+def evaluate(inst: Instance | LengthOrder, sol: Solution) -> int:
     """Return the total of a solution, raising if it is infeasible.
 
     The solution is interpreted in original input order and checked
@@ -317,7 +287,7 @@ def evaluate(inst: Instance, sol: Solution) -> int:
     return total
 
 
-def midrange_count(inst: Instance, sol: Solution) -> int:
+def midrange_count(inst: Instance | LengthOrder, sol: Solution) -> int:
     """Number of entries strictly between their interval's endpoints."""
     src = inst.input
     lo, hi, values = src.lo, src.hi, sol.values

@@ -27,8 +27,10 @@ of the bitset, the pending items of the sparse set), backtracking takes
 ``backtrack_items``'s step.  The bitset is used when W is at most
 ``BITSET_DENSITY`` times min(W, 3^a * 2^b), the bound on stored sums of a
 items with lo < hi and b with lo == hi, and its exact bytes fit
-``ISSP_MEMORY_BUDGET_MB``; the sparse set is gated at a nominal 128 B per
-stored sum, counted before the sums are built; ``charge`` makes every refusal.
+``ISSP_MEMORY_BUDGET_MB``.  The sparse set charges ``SparseSums.per_sum``
+per sum (at least 128 B; more above a T of about 660 bits) before building
+them; once a sum repeats, it charges ``_SEEN_BYTES`` more per stored sum
+and an item's sums after filtering them.  ``charge`` makes every refusal.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from operator import add, eq, ne
 from typing import Callable, Sequence
 
 from .analysis import fill_values
-from .core import Instance, Solution, SolveOutcome, place, sort_by_length
+from .core import Instance, LengthOrder, Solution, SolveOutcome, place, sort_by_length
 from .errors import InstanceTooLarge, InvalidSetting, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET_MB = 256
@@ -74,7 +76,7 @@ def charge(nbytes: int, budget: int, what: str) -> None:
         raise MemoryBudgetExceeded(message + "; raise ISSP_MEMORY_BUDGET_MB to override")
 
 
-def brute_force_optimum(inst: Instance) -> SolveOutcome:
+def brute_force_optimum(inst: Instance | LengthOrder) -> SolveOutcome:
     """Exhaustive optimum over subsets; oracle for small instances.
 
     A subset S is feasible when its lower endpoints fit (sum lo <= T) and
@@ -85,7 +87,7 @@ def brute_force_optimum(inst: Instance) -> SolveOutcome:
     if n > BRUTE_FORCE_CAP:
         raise InstanceTooLarge(f"n = {n} exceeds the enumeration cap {BRUTE_FORCE_CAP}")
     t = inst.target
-    lo, hi = inst.lo, inst.hi
+    lo, hi, _ = inst.prefix(n)
     best_value = 0
     best_subset: list[int] = []
     chosen: list[int] = []
@@ -474,7 +476,7 @@ class BitsetSums:
         return x
 
 
-def scan(inst: Instance, reach, trace: bool = False) -> tuple:
+def scan(inst: LengthOrder, reach, trace: bool = False) -> tuple:
     """The midrange scan of ``dp_exact`` and ``fptas_solve`` on ``reach``,
     an empty set.  For each length-sorted interval i with lo_i <= T, d is
     the largest stored sum <= T - lo_i (0 if none) and the candidate is
@@ -482,8 +484,8 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
     it reaches T.  Unless it stops, interval i then joins the set, whatever
     its lo.
 
-    The (lo, hi) pairs are read through ``inst.stream()``, so a
-    ``LengthOrder`` view is sorted only as far as the scan goes.
+    The (lo, hi) pairs are read through the view's ``stream()``, so the
+    order is sorted only as far as the scan goes.
 
     Returns (m, delta, exit, states): the 0-based index of the interval
     that gave the best candidate (None when no interval has lo <= T), its
@@ -510,7 +512,7 @@ def scan(inst: Instance, reach, trace: bool = False) -> tuple:
 
 
 def midrange_solution(
-    inst: Instance, m: int | None, endpoints: dict[int, int], y: int
+    inst: LengthOrder, m: int | None, endpoints: dict[int, int], y: int
 ) -> tuple[Solution, int]:
     """Fill the midrange item m to min(hi_m, T - y) next to the endpoints
     chosen for the items before it, which sum to y.  ``endpoints`` maps
@@ -523,14 +525,14 @@ def midrange_solution(
     return place(inst, endpoints), y
 
 
-def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
-    """``dp_exact`` with the reachable sums held by ``sums``, a class above.
-    ``stats["stored_values"]`` counts the sums built.  Untraced, the sparse
-    set never builds the pending block the scan leaves; traced, every
-    snapshot builds it, so the count is the size of the last set in ``sets``.
+def run_dp(inst: Instance | LengthOrder, sums: type, trace: bool = False) -> SolveOutcome:
+    """``dp_exact`` on ``sort_by_length(inst)`` with the sums held by ``sums``,
+    a class above.  ``stats["stored_values"]`` counts the sums built.
+    Untraced, the sparse set never builds the pending block the scan leaves;
+    traced, every snapshot builds it, so the count is the size of the last
+    set in ``sets``.
     """
-    if not inst.length_sorted:
-        inst = sort_by_length(inst)
+    inst = sort_by_length(inst)
     reach = sums(inst.n, inst.target)
     m, delta, exit_at, states = scan(inst, reach, trace)
     lo, hi, _ = inst.prefix(m or 0)
@@ -551,8 +553,8 @@ def run_dp(inst: Instance, sums: type, trace: bool = False) -> SolveOutcome:
     )
 
 
-def dp_exact(inst: Instance, trace: bool = False) -> SolveOutcome:
-    """Exact solve via reachable-sum sets over the length-sorted intervals.
+def dp_exact(inst: Instance | LengthOrder, trace: bool = False) -> SolveOutcome:
+    """Exact solve via reachable-sum sets over ``sort_by_length(inst)``.
 
     D_i holds every sum in (0, T] of one endpoint per chosen interval among
     the first i.  The value is max over i of min(d + hi_i, T), d the largest

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .core import Instance, SolveOutcome, exact_ratio, sort_by_length
+from .core import Instance, LengthOrder, SolveOutcome, exact_ratio, sort_by_length
 from .errors import IsspError
 from .exact import _BYTES_PER_ENTRY, charge, memory_budget_bytes, midrange_solution, scan
 
@@ -442,13 +442,14 @@ def _dc(
 
 
 def fptas_solve(
-    inst: Instance, epsilon: Union[Fraction, str, float], trace: bool = False
+    inst: Instance | LengthOrder, epsilon: Union[Fraction, str, float], trace: bool = False
 ) -> SolveOutcome:
     """Solve to within a factor (1 - epsilon) of the optimum.
 
-    Any valid instance is accepted; preprocessing is not required, since
-    the scan never switches on an interval with lo > T and caps every
-    value at T.  The outcome is flagged exact when the result is provably
+    Any valid instance or view is accepted, and the scan reads
+    ``sort_by_length(inst)``.  Preprocessing is not required, since the
+    scan never switches on an interval with lo > T and caps every value
+    at T.  The outcome is flagged exact when the result is provably
     optimal: the target itself was reached, the instance has at most one
     interval, no interval has lo <= T (the value is 0), or the scan
     observed delta_hat + eps*T <= T - lo_m (in which case the
@@ -458,8 +459,7 @@ def fptas_solve(
     the reconstruction target, for verification.
     """
     eps = exact_ratio(epsilon)
-    if not inst.length_sorted:
-        inst = sort_by_length(inst)
+    inst = sort_by_length(inst)
     t = inst.target
     params = FptasParams(epsilon=eps, target=t)
 

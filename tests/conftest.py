@@ -54,8 +54,8 @@ def instances(draw, max_n: int = 8, max_end: int = 40, max_t: int = 160):
 
 
 def eager_sort(inst: Instance) -> Instance:
-    """``inst`` stable-sorted by length at once into plain tuples: the
-    reference for a lazily sorted ``LengthOrder`` view."""
+    """``inst`` stable-sorted by length at once into a plain Instance of
+    tuples: the reference for a lazily sorted ``LengthOrder`` view."""
     order = sorted(range(inst.n), key=lambda i: inst.hi[i] - inst.lo[i])
     return Instance(
         lo=tuple(inst.lo[i] for i in order),
@@ -63,7 +63,6 @@ def eager_sort(inst: Instance) -> Instance:
         target=inst.target,
         origin=tuple(inst.origin[i] for i in order),
         source=inst.input,
-        length_sorted=True,
     )
 
 

@@ -51,10 +51,10 @@ def insort_dp(inst: Instance) -> dict:
     ``early_exit_at`` and ``delta_star`` mean what they mean in
     ``dp_exact(inst, trace=True).stats``.
     """
-    if not inst.length_sorted:
-        inst = sort_by_length(inst)
+    inst = sort_by_length(inst)
     t = inst.target
     n = inst.n
+    los, his, _ = inst.prefix(n)
     values: list[int] = []
     provenance: dict[int, tuple[int, int, int]] = {}
     best = 0
@@ -64,7 +64,7 @@ def insort_dp(inst: Instance) -> dict:
     sets_trace = []
 
     for i in range(n):
-        lo, hi = inst.lo[i], inst.hi[i]
+        lo, hi = los[i], his[i]
         bound = t - lo
         pos = bisect_right(values, bound)
         delta_star = values[pos - 1] if pos else 0
@@ -97,7 +97,7 @@ def insort_dp(inst: Instance) -> dict:
             pred, idx, endpoint = provenance[d]
             x[idx] = endpoint
             d = pred
-        x[m] = min(inst.hi[m], t - delta_star_m)
+        x[m] = min(his[m], t - delta_star_m)
     return {
         "value": best,
         "x": tuple(x),

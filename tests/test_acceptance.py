@@ -296,3 +296,24 @@ def test_no_assert_or_debug_in_package():
         if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert found == []
+
+
+def test_no_unused_imports():
+    # an import that no name in its file reads is left over from deleted
+    # code; the package's __init__ is skipped, since its imports are its exports
+    package = Path(issp.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert len(paths) > 10 and found == []

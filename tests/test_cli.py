@@ -223,7 +223,8 @@ class TestParserAgainstReference:
         assert tuple(out.origin) == tuple(keep)
         assert (out.target, out.original) == (t, ref.original)
         view, eager = sort_by_length(out), eager_sort(out)
-        assert (view.lo, view.hi, view.origin, view.original) == (
+        lo, hi, origin = view.prefix(view.n)
+        assert (tuple(lo), tuple(hi), tuple(origin), view.original) == (
             eager.lo, eager.hi, eager.origin, eager.original
         )
 

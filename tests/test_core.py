@@ -5,10 +5,11 @@ from fractions import Fraction
 from operator import sub
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issp import core
+from issp.analysis import solve_polynomial
 from issp.core import (
     Instance,
     Solution,
@@ -22,6 +23,7 @@ from issp.core import (
     validate,
 )
 from issp.errors import InputError, InvalidSetting, IsspError
+from issp.exact import dp_exact
 from issp.fptas import fptas_solve
 from issp.instgen import GenSpec, gen_c
 
@@ -109,17 +111,19 @@ class TestSortByLength:
     def test_orders_by_width_stable(self):
         inst = validate([(1, 10), (2, 5), (3, 6), (1, 1)], 100)
         s = sort_by_length(inst)
-        assert list(map(sub, s.hi, s.lo)) == [0, 3, 3, 9]
+        lo, hi, origin = s.prefix(s.n)
+        assert list(map(sub, hi, lo)) == [0, 3, 3, 9]
         # equal lengths keep input order (stable)
-        assert s.origin == (3, 1, 2, 0)
-        assert s.length_sorted
+        assert tuple(origin) == (3, 1, 2, 0)
+        assert sort_by_length(s) is s
 
     @given(instances())
     def test_permutation_of_input(self, inst):
         s = sort_by_length(inst)
-        assert sorted(zip(s.lo, s.hi)) == sorted(zip(inst.lo, inst.hi))
-        assert sorted(s.origin) == list(range(inst.n))
-        lengths = list(map(sub, s.hi, s.lo))
+        lo, hi, origin = s.prefix(s.n)
+        assert sorted(zip(lo, hi)) == sorted(zip(inst.lo, inst.hi))
+        assert sorted(origin) == list(range(inst.n))
+        lengths = list(map(sub, hi, lo))
         assert lengths == sorted(lengths)
 
     @given(instances(max_n=10, max_end=60, max_t=100))
@@ -132,11 +136,48 @@ class TestSortByLength:
         for view in views:
             order = sorted(range(view.n), key=lambda i: view.hi[i] - view.lo[i])
             s = sort_by_length(view)
-            assert s.lo == tuple(view.lo[i] for i in order)
-            assert s.hi == tuple(view.hi[i] for i in order)
-            assert s.origin == tuple(view.origin[i] for i in order)
-            assert s.length_sorted
+            lo, hi, origin = s.prefix(s.n)
+            assert tuple(lo) == tuple(view.lo[i] for i in order)
+            assert tuple(hi) == tuple(view.hi[i] for i in order)
+            assert tuple(origin) == tuple(view.origin[i] for i in order)
+            assert sort_by_length(s) is s
         assert inst.original == tuple(zip(inst.lo, inst.hi))
+
+
+class TestOneOrderDecision:
+    """The length order is decided by ``sort_by_length`` alone: no instance
+    says it is sorted, and every solver sorts what it is given."""
+
+    def test_an_instance_cannot_claim_to_be_sorted(self):
+        with pytest.raises(TypeError, match="length_sorted"):
+            Instance((10, 5, 19), (30, 7, 25), 46, range(3), length_sorted=True)
+
+    @given(instances())
+    def test_a_view_is_returned_as_it_is(self, inst):
+        pre = preprocess(inst)
+        for plain in [inst] + ([pre] if isinstance(pre, Instance) else []):
+            view = sort_by_length(plain)
+            assert sort_by_length(view) is view
+
+    @given(instances())
+    @settings(max_examples=200)
+    def test_preprocess_and_sort_commute(self, inst):
+        sorted_first, reduced = preprocess(sort_by_length(inst)), preprocess(inst)
+        if isinstance(reduced, Solution) or isinstance(sorted_first, Solution):
+            # settled by a rule that does not depend on the order
+            assert isinstance(reduced, Solution) and isinstance(sorted_first, Solution)
+            assert sorted_first.total == reduced.total
+            return
+        reduced_first = sort_by_length(reduced)
+        for solve in (dp_exact, lambda x: fptas_solve(x, Fraction(1, 10)), solve_polynomial):
+            assert solve(sorted_first) == solve(reduced_first)
+
+    def test_input_order_witness(self):
+        # scanned in input order, (10, 30) comes first and the value is 42
+        inst = validate([(10, 30), (5, 7), (19, 25)], 46)
+        for out in (dp_exact(inst), fptas_solve(inst, Fraction(1, 100))):
+            assert (out.value, out.kind) == (46, "exact")
+            assert evaluate(inst, out.solution) == 46
 
 
 @st.composite
@@ -170,7 +211,7 @@ class TestLengthOrder:
             mp.setattr(core, "FIRST_CHUNK", first)
             mp.setattr(core, "FULL_SORT_SHARE", share)
             view = sort_by_length(inst)
-            assert view.n == ref.n and view.length_sorted
+            assert view.n == ref.n and sort_by_length(view) is view
             for k in reads:
                 lo, hi, origin = view.prefix(k)
                 done = view.materialized
@@ -178,7 +219,7 @@ class TestLengthOrder:
                 assert tuple(lo[:done]) == ref.lo[:done] and tuple(hi[:done]) == ref.hi[:done]
                 assert tuple(origin[:done]) == ref.origin[:done]
             assert tuple(sort_by_length(inst).stream()) == tuple(zip(ref.lo, ref.hi))
-            assert (view.lo, view.hi, view.origin) == (ref.lo, ref.hi, ref.origin)
+            assert tuple(map(tuple, view.prefix(view.n))) == (ref.lo, ref.hi, ref.origin)
             assert view.unsorted[0] is inst.lo and view.unsorted[1] is inst.hi
 
     def test_partial_view_holds_only_its_sorted_prefix_beyond_the_lengths(self):

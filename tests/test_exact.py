@@ -83,10 +83,11 @@ class TestDpExact:
     def test_reachable_sets_match_endpoint_subset_sums(self):
         inst = sort_by_length(validate([(3, 7), (2, 9), (5, 6)], 30))
         out = dp_exact(inst, trace=True)
+        lo, hi, _ = inst.prefix(inst.n)
         for i, stored in enumerate(out.stats["sets"]):
             expected = {0}
             for j in range(i + 1):
-                expected |= {s + e for s in expected for e in (inst.lo[j], inst.hi[j])}
+                expected |= {s + e for s in expected for e in (lo[j], hi[j])}
             expected = {s for s in expected if 0 < s <= inst.target}
             assert set(stored) == expected
 
@@ -379,7 +380,8 @@ class TestSparseSums:
         m, delta, _, _ = scan(work, reach)
         assert (m, delta) == (1999, 3998)
         reach.ends = ReadLog(reach.ends)
-        assert reach.backtrack(delta, m, work.lo, work.hi) == dict.fromkeys(range(m), 2)
+        lo, hi, _ = work.prefix(work.n)
+        assert reach.backtrack(delta, m, lo, hi) == dict.fromkeys(range(m), 2)
         assert max(reach.ends.reads.values()) == 1
 
     @given(
@@ -883,15 +885,18 @@ class TestLazyLengthOrder:
 
     @pytest.mark.parametrize("first, share", [(2, 2), (1, 4), (3, 2)])
     def test_exits_around_every_chunk_boundary(self, monkeypatch, first, share):
+        n = 40
+        # under the default constants a reference view sorts in full at once
+        refs = {k: sort_by_length(eager_sort(exit_instance(n, k))) for k in [*range(n + 1), None]}
+        assert all(ref.materialized == n for ref in refs.values())
         monkeypatch.setattr(core, "FIRST_CHUNK", first)
         monkeypatch.setattr(core, "FULL_SORT_SHARE", share)
-        n = 40
         ends = chunk_ends(n)
         assert len(ends) >= 3  # at least one extension before the full sort
         exits = sorted({m for e in ends[:-1] for m in (e - 1, e, e + 1)})
         for k in exits + [None]:  # None: no exit, so the full sort
             inst = exit_instance(n, k)
-            ref = eager_sort(inst)
+            ref = refs[k]
             got = dp_exact(sort_by_length(inst), trace=True)
             assert got.stats["early_exit_at"] == (None if k is None else k + 1)
             assert got == dp_exact(ref, trace=True)
@@ -907,7 +912,7 @@ class TestLazyLengthOrder:
     def test_random_instances_match_the_eager_sort(self, inst, constants):
         pre = preprocess(inst)
         assume(not isinstance(pre, Solution))
-        ref = eager_sort(pre)
+        ref = sort_by_length(eager_sort(pre))  # one full sort, before the constants change
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "FIRST_CHUNK", constants[0])
             mp.setattr(core, "FULL_SORT_SHARE", constants[1])

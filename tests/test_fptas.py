@@ -736,9 +736,12 @@ class TestLazyLengthOrder:
 
     @pytest.mark.parametrize("first, share", [(2, 2), (1, 4), (3, 2)])
     def test_exits_around_every_chunk_boundary(self, monkeypatch, first, share):
+        n = 40
+        # under the default constants a reference view sorts in full at once
+        refs = {k: sort_by_length(eager_sort(exit_instance(n, k))) for k in [*range(n + 1), None]}
+        assert all(ref.materialized == n for ref in refs.values())
         monkeypatch.setattr(core, "FIRST_CHUNK", first)
         monkeypatch.setattr(core, "FULL_SORT_SHARE", share)
-        n = 40
         ends = chunk_ends(n)
         assert len(ends) >= 3  # at least one extension before the full sort
         exits = sorted({m for e in ends[:-1] for m in (e - 1, e, e + 1)})
@@ -748,7 +751,7 @@ class TestLazyLengthOrder:
             got = fptas_solve(view, Fraction(1, 1000), trace=True)
             assert got.midrange_index == (n if k is None else k + 1)
             assert got.stats["early_exit"] == (k is not None)
-            assert got == fptas_solve(eager_sort(inst), Fraction(1, 1000), trace=True)
+            assert got == fptas_solve(refs[k], Fraction(1, 1000), trace=True)
             # the scan read items 0..k, so the view holds the chunk with k
             assert view.materialized == min(e for e in ends if e > (n - 1 if k is None else k))
 

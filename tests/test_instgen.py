@@ -4,8 +4,6 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from issp.cli import serialize_instance
 from issp.core import Solution, preprocess
