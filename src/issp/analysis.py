@@ -6,14 +6,15 @@ under the clipped objective min(sum of chosen hi, T): any subset S whose
 lower endpoints fit (sum lo <= T) can be turned into a feasible solution of
 value exactly min(sum of S's hi, T) by a greedy fill.
 
-Two sufficient conditions make the problem solvable in polynomial time:
+Two sufficient conditions make the problem solvable in polynomial time;
+when the lower endpoints do not all fit, under either of them the longest
+prefix whose lower endpoints fit, in any order, covers T:
 
 * a "large target" condition
-      T >= ceil(max lo / min(hi - lo)) * max lo
-  which guarantees some prefix reaches the target exactly, and
-* a "wide intervals" condition  min(hi_i / lo_i) >= 2  (whenever T does not
-  exceed the sum of upper endpoints), under which upper endpoints cover the
-  whole range above the largest interval.
+      T >= ceil(max lo / min(hi - lo)) * max lo, and
+* a "wide intervals" condition  min(hi_i / lo_i) >= 2  with T > max hi:
+  if x is the first interval left out of the prefix P, then
+  sum hi(P) >= 2 sum lo(P) > 2(T - lo_x) >= 2T - hi_x > T.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ def solution_from_subset(inst: Instance | LengthOrder, subset: Iterable[int]) ->
 
 
 class Aggregates(NamedTuple):
-    """The order-free sums and extremes the detectors read."""
+    """The order-free sum and extremes the detectors read."""
 
     lo_total: int
-    hi_total: int
     max_lo: int
     min_length: int
     wide: bool  # hi >= 2*lo for every interval, i.e. c* >= 2
@@ -90,7 +90,6 @@ def aggregates(inst: Instance | LengthOrder) -> Aggregates:
     lo, hi = inst.unsorted
     return Aggregates(
         lo_total=sum(lo),
-        hi_total=sum(hi),
         max_lo=max(lo),
         min_length=min(map(sub, hi, lo)),
         wide=all(map(le, map(add, lo, lo), hi)),
@@ -143,65 +142,45 @@ def polynomial_rate_monte_carlo(
 def solve_polynomial(inst: Instance | LengthOrder) -> Optional[SolveOutcome]:
     """Try the polynomial-time routes; return an exact outcome or None.
 
-    Routes, in order:
+    Routes, in order, each decided from ``aggregates``:
       (a) T >= sum of all lower endpoints: switch everything on and fill;
           value = min(sum hi, T).
-      (b) large-target condition holds: some prefix's lower endpoints fit
-          while its upper endpoints cover T; fill the prefix to value T.
-      (c) c* >= 2 and T <= sum hi: put the max-hi interval first, take the
-          minimal prefix whose upper endpoints cover T; its lower endpoints
-          are guaranteed to fit; fill to value T.
+      (b) the large-target condition holds, or
+      (c) c* >= 2 and T > max hi: the longest prefix whose lower endpoints
+          fit covers T (see the module docstring); fill it to value T.
 
-    The instance must already satisfy T > max hi (run preprocess first).
-    Every route fills in the order of ``sort_by_length(inst)``.
+    Routes (a) and (b) hold on any instance; route (c) checks T > max hi
+    itself, which ``preprocess`` already ensures.  Every route fills in the
+    order of ``sort_by_length(inst)``, read only as far as its prefix.
     """
     t = inst.target
     if not inst.n:
         return None
     inst = sort_by_length(inst)
-
-    def outcome(sol: Solution, route: str) -> SolveOutcome:
-        return SolveOutcome(solution=sol, value=sol.total, kind="exact", stats={"route": route})
-
     agg = aggregates(inst)
     if t >= agg.lo_total:
-        return outcome(solution_from_subset(inst, range(inst.n)), "a")
-
-    if agg.large_target(t):
+        route, k = "a", inst.n
+    else:
+        if agg.large_target(t):
+            route = "b"
+        elif agg.wide and max(inst.unsorted[1]) < t:
+            route = "c"
+        else:
+            return None
         # lo_total > t here, so a proper prefix crosses t: take the longest
         # prefix whose lower endpoints still fit, reading the order no further.
-        lo_sum = hi_sum = prefix_end = 0
+        lo_sum = hi_sum = k = 0
         for a, b in inst.stream():
             if lo_sum + a > t:
                 break
             lo_sum += a
             hi_sum += b
-            prefix_end += 1
+            k += 1
         if hi_sum < t:
+            name = "large-target" if route == "b" else "wide-interval"
             raise IsspError(
-                "large-target route: prefix upper endpoints do not cover the "
+                f"{name} route: prefix upper endpoints do not cover the "
                 "target; the route's guarantee is violated, indicating a bug"
             )
-        return outcome(solution_from_subset(inst, range(prefix_end)), "b")
-
-    if agg.wide and t <= agg.hi_total:
-        lo, hi, _ = inst.prefix(inst.n)
-        # stable, so intervals of equal hi keep the length order
-        order = sorted(range(inst.n), key=hi.__getitem__, reverse=True)
-        # minimal prefix (max-hi interval first) whose upper endpoints cover t
-        acc = 0
-        chosen: list[int] = []
-        for i in order:
-            chosen.append(i)
-            acc += hi[i]
-            if acc >= t:
-                break
-        lo_sum = sum(map(lo.__getitem__, chosen))
-        if lo_sum > t:
-            raise IsspError(
-                "wide-interval route: minimal covering prefix is infeasible; "
-                "the route's guarantee is violated, indicating a bug"
-            )
-        return outcome(place(inst, fill_values(lo, hi, chosen, t)), "c")
-
-    return None
+    sol = solution_from_subset(inst, range(k))
+    return SolveOutcome(solution=sol, value=sol.total, kind="exact", stats={"route": route})

@@ -127,18 +127,17 @@ def solve_polynomial(inst: Instance) -> Optional[SolveOutcome]:
 
     cstar = check_wide(inst)
     hi_total = sum(inst.hi)
-    if cstar is not None and cstar >= 2 and t <= hi_total:
-        order = sorted(range(inst.n), key=lambda i: -inst.hi[i])
-        acc = 0
+    if cstar is not None and cstar >= 2 and max(inst.hi) < t <= hi_total:
         chosen: list[int] = []
-        for i in order:
-            chosen.append(i)
-            acc += inst.hi[i]
-            if acc >= t:
+        lo_sum = hi_sum = 0
+        for i, (lo, hi) in enumerate(zip(inst.lo, inst.hi)):
+            if lo_sum + lo > t:
                 break
-        lo_sum = sum(inst.lo[i] for i in chosen)
-        if lo_sum > t:
-            raise IsspError("wide-interval route: minimal covering prefix is infeasible")
+            lo_sum += lo
+            hi_sum += hi
+            chosen.append(i)
+        if hi_sum < t:
+            raise IsspError("wide-interval route: prefix upper endpoints do not cover the target")
         return outcome(fill(inst, chosen), "c")
 
     return None

@@ -317,3 +317,38 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert len(paths) > 10 and found == []
+
+
+def test_no_dead_private_names():
+    # a module-level _name (function, class or assignment) that nothing in
+    # the package reads outside its own definition is left over from deleted
+    # code; a read is a loaded name or an attribute, as in cli._solve_instance
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(issp.__file__).parent.glob("*.py"))
+    }
+    defined = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.endswith("__")]
+            defined += [(file, name, node) for name in private]
+    reads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    ]
+    dead = []
+    for file, name, definition in defined:
+        inside = set(map(id, ast.walk(definition)))
+        if not any(read == name and id(node) not in inside for read, node in reads):
+            dead.append(f"{file}:{definition.lineno} {name}")
+    assert len(defined) > 20 and dead == []

@@ -19,7 +19,8 @@ from issp.analysis import (
 )
 from issp.core import Solution, evaluate, preprocess, sort_by_length, validate, validate_columns
 from issp.errors import IsspError
-from issp.exact import brute_force_optimum
+from issp.exact import brute_force_optimum, dp_exact
+from issp.instgen import gen_c
 
 from conftest import eager_sort, instances
 import reference_frontend
@@ -146,6 +147,14 @@ class TestSolvePolynomial:
         assert (out.stats["route"], out.value, view.materialized) == ("b", 301, 1024)
         assert reference_frontend.solve_polynomial(eager_sort(inst)) == out
 
+    def test_route_c_reads_only_the_prefix_it_fills(self):
+        # c = 3 makes every interval wide; the length order is read only
+        # until the lower endpoints pass T, 4,096 positions of 100,000
+        view = sort_by_length(gen_c(100_000, Fraction(3), 1))
+        out = solve_polynomial(view)
+        assert (out.stats["route"], out.value) == ("c", view.target)
+        assert view.materialized < 100_000
+
     def test_no_route_returns_none(self):
         # sum lo = 110 > T, large-target bound 360 > T, c* = 85/60 < 2
         inst = sort_by_length(validate([(10, 20), (10, 25), (60, 85), (30, 50)], 100))
@@ -164,6 +173,41 @@ class TestSolvePolynomial:
         assert out.kind == "exact"
         assert evaluate(inst, out.solution) == out.value
         assert out.value == brute_force_optimum(work).value
+
+
+@st.composite
+def unreduced_instances(draw):
+    """Small instances that ``preprocess`` has not seen, aimed at the wide
+    route: a target below some lo, inside some interval, or anywhere."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = draw(st.integers(1, 20))
+        pairs.append((lo, draw(st.integers(lo, 3 * lo + 4))))
+    lo, hi = draw(st.sampled_from(pairs))
+    target = draw(
+        st.one_of(st.integers(1, max(lo - 1, 1)), st.integers(lo, hi), st.integers(1, 200))
+    )
+    return validate(pairs, target)
+
+
+class TestUnreducedInstances:
+    """Routes (a) and (b) hold on any instance, and route (c) answers only
+    when T > max hi, so no route reports a bug before ``preprocess``."""
+
+    def test_wide_interval_holding_t_is_no_route(self):
+        # both intervals are wide, but (30, 70) holds T = 20, so the
+        # longest fitting prefix, (5, 12), cannot cover it
+        inst = validate([(5, 12), (30, 70)], 20)
+        assert dp_exact(inst).value == 12
+        assert solve_polynomial(inst) is None
+
+    @given(unreduced_instances())
+    @settings(max_examples=300)
+    def test_any_answer_is_optimal(self, inst):
+        out = solve_polynomial(inst)
+        if out is not None:
+            assert (out.kind, evaluate(inst, out.solution)) == ("exact", out.value)
+            assert out.value == dp_exact(inst).value
 
 
 class TestMonteCarloRate:
@@ -225,7 +269,6 @@ def detector_case(draw_int, mode: str):
     pairs = [(lo * scale, hi * scale) for lo, hi in pairs]
     lowest = max(hi for _, hi in pairs) + 1
     lo_total = sum(lo for lo, _ in pairs)
-    hi_total = sum(hi for _, hi in pairs)
     if mode == "a":
         return pairs, max(lo_total, lowest) + draw_int(0, 5)
     # below lo_total where possible, so that route (a) does not apply

@@ -675,19 +675,25 @@ class TestSolveCommand:
         assert code == EXIT_BUG
         assert (out, err) == ("", "error: solver bug: sweep exhausted ascending side\n")
 
-    def test_broken_route_guarantee_exit_code(self, tmp_path, capsys, monkeypatch):
-        # with min length 10**30 the large-target route fires, but the longest
-        # fitting prefix (two items, his 90) cannot cover T = 100
+    @pytest.mark.parametrize(
+        "field, value, route",
+        [("min_length", 10**30, "large-target"), ("wide", True, "wide-interval")],
+        ids=["large-target", "wide-interval"],
+    )
+    def test_broken_route_guarantee_exit_code(self, tmp_path, capsys, monkeypatch, field, value, route):
+        # with min length 10**30 the large-target route fires, and with wide
+        # set the wide-interval route does, but the longest fitting prefix
+        # (two items, his 90) cannot cover T = 100
         path = tmp_path / "inst.txt"
         path.write_text("3 100\n40 45\n40 45\n40 45\n")
         real = analysis.aggregates
         monkeypatch.setattr(
-            analysis, "aggregates", lambda inst: real(inst)._replace(min_length=10**30)
+            analysis, "aggregates", lambda inst: real(inst)._replace(**{field: value})
         )
         code, out, err = run_cli(capsys, "solve", str(path), "--epsilon", "1/10")
         assert code == EXIT_BUG
         assert out == ""
-        assert "solver bug: large-target route" in err
+        assert f"solver bug: {route} route" in err
 
 
 class TestGenerateCommand:
@@ -1411,8 +1417,8 @@ class TestPinnedOutput:
         "route-c": (
             Gen("--family C --n 100000 --c 3 --seed 1"),
             ("--algorithm", "auto", "--epsilon", "1/1000"),
-            "300000000000000 exact None f0cfee8ba8bc9db2",
-            "c = 3 makes every interval wide: route (c)",
+            "300000000000000 exact None 2b373a041fe70399",
+            "c = 3 makes every interval wide: route (c) fills the longest fitting prefix",
         ),
         "route-b": (
             instance_text(301, [(1 + i % 100, 101 + i % 100 + i % 101) for i in range(20000)]),
