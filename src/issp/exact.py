@@ -27,10 +27,10 @@ of the bitset, the pending items of the sparse set), backtracking takes
 ``backtrack_items``'s step.  The bitset is used when W is at most
 ``BITSET_DENSITY`` times min(W, 3^a * 2^b), the bound on stored sums of a
 items with lo < hi and b with lo == hi, and its exact bytes fit
-``ISSP_MEMORY_BUDGET_MB``.  The sparse set charges ``SparseSums.per_sum``
-per sum (at least 128 B; more above a T of about 660 bits) before building
-them; once a sum repeats, it charges ``_SEEN_BYTES`` more per stored sum
-and an item's sums after filtering them.  ``charge`` makes every refusal.
+``ISSP_MEMORY_BUDGET_MB``.  The sparse set charges ``value_bytes(T)`` per
+sum, as the FPTAS does per bucket slot, before building them; once a sum
+repeats, it charges ``_SEEN_BYTES`` more per stored sum and an item's sums
+after filtering them.  ``charge`` makes every refusal.
 """
 
 from __future__ import annotations
@@ -119,13 +119,14 @@ def brute_force_optimum(inst: Instance | LengthOrder) -> SolveOutcome:
 
 # Representation choice.  Per item, BitsetSums costs time in proportion to
 # the largest reachable sum (at most T), SparseSums to the sums stored (at
-# most min(T, 3^n)).  On random instances, n = 7..13, lo uniform in
+# most min(T, 3^n)).  On random instances, n = 7..12, lo uniform in
 # [1, 2.75 T / n], hi in [lo, 2 lo], T = r * 3^n (nine per n; each set built
-# over all n items, then its largest sum backtracked; Python 3.11, 2-vCPU
-# x86 VM), the bitset's median speed-up was 1.9x at r = 32 (0.9-3.3x across
-# n), 0.9x at r = 64 (0.4-2.1x) and 0.5x at r = 128 (0.3-1.9x).  The sets
-# held about 0.33 * 3^n sums, so at r = 32 both sides budget about the same
-# bytes (n = 13: 88 MB of bitset_bytes, 67 MB at 128 B per sum).
+# over all n items, then its largest sum backtracked, best of 3; Python
+# 3.11.7, 2-core x86 host), the bitset's median speed-up was 2.7x at r = 8,
+# 1.2x at r = 16 (0.1-6.7x across n) and 0.6x at r = 32 (0.05-3.6x).  It
+# falls with n, breaking even above r = 128 at n = 7, near r = 12 at n = 10
+# and near r = 3 at n = 12.  The sets held about 0.43 * 3^n sums, so at
+# r = 32 bitset_bytes and 128 B per sum budget 29 MB each at n = 12.
 BITSET_DENSITY = 32
 
 _DIGIT_BYTES = sys.int_info.sizeof_digit
@@ -139,6 +140,12 @@ _BITSET_WORKING = 5
 
 def _int_bytes(bits: int) -> int:
     return _INT_HEADER + _DIGIT_BYTES * -(-bits // _DIGIT_BITS)
+
+
+def value_bytes(t: int) -> int:
+    """Bytes charged per stored sum or bucket slot below T = t: an int of T's
+    width and two list slots, at least ``_BYTES_PER_ENTRY`` (T of <= 660 bits)."""
+    return max(_BYTES_PER_ENTRY, _int_bytes(t.bit_length()) + 2 * 8)
 
 
 def _checkpoint_step(n: int) -> int:
@@ -235,9 +242,8 @@ class SparseSums:
     sums not yet stored.  Backtracking is given the endpoint columns after
     the scan; ``n`` is unused, so that both exact sets are built as
     ``sums(n, t)``.  The budget is read once, in bytes.  A sum is charged
-    ``per_sum``, its int at T's width and two list slots (the list's and a
-    merge's), at least ``_BYTES_PER_ENTRY`` (T of up to about 660 bits);
-    once ``seen`` exists, a stored sum is charged ``_SEEN_BYTES`` more.
+    ``per_sum = value_bytes(t)``, its two list slots being the list's and a
+    merge's; once ``seen`` exists, a stored sum is charged ``_SEEN_BYTES`` more.
 
     Items ``[0, h)`` are built into those lists; the newest items ``[h, k)``
     are ``pending``, unbuilt, and ``block`` holds their sums <= T, 0
@@ -254,7 +260,7 @@ class SparseSums:
     def __init__(self, n: int, t: int) -> None:
         self.t = t
         self.budget = memory_budget_bytes()
-        self.per_sum = max(_BYTES_PER_ENTRY, _int_bytes(t.bit_length()) + 2 * 8)
+        self.per_sum = value_bytes(t)
         self.values: list[int] = []
         self.seen: set[int] | None = None  # built when a sum first repeats
         self.firsts: list[int] = []

@@ -27,9 +27,9 @@ is re-run.
 
 All threshold comparisons involving eps*T are carried out in exact rational
 arithmetic (eps is a Fraction); no floating point enters the solver path.
-The live bucket slots are counted: arrays are sized by 1/eps only,
-checked against the memory budget before any is allocated, and dropped when
-released, so peak space is O(1/eps) regardless of T.
+The live bucket slots are counted: arrays are sized by 1/eps only, charged
+at ``exact.value_bytes(T)`` a slot before any is allocated, and dropped when
+released, so the peak slot count is O(1/eps) regardless of T.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Union
 
 from .core import Instance, LengthOrder, SolveOutcome, exact_ratio, sort_by_length
 from .errors import IsspError
-from .exact import _BYTES_PER_ENTRY, charge, memory_budget_bytes, midrange_solution, scan
+from .exact import charge, memory_budget_bytes, midrange_solution, scan, value_bytes
 
 Number = Union[int, Fraction]
 
@@ -58,8 +58,8 @@ class FptasParams:
     bucket of an integer v in (0, T] is the first k with v <= bounds[k].
     ``live_slots`` counts the bucket slots allocated and not yet released;
     ``peak_slots``, its maximum, certifies the space bound.  Construction
-    charges 5l + 1 entries at 128 B before any is allocated: two arrays of
-    2l slots live at once (the metered peak) and the boundary table.
+    charges 5l + 1 entries at ``value_bytes(T)`` up front: two arrays of 2l
+    slots live at once (the metered peak) and the boundary table.
     """
 
     epsilon: Fraction
@@ -75,11 +75,11 @@ class FptasParams:
         p, q = self.epsilon.numerator, self.epsilon.denominator
         self.l = -(-q // p)  # ceil(1/eps)
         # the message names no eps-sized number: l may have thousands of digits
-        budget = memory_budget_bytes()
-        fits = max(0, (budget // _BYTES_PER_ENTRY - 1) // 5)
+        budget, t, l = memory_budget_bytes(), self.target, self.l
+        per_entry = value_bytes(t)
+        fits = max(0, (budget // per_entry - 1) // 5)
         what = f"epsilon too small: ceil(1/epsilon) buckets are more than the {fits} that fit"
-        charge(_BYTES_PER_ENTRY * (5 * self.l + 1), budget, what)
-        t, l = self.target, self.l
+        charge(per_entry * (5 * l + 1), budget, what)
         self.bounds = [k * t // l for k in range(l + 1)]
 
     @property

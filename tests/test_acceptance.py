@@ -352,3 +352,24 @@ def test_no_dead_private_names():
         if not any(read == name and id(node) not in inside for read, node in reads):
             dead.append(f"{file}:{definition.lineno} {name}")
     assert len(defined) > 20 and dead == []
+
+
+def test_no_private_name_crosses_modules():
+    # a module reads no sibling's _name, neither imported (from .x import _y)
+    # nor through the sibling (x._y, with x bound by from . import x): a name
+    # that two modules share is public
+    reads = []
+    for path in sorted(Path(issp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        siblings = {a.asname or a.name for n in relative if n.module is None for a in n.names}
+        reads += [(path, n, a.name) for n in relative if n.module for a in n.names]
+        reads += [
+            (path, node, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+        ]
+    private = [f"{p.name}:{node.lineno} {name}" for p, node, name in reads if name[0] == "_"]
+    assert len(reads) > 50 and private == []

@@ -602,6 +602,21 @@ class TestSolveCommand:
             ", over the memory budget of 1048576 B; raise ISSP_MEMORY_BUDGET_MB to override\n"
         )
 
+    def test_wide_target_over_budget_exit_code(self, capsys, monkeypatch):
+        # a bucket slot of a 4001-bit T is charged 576 B, so 1 MiB holds 363
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
+        t = 2**4000 + 12345
+        text = f"2 {t}\n{t // 3} {t // 2}\n{t // 3} {t // 2}\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ["solve", "-", "--algorithm", "fptas", "--epsilon", "1/1600"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == (
+            "error: epsilon too small: ceil(1/epsilon) buckets are more than the 363 that fit,"
+            " over the memory budget of 1048576 B; raise ISSP_MEMORY_BUDGET_MB to override\n"
+        )
+
     def test_value_self_check_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "inst.txt"
         path.write_text(GOLDEN_FILE)

@@ -255,6 +255,25 @@ class TestParams:
         with pytest.raises(MemoryBudgetExceeded):
             FptasParams(Fraction(1, 2000), 100)
 
+    @pytest.mark.parametrize("bits, last", [(1000, 1191), (4000, 363)])
+    def test_wide_target_peak_within_budget(self, monkeypatch, bits, last):
+        # 300 intervals [hi // 2, hi], hi uniform in [1, 8T/300]; a bucket slot
+        # holds an int of T's width, so value_bytes(T) prices it
+        monkeypatch.setenv("ISSP_MEMORY_BUDGET_MB", "1")
+        t = 2**bits + 12345
+        rng = SplitMix64(bits)
+        his = [rng.randint(8 * t // 300) for _ in range(300)]
+        inst = validate([(hi // 2, hi) for hi in his], t)
+        tracemalloc.start()
+        try:
+            fptas_solve(inst, Fraction(1, last))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        with pytest.raises(MemoryBudgetExceeded, match=f"more than the {last} that fit"):
+            fptas_solve(inst, Fraction(1, last + 1))
+
     @given(
         st.integers(min_value=1, max_value=10**6),
         st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)),
